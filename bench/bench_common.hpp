@@ -7,10 +7,6 @@
 //   --seed S             base RNG seed
 //   --jobs N             worker threads for the trial fan-out (default: all
 //                        hardware threads; results are identical for any N)
-//   --trial-threads N    lanes for the phase-parallel engine *inside* each
-//                        trial (default 0 = plain serial event loop;
-//                        deterministic metrics identical for any N, and
-//                        the knob composes with --jobs)
 //   --no-wall            omit wall-clock metrics from the output, leaving
 //                        only deterministic ones (for byte-for-byte diffs)
 //   --no-verify-cache    disable the per-trial verify-result cache and
@@ -23,7 +19,7 @@
 //                        suffix PATH per cell/trial (".c<cell>.t<trial>"),
 //                        so traced sweeps compose with --jobs. Off by
 //                        default; trace content is bit-identical for any
-//                        --jobs x --trial-threads combination.
+//                        --jobs value.
 //   --log-level LEVEL    minimum log level (trace|debug|info|warn|error|off;
 //                        default warn). DAPES_LOG_LEVEL in the environment
 //                        sets the same knob; the flag wins.
@@ -63,7 +59,6 @@ struct BenchArgs {
   bool paper_scale = false;
   uint64_t seed = 1;
   int jobs = 0;           // 0 = all hardware threads
-  int trial_threads = 0;  // 0 = serial trial interior
   bool no_wall = false;   // drop wall-clock metrics (determinism diffs)
   bool verify_cache = true;  // --no-verify-cache clears it
   trace::TraceConfig trace;  // --trace; empty sink = tracing off
@@ -73,7 +68,7 @@ struct BenchArgs {
   static void usage(const char* prog, std::FILE* to) {
     std::fprintf(to,
                  "usage: %s [--trials N] [--quick] [--paper-scale] [--seed S]\n"
-                 "       %*s [--jobs N] [--trial-threads N] [--no-wall]\n"
+                 "       %*s [--jobs N] [--no-wall]\n"
                  "       %*s [--no-verify-cache]\n"
                  "       %*s [--trace SINK[:PATH]] [--log-level LEVEL]\n"
                  "       %*s [--format text|csv|json] [--out FILE]\n",
@@ -142,9 +137,6 @@ struct BenchArgs {
       } else if (flag == "--jobs") {
         args.jobs = static_cast<int>(
             parse_int("--jobs", value_of("--jobs", inline_value), 1));
-      } else if (flag == "--trial-threads") {
-        args.trial_threads = static_cast<int>(parse_int(
-            "--trial-threads", value_of("--trial-threads", inline_value), 0));
       } else if (flag == "--no-wall") {
         args.no_wall = true;
       } else if (flag == "--no-verify-cache") {
@@ -198,7 +190,6 @@ struct BenchArgs {
   harness::ScenarioParams scenario() const {
     harness::ScenarioParams p;
     p.seed = seed;
-    p.trial_threads = trial_threads;
     p.verify_cache = verify_cache;
     p.trace = trace;
     if (paper_scale) {

@@ -2,9 +2,8 @@
 //
 // Two workloads share one (message-size x engine) grid:
 //
-//   * Hash throughput: one-shot Sha256::hash plus sha256_many at batch
-//     widths 4/8/32 — the message-size x engine x batch-width sweep that
-//     shows what each SIMD kernel buys over the scalar reference.
+//   * Hash throughput: one-shot Sha256::hash — the message-size x engine
+//     sweep that shows what SHA-NI buys over the scalar reference.
 //   * The 500-node verify-bound workload: one sender broadcasts signed
 //     Data frames over a real Medium to 500 in-range receivers, every
 //     receiver verifying every frame. Run twice per cell — with the
@@ -76,27 +75,15 @@ double ops_per_second(Op&& op) {
 
 // --- hash throughput ------------------------------------------------------
 
-/// Wire MB/s of sha256_many over `width` messages of `msg_bytes` each
-/// (width 1 uses the one-shot path). The active engine must already be
-/// selected.
-double hash_mbps(size_t msg_bytes, size_t width, uint64_t seed) {
+/// Wire MB/s of one-shot Sha256::hash over a `msg_bytes` message. The
+/// active engine must already be selected.
+double hash_mbps(size_t msg_bytes, uint64_t seed) {
   common::Rng rng(seed);
-  std::vector<Bytes> messages;
-  std::vector<BytesView> views;
-  for (size_t i = 0; i < width; ++i) {
-    messages.push_back(random_message(rng, msg_bytes));
-    views.push_back(BytesView(messages.back().data(), messages.back().size()));
-  }
-  std::vector<crypto::Digest> out(width);
-  double ops;
-  if (width == 1) {
-    ops = ops_per_second([&] { out[0] = crypto::Sha256::hash(views[0]); });
-  } else {
-    ops = ops_per_second(
-        [&] { crypto::sha256_many(views.data(), out.data(), width); });
-  }
-  return ops * static_cast<double>(width) * static_cast<double>(msg_bytes) /
-         1e6;
+  const Bytes message = random_message(rng, msg_bytes);
+  const BytesView view(message.data(), message.size());
+  crypto::Digest out;
+  const double ops = ops_per_second([&] { out = crypto::Sha256::hash(view); });
+  return ops * static_cast<double>(msg_bytes) / 1e6;
 }
 
 /// Deterministic stand-in for the throughput rows under --no-wall: the
@@ -105,17 +92,11 @@ double hash_mbps(size_t msg_bytes, size_t width, uint64_t seed) {
 /// re-proves equivalence while staying byte-diffable across --jobs.
 double digest_checksum(size_t msg_bytes, uint64_t seed) {
   common::Rng rng(seed);
-  constexpr size_t kWidth = 32;
-  std::vector<Bytes> messages;
-  std::vector<BytesView> views;
-  for (size_t i = 0; i < kWidth; ++i) {
-    messages.push_back(random_message(rng, msg_bytes));
-    views.push_back(BytesView(messages.back().data(), messages.back().size()));
-  }
-  std::vector<crypto::Digest> out(kWidth);
-  crypto::sha256_many(views.data(), out.data(), kWidth);
   uint8_t acc[4] = {0, 0, 0, 0};
-  for (const crypto::Digest& d : out) {
+  for (int m = 0; m < 32; ++m) {
+    const Bytes message = random_message(rng, msg_bytes);
+    const crypto::Digest d =
+        crypto::Sha256::hash(BytesView(message.data(), message.size()));
     for (size_t i = 0; i < d.bytes.size(); ++i) acc[i % 4] ^= d.bytes[i];
   }
   uint32_t folded = (uint32_t(acc[0]) << 24) | (uint32_t(acc[1]) << 16) |
@@ -250,9 +231,8 @@ int main(int argc, char** argv) {
           ? std::vector<std::string>{"digest_check", "verify_digests",
                                      "verify_digests_nocache",
                                      "verify_mac_hits"}
-          : std::vector<std::string>{"hash_mbps_b1", "hash_mbps_b4",
-                                     "hash_mbps_b8", "hash_mbps_b32",
-                                     "verify_kops", "verify_kops_nocache"};
+          : std::vector<std::string>{"hash_mbps", "verify_kops",
+                                     "verify_kops_nocache"};
 
   // Open the sink first: a bad --out path should fail before the grid
   // burns any time (the BenchArgs::run convention).
@@ -300,21 +280,15 @@ int main(int argc, char** argv) {
       result.values[2][ei][xi] = uncached.digests;
       result.values[3][ei][xi] = cached.mac_hits;
     } else {
-      const size_t widths[4] = {1, 4, 8, 32};
-      for (int w = 0; w < 4; ++w) {
-        double best = 0.0;
-        for (int t = 0; t < args.trials; ++t) {
-          best = std::max(best, bench::hash_mbps(sizes[xi], widths[w], seed));
-        }
-        result.values[w][ei][xi] = best;
-      }
-      double cached = 0.0, uncached = 0.0;
+      double hash = 0.0, cached = 0.0, uncached = 0.0;
       for (int t = 0; t < args.trials; ++t) {
+        hash = std::max(hash, bench::hash_mbps(sizes[xi], seed));
         cached = std::max(cached, bench::verify_kops(true, sizes[xi]));
         uncached = std::max(uncached, bench::verify_kops(false, sizes[xi]));
       }
-      result.values[4][ei][xi] = cached;
-      result.values[5][ei][xi] = uncached;
+      result.values[0][ei][xi] = hash;
+      result.values[1][ei][xi] = cached;
+      result.values[2][ei][xi] = uncached;
     }
     crypto::set_engine("auto");
   });

@@ -10,14 +10,10 @@
 // `medium+*` pair) must agree on every deterministic metric, differing
 // only in `trial_wall_s`.
 //
-// Three series groups:
+// Two series groups:
 //   dapes+*      — the full DAPES stack (scale.field). Protocol work
 //                  (PIT/CS lookups, crypto) dominates its trial time, so
 //                  the grid shows up as a modest win here.
-//   dapes+par+*  — the same stack under the phase-parallel trial interior
-//                  (ScenarioParams::trial_threads = 1/2/4). Deterministic
-//                  metrics must match the serial dapes+grid+waypoint
-//                  series bit-for-bit; trial_wall_s is the threads axis.
 //   medium+*     — the medium-bound stress family (scale.medium):
 //                  broadcast beacons + 20 Hz neighborhood-density sweeps,
 //                  no NDN stack. This isolates what the spatial grid
@@ -25,19 +21,17 @@
 //                  grid speedup from ~500 nodes) is measured on this pair.
 //
 // Not every series runs at every x. The 10k point is single-trial, runs
-// on a reduced sim horizon, and only for the two cheap grid series; the
-// threads series only run where the parallel interior has enough
-// same-instant work to matter (>= 500 nodes). Skipped cells are written
-// as 0.0 and each skip is logged at WARN through common/logging (the
-// reduced-trial 10k note logs at INFO; dial --log-level info to see it),
-// so a 0.0 in the output is always accounted for rather than a silent
-// truncation.
+// on a reduced sim horizon, and only for the two cheap grid series.
+// Skipped cells are written as 0.0 and each skip is logged at WARN
+// through common/logging (the reduced-trial 10k note logs at INFO; dial
+// --log-level info to see it), so a 0.0 in the output is always
+// accounted for rather than a silent truncation.
 //
 // BENCH_scale.json is the committed baseline (`--trials 1 --jobs 1
 // --format json`); absolute wall timings are machine-dependent, the
-// tracked quantities are the medium+brute : medium+grid ratio and the
-// dapes+par t1 : tN ratios. `--no-wall` drops trial_wall_s for
-// byte-for-byte determinism diffs (CI compares --trial-threads 1 vs 4).
+// tracked quantity is the medium+brute : medium+grid ratio. `--no-wall`
+// drops trial_wall_s for byte-for-byte determinism diffs (CI compares
+// --jobs 1 vs 4).
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -66,10 +60,6 @@ struct SeriesDef {
   // Largest node count this series runs at; cells above it are skipped
   // (0.0 in the output, logged to stderr).
   double max_nodes;
-  // Smallest node count (full mode only): the threads series are noise
-  // below ~500 nodes, where a trial has too few same-instant deliveries
-  // for the phase engine to batch.
-  double min_nodes_full;
   std::function<void(harness::ScenarioParams&)> configure;
 };
 
@@ -88,43 +78,30 @@ int main(int argc, char** argv) {
       args.quick ? std::vector<double>{44, 120}
                  : std::vector<double>{44, 100, 200, 500, 1000, kBigN};
 
-  auto threads_series = [](const char* label, int lanes) {
-    return SeriesDef{label, harness::ProtocolNames::kScaleField, 1000, 500,
-                     [lanes](harness::ScenarioParams& p) {
-                       p.mobility = harness::MobilityKind::kRandomWaypoint;
-                       p.trial_threads = lanes;
-                     }};
-  };
-
   const std::vector<SeriesDef> series = {
-      {"dapes+grid+waypoint", harness::ProtocolNames::kScaleField, kBigN, 0,
+      {"dapes+grid+waypoint", harness::ProtocolNames::kScaleField, kBigN,
        [](harness::ScenarioParams& p) {
          p.mobility = harness::MobilityKind::kRandomWaypoint;
        }},
-      {"dapes+grid+group", harness::ProtocolNames::kScaleField, 1000, 0,
+      {"dapes+grid+group", harness::ProtocolNames::kScaleField, 1000,
        [](harness::ScenarioParams& p) {
          p.mobility = harness::MobilityKind::kGroup;
        }},
-      {"dapes+brute+waypoint", harness::ProtocolNames::kScaleField, 1000, 0,
+      {"dapes+brute+waypoint", harness::ProtocolNames::kScaleField, 1000,
        [](harness::ScenarioParams& p) {
          p.mobility = harness::MobilityKind::kRandomWaypoint;
          p.brute_force_medium = true;
-         p.trial_threads = 0;  // the serial reference ignores the global knob
        }},
-      threads_series("dapes+par+waypoint+t1", 1),
-      threads_series("dapes+par+waypoint+t2", 2),
-      threads_series("dapes+par+waypoint+t4", 4),
-      {"medium+grid", harness::ProtocolNames::kScaleMedium, kBigN, 0,
+      {"medium+grid", harness::ProtocolNames::kScaleMedium, kBigN,
        [stress_limit_s](harness::ScenarioParams& p) {
          p.mobility = harness::MobilityKind::kRandomWaypoint;
          p.sim_limit_s = stress_limit_s;
        }},
-      {"medium+brute", harness::ProtocolNames::kScaleMedium, 1000, 0,
+      {"medium+brute", harness::ProtocolNames::kScaleMedium, 1000,
        [stress_limit_s](harness::ScenarioParams& p) {
          p.mobility = harness::MobilityKind::kRandomWaypoint;
          p.sim_limit_s = stress_limit_s;
          p.brute_force_medium = true;
-         p.trial_threads = 0;  // the serial reference ignores the global knob
        }},
   };
 
@@ -147,10 +124,7 @@ int main(int argc, char** argv) {
 
   const size_t trials = static_cast<size_t>(args.trials);
   auto series_runs = [&](size_t si, size_t xi) {
-    const double n = xs[xi];
-    if (n > series[si].max_nodes) return false;
-    if (!args.quick && n < series[si].min_nodes_full) return false;
-    return true;
+    return xs[xi] <= series[si].max_nodes;
   };
   // The 10k point is a single-trial baseline regardless of --trials.
   auto cell_trials = [&](size_t xi) -> size_t {
@@ -173,8 +147,8 @@ int main(int argc, char** argv) {
     harness::apply_scale(p, xs[xi]);
     series[si].configure(p);
     if (xs[xi] >= kBigN) p.sim_limit_s = std::min(p.sim_limit_s, kBigNLimitS);
-    // Seed by (x, trial) only — shared across series, so grid/brute and
-    // serial/parallel cells run identical workloads.
+    // Seed by (x, trial) only — shared across series, so grid/brute
+    // cells run identical workloads.
     p.seed = common::derive_seed(common::derive_seed(args.seed, xi), trial);
     // Per-task trace file, named by grid position (never by thread).
     p.trace = trace::with_path_suffix(
@@ -200,9 +174,8 @@ int main(int argc, char** argv) {
           if (m == 0) {
             DAPES_LOG_WARN("bench_scale")
                 << "skipping " << series[si].label << " at " << xs[xi]
-                << " nodes (series runs "
-                << (args.quick ? 0.0 : series[si].min_nodes_full) << ".."
-                << series[si].max_nodes << "); cell written as 0.0";
+                << " nodes (series runs up to " << series[si].max_nodes
+                << "); cell written as 0.0";
           }
           continue;
         }

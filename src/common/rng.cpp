@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace dapes::common {
 
@@ -34,9 +33,6 @@ Rng::Rng(uint64_t seed) {
 }
 
 uint64_t Rng::next() {
-  if (guard_ != nullptr && guard_->load(std::memory_order_relaxed)) {
-    throw std::logic_error("Rng: shared-stream draw during a parallel phase");
-  }
   uint64_t result = rotl(state_[1] * 5, 7) * 9;
   uint64_t t = state_[1] << 17;
   state_[2] ^= state_[0];

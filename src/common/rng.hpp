@@ -6,7 +6,6 @@
 // (seed, parameters) pair.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -66,19 +65,8 @@ class Rng {
   /// Derive an independent child generator (for per-node streams).
   Rng fork();
 
-  /// Install a draw guard: while `*guard` is true, any draw from this
-  /// generator throws std::logic_error. The parallel trial engine arms a
-  /// guard on the medium's shared sequential stream around concurrent
-  /// fan-out phases, turning "no shared-stream draws on the parallel
-  /// path" from a convention into an enforced invariant (keyed per-link
-  /// streams are constructed fresh per draw site and are unaffected).
-  /// nullptr (the default) disables the check. Forked children do not
-  /// inherit the guard.
-  void set_draw_guard(const std::atomic<bool>* guard) { guard_ = guard; }
-
  private:
   uint64_t state_[4];
-  const std::atomic<bool>* guard_ = nullptr;
 };
 
 }  // namespace dapes::common

@@ -35,35 +35,6 @@ const uint32_t kSha256Init[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
 
 #if DAPES_SHA256_X86
 
-namespace {
-
-/// xgetbv(0) without -mxsave: reads the XCR0 feature-enable register to
-/// check the OS saves the ymm state AVX2 needs.
-uint64_t read_xcr0() {
-  uint32_t eax = 0, edx = 0;
-  __asm__ __volatile__("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
-  return (static_cast<uint64_t>(edx) << 32) | eax;
-}
-
-}  // namespace
-
-bool cpu_has_ssse3() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  return (ecx & (1u << 9)) != 0;
-}
-
-bool cpu_has_avx2() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  const bool osxsave = (ecx & (1u << 27)) != 0;
-  const bool avx = (ecx & (1u << 28)) != 0;
-  if (!osxsave || !avx) return false;
-  if ((read_xcr0() & 0x6) != 0x6) return false;  // xmm + ymm state enabled
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-  return (ebx & (1u << 5)) != 0;
-}
-
 bool cpu_has_shani() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
@@ -184,46 +155,25 @@ Digest sha256(common::BytesView data) { return hash_with(&sha256_compress, data)
 
 namespace {
 
-const Sha256Engine kScalarEngine{"scalar", 0, &ref::sha256_compress, nullptr};
+const Sha256Engine kScalarEngine{"scalar", &ref::sha256_compress};
 
 #if DAPES_SHA256_X86
-const Sha256Engine kSsse3Engine{"ssse3", 4, &ref::sha256_compress,
-                                &kernels::sha256_x4_ssse3};
-const Sha256Engine kAvx2Engine{"avx2", 8, &ref::sha256_compress,
-                               &kernels::sha256_x8_avx2};
-const Sha256Engine kShaniEngine{"shani", 0, &kernels::sha256_compress_shani,
-                                nullptr};
+const Sha256Engine kShaniEngine{"shani", &kernels::sha256_compress_shani};
 #endif
 
 /// Process-wide engine registry + active selection, built on first use:
-/// probe the CPU, compose the auto engine (best single-stream compressor
-/// with the widest multi-buffer kernel), then apply DAPES_SHA256_IMPL.
+/// probe the CPU (the fastest supported engine is last), then apply
+/// DAPES_SHA256_IMPL.
 struct EngineState {
   std::vector<const Sha256Engine*> supported;
-  Sha256Engine auto_engine;
-  std::string auto_name;
   const Sha256Engine* active = nullptr;
 
   EngineState() {
     supported.push_back(&kScalarEngine);
 #if DAPES_SHA256_X86
-    if (kernels::cpu_has_ssse3()) supported.push_back(&kSsse3Engine);
-    if (kernels::cpu_has_avx2()) supported.push_back(&kAvx2Engine);
     if (kernels::cpu_has_shani()) supported.push_back(&kShaniEngine);
 #endif
-    // Compose "auto": the engines are independent on the two axes, so
-    // take the best of each (e.g. SHA-NI singles + AVX2 batches).
-    auto_engine = *supported.back();
-    auto_name = auto_engine.name;
-    for (const Sha256Engine* e : supported) {
-      if (e->lanes > auto_engine.lanes) {
-        auto_engine.lanes = e->lanes;
-        auto_engine.compress_multi = e->compress_multi;
-        auto_name = std::string(auto_engine.name) + "+" + e->name;
-      }
-    }
-    auto_engine.name = auto_name.c_str();
-    active = &auto_engine;
+    active = supported.back();
 
     if (const char* env = std::getenv("DAPES_SHA256_IMPL")) {
       if (!select(env)) {
@@ -236,7 +186,7 @@ struct EngineState {
 
   bool select(std::string_view name) {
     if (name.empty() || name == "auto") {
-      active = &auto_engine;
+      active = supported.back();
       return true;
     }
     for (const Sha256Engine* e : supported) {
@@ -262,67 +212,6 @@ bool set_engine(std::string_view name) { return engine_state().select(name); }
 
 std::vector<const Sha256Engine*> all_engines() {
   return engine_state().supported;
-}
-
-void sha256_many(const common::BytesView* inputs, Digest* out, size_t count) {
-  const Sha256Engine& eng = engine();
-  if (eng.lanes == 0 || count < 2) {
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = hash_with(eng.compress, inputs[i]);
-    }
-    return;
-  }
-
-  // Lockstep lanes need equal total block counts: order the messages by
-  // block count (stably, so equal-length runs keep input order) and walk
-  // runs of equal counts in lane-width chunks.
-  struct Slot {
-    size_t blocks = 0;
-    size_t index = 0;
-  };
-  std::vector<Slot> slots(count);
-  std::vector<std::array<uint8_t, 128>> tails(count);
-  std::vector<size_t> tail_blocks(count);
-  for (size_t i = 0; i < count; ++i) {
-    tail_blocks[i] =
-        build_tail(inputs[i].data() + (inputs[i].size() / 64) * 64,
-                   inputs[i].size(), tails[i].data());
-    slots[i] = {inputs[i].size() / 64 + tail_blocks[i], i};
-  }
-  std::stable_sort(slots.begin(), slots.end(),
-                   [](const Slot& a, const Slot& b) {
-                     return a.blocks < b.blocks;
-                   });
-
-  std::vector<Sha256Lane> lanes(eng.lanes);
-  std::vector<Digest> lane_out(eng.lanes);
-  size_t at = 0;
-  while (at < count) {
-    size_t run_end = at;
-    while (run_end < count && slots[run_end].blocks == slots[at].blocks) {
-      ++run_end;
-    }
-    while (at < run_end) {
-      const size_t chunk = std::min<size_t>(eng.lanes, run_end - at);
-      if (chunk < 2) {
-        const size_t idx = slots[at].index;
-        out[idx] = hash_with(eng.compress, inputs[idx]);
-        ++at;
-        continue;
-      }
-      for (size_t l = 0; l < eng.lanes; ++l) {
-        // Pad short chunks by replaying lane 0 (its digest is discarded).
-        const size_t src = l < chunk ? slots[at + l].index : slots[at].index;
-        lanes[l] = Sha256Lane{inputs[src].data(), inputs[src].size() / 64,
-                              tails[src].data()};
-      }
-      eng.compress_multi(lanes.data(), slots[at].blocks, lane_out.data());
-      for (size_t l = 0; l < chunk; ++l) {
-        out[slots[at + l].index] = lane_out[l];
-      }
-      at += chunk;
-    }
-  }
 }
 
 std::string Digest::to_hex() const { return common::to_hex(view()); }

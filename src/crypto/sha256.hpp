@@ -8,13 +8,12 @@
 /// the crypto hot path at scale, so the implementation is layered:
 ///
 ///   * `crypto::ref::sha256` — the retained from-scratch scalar reference.
-///     Never dispatched away; every SIMD engine is equivalence-tested
-///     against it (tests/test_sha256_vectors.cpp).
-///   * `Sha256Engine` — one dispatchable implementation: a single-stream
-///     block compressor plus an optional fixed-width multi-buffer kernel
-///     (SSSE3 4-wide, AVX2 8-wide, SHA-NI single-stream).
+///     Never dispatched away; every engine is equivalence-tested against
+///     it (tests/test_sha256_vectors.cpp).
+///   * `Sha256Engine` — one dispatchable block compressor: the scalar
+///     reference, or SHA-NI on CPUs that have it.
 ///   * The active engine is picked once per process by a runtime CPUID
-///     probe (widest supported kernel wins), overridable with the
+///     probe (SHA-NI when supported), overridable with the
 ///     `DAPES_SHA256_IMPL` environment variable or `set_engine()` for
 ///     tests and benches.
 ///
@@ -51,58 +50,29 @@ struct Digest {
   common::BytesView view() const { return common::BytesView(bytes.data(), bytes.size()); }
 };
 
-/// One lane of a multi-buffer SHA-256 call: a message split into its
-/// contiguous full 64-byte body blocks plus a pre-padded tail (one or two
-/// blocks holding the remainder, the 0x80 terminator and the bit length).
-/// All lanes handed to a kernel invocation must total the same block
-/// count (`body_blocks + tail blocks`), so the lanes run in lockstep.
-struct Sha256Lane {
-  /// Full 64-byte message blocks (may be null when body_blocks == 0).
-  const uint8_t* body = nullptr;
-  /// Number of full blocks at `body`.
-  size_t body_blocks = 0;
-  /// FIPS 180-4 padded tail blocks (the per-call total minus body_blocks).
-  const uint8_t* tail = nullptr;
-};
-
 /// One SHA-256 implementation the dispatcher can select: a name for
-/// `DAPES_SHA256_IMPL`/diagnostics, a single-stream block compressor, and
-/// an optional fixed-width multi-buffer kernel for batch hashing.
+/// `DAPES_SHA256_IMPL`/diagnostics and a single-stream block compressor.
 struct Sha256Engine {
-  /// Well-known name ("scalar", "ssse3", "avx2", "shani", or the
-  /// composite the auto-probe builds).
+  /// Well-known name ("scalar" or "shani").
   const char* name = "scalar";
-  /// Width of `compress_multi` in independent messages (0 = none).
-  unsigned lanes = 0;
   /// Fold `count` consecutive 64-byte blocks at @p blocks into the eight
   /// 32-bit working variables at @p state.
   void (*compress)(uint32_t* state, const uint8_t* blocks, size_t count) =
       nullptr;
-  /// Hash exactly `lanes` equal-block-count messages in lockstep and
-  /// write their digests to @p out (null when lanes == 0).
-  void (*compress_multi)(const Sha256Lane* lanes_in, size_t total_blocks,
-                         Digest* out) = nullptr;
 };
 
 /// The active engine (auto-probed on first use; see set_engine()).
 const Sha256Engine& engine();
 
-/// Select the active engine by name ("scalar", "ssse3", "avx2", "shani",
-/// or "auto" / "" for the probe's choice). Returns false — leaving the
-/// active engine unchanged — when the name is unknown or the CPU lacks
-/// the ISA. Not thread-safe against in-flight hashing; tests and benches
-/// only.
+/// Select the active engine by name ("scalar", "shani", or "auto" / ""
+/// for the probe's choice). Returns false — leaving the active engine
+/// unchanged — when the name is unknown or the CPU lacks the ISA. Not
+/// thread-safe against in-flight hashing; tests and benches only.
 bool set_engine(std::string_view name);
 
 /// Every engine compiled in *and* supported by this CPU (the scalar
 /// reference always included) — what the vector/equivalence suites sweep.
 std::vector<const Sha256Engine*> all_engines();
-
-/// Hash `count` independent messages, batching them through the active
-/// engine's multi-buffer kernel (grouped by block count, lockstep lanes,
-/// scalar/single-stream fallback for remainders). Digest i of @p out is
-/// always bit-identical to `ref::sha256(inputs[i])`.
-void sha256_many(const common::BytesView* inputs, Digest* out, size_t count);
 
 namespace ref {
 
@@ -110,8 +80,7 @@ namespace ref {
 /// through the dispatch table. Equivalence baseline for every engine.
 Digest sha256(common::BytesView data);
 
-/// The scalar reference block compressor (also the single-stream half of
-/// the SSE multi-buffer engines, which only accelerate batches).
+/// The scalar reference block compressor (the "scalar" engine).
 void sha256_compress(uint32_t* state, const uint8_t* blocks, size_t count);
 
 }  // namespace ref

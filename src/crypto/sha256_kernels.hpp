@@ -1,14 +1,14 @@
 /// @file
 /// Internal interface between the SHA-256 dispatcher (sha256.cpp) and the
-/// ISA-specific kernel translation units. Each kernel TU is compiled with
-/// its own -m flags (see CMakeLists.txt), so this header carries no
-/// intrinsics — only symbol declarations and the shared round constants.
+/// SHA-NI kernel translation unit. The kernel TU is compiled with its own
+/// -m flags (see CMakeLists.txt), so this header carries no intrinsics —
+/// only symbol declarations and the shared round constants.
 ///
-/// The kernels exist only when `DAPES_SHA256_X86` is 1: the build adds
+/// The kernel exists only when `DAPES_SHA256_X86` is 1: the build adds
 /// `DAPES_SHA256_ENABLE_X86` (together with the per-file -m flags) exactly
 /// when the target is x86 with a GNU-compatible compiler, and the
 /// architecture check below keeps a stray define from breaking other
-/// targets. On every other target the kernel TUs compile to nothing and
+/// targets. On every other target the kernel TU compiles to nothing and
 /// the dispatcher only ever sees the scalar engine.
 #pragma once
 
@@ -34,22 +34,12 @@ extern const uint32_t kSha256Init[8];
 
 #if DAPES_SHA256_X86
 
-/// Runtime CPUID probe: SSSE3 available.
-bool cpu_has_ssse3();
-/// Runtime CPUID probe: AVX2 available (including OS ymm-state support).
-bool cpu_has_avx2();
 /// Runtime CPUID probe: SHA-NI available.
 bool cpu_has_shani();
 
 /// SHA-NI single-stream compressor (the fastest single-buffer path).
 void sha256_compress_shani(uint32_t* state, const uint8_t* blocks,
                            size_t count);
-/// SSSE3 4-wide multi-buffer kernel (lockstep lanes, equal block counts).
-void sha256_x4_ssse3(const Sha256Lane* lanes, size_t total_blocks,
-                     Digest* out);
-/// AVX2 8-wide multi-buffer kernel (lockstep lanes, equal block counts).
-void sha256_x8_avx2(const Sha256Lane* lanes, size_t total_blocks,
-                    Digest* out);
 
 #endif  // DAPES_SHA256_X86
 

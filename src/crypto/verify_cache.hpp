@@ -23,14 +23,12 @@
 /// in a fresh allocation with a different address, so stale entries can
 /// never be reached — the cache invalidates *with* the wire cache.
 ///
-/// Concurrency contract (mirrors the phase-parallel trace rules):
-/// mutation (store/evict/clear) is coordinator-only and happens outside
-/// fan-out phases, in canonical delivery order — identical in serial and
-/// parallel modes, which keeps trace records and eviction state
-/// bit-identical across `--trial-threads`. Fan-out lanes only ever read;
-/// a receive-path miss computes locally and does NOT insert. That makes
-/// the maps single-writer/multi-reader with writes and reads separated in
-/// time, so no lock is needed; the hit/miss statistics are atomics.
+/// Write contract: only the delivery prewarm stores, once per
+/// transmission in delivery order, so eviction state is a pure function
+/// of the trial. A receive-path miss computes locally and does NOT
+/// insert. Each cache belongs to one trial and is used from that trial's
+/// thread only; the process-wide counters are atomics because concurrent
+/// `--jobs` trials share them.
 #pragma once
 
 #include <atomic>
@@ -87,22 +85,21 @@ class VerifyCache {
   explicit VerifyCache(size_t capacity = kDefaultCapacity);
 
   /// Read-side: digest of the bytes at (@p data, @p size) if cached.
-  /// Safe from fan-out lanes; counts a digest hit or miss.
+  /// Counts a digest hit or miss.
   std::optional<Digest> lookup_digest(const void* data, size_t size) const;
 
   /// Read-side: cached verdict of the MAC check for the wire bytes at
-  /// (@p data, @p size) under @p secret. Safe from fan-out lanes; counts
-  /// a MAC hit or miss.
+  /// (@p data, @p size) under @p secret. Counts a MAC hit or miss.
   std::optional<bool> lookup_mac(const void* data, size_t size,
                                  const Digest& secret) const;
 
-  /// Write-side (coordinator only): cache @p digest as the SHA-256 of
-  /// @p slice's bytes. No-op when the slice does not own ref-counted
-  /// storage (nothing to anchor). Refreshes recency on re-store.
+  /// Write-side: cache @p digest as the SHA-256 of @p slice's bytes.
+  /// No-op when the slice does not own ref-counted storage (nothing to
+  /// anchor). Refreshes recency on re-store.
   void store_digest(const common::BufferSlice& slice, const Digest& digest);
 
-  /// Write-side (coordinator only): cache @p ok as the verdict of the
-  /// MAC check over @p wire under @p secret. No-op on unanchored slices.
+  /// Write-side: cache @p ok as the verdict of the MAC check over
+  /// @p wire under @p secret. No-op on unanchored slices.
   void store_mac(const common::BufferSlice& wire, const Digest& secret,
                  bool ok);
 
@@ -175,11 +172,11 @@ class VerifyCache {
   Map<RangeKey, Digest, RangeKeyHash> digests_;
   Map<MacKey, bool, MacKeyHash> macs_;
   /// Least-recently-stored eviction orders (front = oldest). Only the
-  /// coordinator touches these (store path), never a reader.
+  /// store path touches these, never a reader.
   std::list<RangeKey> digest_order_;
   std::list<MacKey> mac_order_;
 
-  /// Instance stats (atomics: read-side lookups run on fan-out lanes).
+  /// Instance stats.
   mutable std::atomic<uint64_t> digest_hits_{0};
   mutable std::atomic<uint64_t> digest_misses_{0};
   mutable std::atomic<uint64_t> mac_hits_{0};
@@ -189,8 +186,7 @@ class VerifyCache {
 };
 
 /// The calling thread's active per-trial cache (null when caching is
-/// off). Installed by VerifyCacheScope on the trial thread and by the
-/// delivery prewarm's worker hooks on fan-out lanes.
+/// off). Installed by VerifyCacheScope on the trial thread.
 VerifyCache* active_verify_cache();
 
 /// Install @p cache as the calling thread's active cache (null allowed).
@@ -215,7 +211,7 @@ class VerifyCacheScope {
 /// SHA-256 of @p content through the active cache: serve a cached digest
 /// when the byte range is cached, compute (and count the computation)
 /// otherwise. Never inserts — the receive path stays read-only; only the
-/// delivery prewarm commits entries.
+/// delivery prewarm stores entries.
 Digest cached_content_digest(common::BytesView content);
 
 }  // namespace dapes::crypto

@@ -16,9 +16,8 @@ size_t packets_for(size_t file_bytes, size_t packet_size) {
 // The metadata segments are shared by reference across every node that
 // holds the collection, and both the wire encoding and the name's prefix
 // hashes are lazily cached `mutable` state. Fill those caches once at
-// creation, while the collection is still single-owner: afterwards the
-// shared objects are read-only, so the parallel trial interior can serve
-// them from concurrent per-node chains without a data race.
+// creation, so world building pays for them and the trial itself only
+// ever reads the shared objects.
 void warm_packet_caches(std::vector<ndn::Data>& packets) {
   for (const ndn::Data& segment : packets) {
     segment.wire();

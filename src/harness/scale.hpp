@@ -19,9 +19,8 @@
 /// The axis reaches 10 000 nodes (a ~1.4 km field at Fig. 7 density);
 /// apply_scale is closed-form in n, so nothing special happens at that
 /// size — but trials there are wall-clock expensive, so bench_scale runs
-/// the 10k point as a single-trial baseline on a reduced sim horizon and
-/// pairs it with ScenarioParams::trial_threads (the phase-parallel trial
-/// interior) rather than multi-trial aggregation.
+/// the 10k point as a single-trial baseline on a reduced sim horizon
+/// rather than with multi-trial aggregation.
 #pragma once
 
 #include "harness/scenario.hpp"

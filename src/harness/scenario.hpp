@@ -98,14 +98,6 @@ struct ScenarioParams {
   /// Run the medium's retained all-pairs reference instead of the
   /// spatial grid (equivalence tests, bench_scale's speedup baseline).
   bool brute_force_medium = false;
-  /// Lanes for the medium's phase-parallel delivery engine inside this
-  /// trial (`--trial-threads`). 0 (default) keeps the plain serial event
-  /// loop; >= 1 enables the engine. Deterministic metrics are
-  /// bit-identical for every value, so it composes freely with the
-  /// TrialRunner's `--jobs` fan-out (total threads ~= jobs x
-  /// trial_threads; see EXPERIMENTS.md). Requires the grid medium
-  /// (incompatible with brute_force_medium).
-  int trial_threads = 0;
   /// Per-trial verify-result cache + delivery prewarm (DESIGN.md "Crypto
   /// engine & verify cache"): each delivered Data frame is hashed and
   /// MAC-checked once per broadcast, and every receiver serves its
@@ -117,9 +109,9 @@ struct ScenarioParams {
   /// Structured event tracing (`--trace <sink>[:<path>]`). Disabled by
   /// default (empty sink): no records, no buffers, and the instrumented
   /// hot paths pay one thread-local null check per potential event.
-  /// When enabled, the merged trace is bit-identical for any `--jobs` x
-  /// `trial_threads` combination; multi-trial runners suffix the output
-  /// path per trial/cell so concurrent trials never share a file.
+  /// When enabled, the merged trace is bit-identical for any `--jobs`
+  /// value; multi-trial runners suffix the output path per trial/cell so
+  /// concurrent trials never share a file.
   trace::TraceConfig trace;
 };
 

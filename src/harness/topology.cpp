@@ -22,7 +22,6 @@ Topology::Topology(const ScenarioParams& params, uint64_t seed,
   mp.data_rate_bps = params.data_rate_bps;
   mp.loss_rate = params.loss_rate;
   mp.brute_force = params.brute_force_medium;
-  mp.trial_threads = params.trial_threads;
   mp.channel = params.channel;
   if (mp.channel.link_seed == 0) {
     // Per-trial stream base for the keyed per-link reception draws of the
@@ -50,12 +49,11 @@ Topology::Topology(const ScenarioParams& params, uint64_t seed,
       params.metadata_format, producer_key);
 
   if (params.verify_cache) {
-    // One cache per trial, installed three ways: into this (the trial's
-    // coordinator) thread for the serial receive path, into the medium's
-    // delivery prewarm so every Data broadcast is hashed/MAC-checked
-    // once per frame, and — via the prewarm's worker hooks — into the
-    // phase-parallel fan-out lanes. The cache is exact; results are
-    // identical with the knob off (test_verify_cache diffs them).
+    // One cache per trial, installed two ways: into this (the trial's)
+    // thread for the receive path, and into the medium's delivery
+    // prewarm so every Data broadcast is hashed/MAC-checked once per
+    // frame. The cache is exact; results are identical with the knob off
+    // (test_verify_cache diffs them).
     verify_cache = std::make_unique<crypto::VerifyCache>();
     verify_prewarm =
         std::make_unique<ndn::DataVerifyPrewarm>(*verify_cache, keys);
@@ -175,9 +173,9 @@ void apply_hetero_radios(const ScenarioParams& params, sim::Medium& medium) {
 }
 
 double CompletionTracker::mean_time(double limit_s) const {
-  // Under the phase-parallel engine the order of `times` depends on lane
-  // timing; FP addition is not associative, so sum in sorted order to
-  // keep the metric bit-identical across --trial-threads values.
+  // FP addition is not associative, so the summation order fixes the
+  // low bits of download_s. Sorted order is the one the fig9b/table1
+  // goldens and the benchmark pins were recorded with.
   std::vector<double> sorted = times;
   std::sort(sorted.begin(), sorted.end());
   double sum = 0.0;
@@ -198,8 +196,8 @@ TrialResult run_to_completion(const ScenarioParams& params, Topology& topo,
                               const std::function<StateSample()>& sample) {
   TrialResult result;
   if (topo.tracer) {
-    // Every node is registered by now and no phase can be open: size the
-    // per-node trace slots once, so workers never see the table grow.
+    // Every node is registered by now: size the per-node trace slots
+    // once, before the run loop emits into them.
     for (sim::NodeId n = 0; n < topo.medium->node_count(); ++n) {
       topo.tracer->ensure_node(n);
     }

@@ -49,8 +49,7 @@ struct Topology {
   /// it while delivering frames, which no destructor does, so the member
   /// order relative to medium is immaterial.
   std::unique_ptr<ndn::DataVerifyPrewarm> verify_prewarm;
-  /// Thread-local cache installation for the trial (coordinator) thread;
-  /// fan-out lanes get theirs from the prewarm's worker hooks. Declared
+  /// Thread-local cache installation for the trial thread. Declared
   /// after verify_cache so it is torn down first.
   std::unique_ptr<crypto::VerifyCacheScope> verify_scope;
   /// The trial's event tracer, built from params.trace when enabled
@@ -101,12 +100,11 @@ struct Topology {
 /// Completion bookkeeping shared by all drivers.
 ///
 /// `record` is the one piece of cross-node shared state the completion
-/// callbacks mutate, and under the phase-parallel trial engine two
-/// downloaders can finish inside the same fan-out phase on different
-/// lanes — so it takes a mutex. Every consumer (count, mean, max) is
-/// order-independent, so lane timing cannot leak into results. The
-/// readers run on the coordinator between events (the executor's phase
-/// join orders them after every `record`), so they stay lock-free.
+/// callbacks mutate. The event loop calls it from the trial thread only,
+/// so its mutex is never contended; it costs one uncontended lock per
+/// finished downloader. Every consumer (count, mean, max) is
+/// independent of the order downloaders finish in, and the readers run
+/// on the trial thread between events, lock-free.
 struct CompletionTracker {
   int expected = 0;           ///< downloaders that should finish
   int completed = 0;          ///< downloaders that have finished
@@ -130,7 +128,7 @@ struct CompletionTracker {
   bool done() const { return completed >= expected; }
 
  private:
-  std::mutex mutex_;  ///< serializes `record` across fan-out lanes
+  std::mutex mutex_;  ///< serializes `record`
 };
 
 /// Apply the hetero.radio mixed-range radios to an already-populated

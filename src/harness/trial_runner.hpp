@@ -6,15 +6,8 @@
 /// std::thread pool; trial i always runs with seed
 /// common::derive_seed(params.seed, i), so the result vector is bit-identical
 /// regardless of thread count or scheduling — `--jobs 8` reproduces
-/// `--jobs 1` exactly (see EXPERIMENTS.md "Seed derivation").
-///
-/// This axis composes with the *intra*-trial one: each trial may itself run
-/// the medium's phase-parallel delivery engine (ScenarioParams::
-/// trial_threads, its own per-trial worker pool), so total thread use is
-/// roughly jobs x max(1, trial_threads). Both axes are bit-identical for
-/// any value, so any combination reproduces `--jobs 1 --trial-threads 0`.
-/// Prefer --jobs for many trials (perfect scaling) and --trial-threads for
-/// a few huge trials, where per-trial latency is the bottleneck.
+/// `--jobs 1` exactly (see EXPERIMENTS.md "Seed derivation"). The interior
+/// of each trial is the serial event loop on one thread.
 #pragma once
 
 #include <functional>

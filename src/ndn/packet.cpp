@@ -124,7 +124,7 @@ bool Data::verify(const crypto::KeyChain& keychain) const {
   if (!signature_) return false;
   if (const crypto::VerifyCache* cache = crypto::active_verify_cache()) {
     // The wire buffer is the broadcast's identity: a verdict the delivery
-    // prewarm committed for this frame serves every receiver and every
+    // prewarm stored for this frame serves every receiver and every
     // repeat verify. Keyed on the signer's secret too, so a keychain that
     // resolves the KeyId differently can never get a foreign verdict.
     if (const crypto::Digest* secret = keychain.secret_for(signature_->signer)) {

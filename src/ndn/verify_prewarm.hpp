@@ -6,29 +6,17 @@
 /// reaches N receivers, so the naive layering hashes and MACs the same
 /// bytes N times. This hook plugs into `sim::Medium`'s delivery path
 /// (sim::DeliveryPrewarm) and does the cryptographic work once per frame:
-///
-///   * `stage` decodes each staged Data frame, batch-hashes the content
-///     payloads through the multi-buffer SHA-256 engine (sha256_many —
-///     4/8 frames per SIMD pass when same-instant deliveries batch up
-///     under the phase-parallel engine), and computes the MAC verdict
-///     against the trust keychain. Reads the cache, never writes it.
-///   * `commit` publishes the digest and verdict into the trial's
-///     crypto::VerifyCache, keyed on the shared frame buffer, and emits
-///     one `crypto.prewarm` trace event per Data frame with a
-///     commit-time cached/fresh flag (see trace/events.hpp for why the
-///     flag must be decided at commit time).
-///   * `bind_worker`/`unbind_worker` install the cache as the fan-out
-///     lane's active cache so `Data::verify` and
-///     `crypto::cached_content_digest` inside the protocol callbacks hit
-///     it; the lane's previous thread-local state is restored on unbind.
+/// it decodes each delivered Data frame, hashes its content, checks the
+/// MAC against the trust keychain, publishes the digest and verdict into
+/// the trial's crypto::VerifyCache (keyed on the shared frame buffer),
+/// and emits one `crypto.prewarm` trace event per Data frame with a
+/// cached/fresh flag.
 ///
 /// Receivers then serve both the content digest and the MAC verdict from
 /// the cache (ndn::Data::verify, core::Metadata::verify_packet). The
 /// cache is exact — results with the prewarm on or off are identical;
 /// test_verify_cache asserts it trial-for-trial.
 #pragma once
-
-#include <vector>
 
 #include "crypto/verify_cache.hpp"
 #include "ndn/packet.hpp"
@@ -46,26 +34,11 @@ class DataVerifyPrewarm : public sim::DeliveryPrewarm {
   DataVerifyPrewarm(crypto::VerifyCache& cache, const crypto::KeyChain& trust)
       : cache_(cache), trust_(trust) {}
 
-  void stage(const sim::FramePtr* frames, size_t count) override;
-  void commit(const sim::Frame& frame) override;
-  void bind_worker() override;
-  void unbind_worker() override;
+  void prewarm(const sim::Frame& frame) override;
 
  private:
-  /// One staged Data frame: the decoded packet (zero-copy views into the
-  /// frame buffer — its wire() slice is the cache anchor) plus the work
-  /// products commit publishes.
-  struct Staged {
-    const void* key = nullptr;  ///< frame payload pointer (commit lookup)
-    Data data;                  ///< decoded packet, views into the frame
-    const crypto::Digest* secret = nullptr;  ///< signer secret (may be null)
-    crypto::Digest digest{};    ///< SHA-256 of the content
-    bool verdict = false;       ///< MAC check result (valid iff secret)
-  };
-
   crypto::VerifyCache& cache_;
   const crypto::KeyChain& trust_;
-  std::vector<Staged> staged_;  ///< reused across stage/commit cycles
 };
 
 }  // namespace dapes::ndn

@@ -213,7 +213,7 @@ class LogDistanceChannel final : public ChannelModel {
   double select_rate_bps(double base_rate_bps, double sir_db) const override {
     // Monotone tier ladder: each step down halves the bitrate and
     // relaxes the SIR requirement by rate_step_db. Never exceeds the
-    // base rate, so the medium's min_airtime lookahead stays a bound.
+    // base rate.
     int tier = 0;
     while (tier < rate_tiers_ - 1 &&
            sir_db < rate_sir_full_db_ - tier * rate_step_db_) {

@@ -23,8 +23,7 @@
 /// decision through the installed model; see DESIGN.md "Channel & PHY
 /// models" for the invariants (deterministic coverage cutoff, keyed
 /// per-link draws, no mutable model state) that keep the spatial grid,
-/// the brute-force reference and any `--jobs` x `--trial-threads`
-/// combination bit-identical.
+/// the brute-force reference and any `--jobs` value bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -138,8 +137,7 @@ struct ChannelParams {
   /// in-flight interferers audible at its position and picks the
   /// fastest rate tier whose SIR requirement is met (halving the base
   /// rate per tier). Off by default; the selected rate never exceeds
-  /// the base rate, so the medium's conservative airtime lower bound
-  /// (`min_airtime`) stays valid.
+  /// the base rate.
   bool adaptive_rate = false;
 
   /// Number of rate tiers (base, base/2, ... base/2^(tiers-1)). At
@@ -167,8 +165,7 @@ struct ChannelParams {
 /// Everything a channel model may condition one reception decision on.
 /// Filled by the medium per (transmission, receiver); every field is a
 /// pure function of the transmission's start state, so the decision is
-/// independent of delivery enumeration order, of the spatial index and
-/// of the phase-parallel engine's lane count.
+/// independent of delivery enumeration order and of the spatial index.
 struct RxContext {
   double distance_m = 0.0;   ///< sender-receiver distance at start time
   double tx_range_m = 0.0;   ///< sender's nominal radio range
@@ -196,7 +193,7 @@ struct RxContext {
 /// rate and tau the slot length. Every uniform comes from a keyed
 /// substream of (link_seed, pair, block), so queries are independent of
 /// evaluation order — the discipline that keeps grid-vs-brute and every
-/// `--jobs` x `--trial-threads` combination bit-identical. The
+/// `--jobs` value bit-identical. The
 /// statistical-property suite (tests/test_channel_burst.cpp) checks the
 /// empirical burst-length and stationary-occupancy distributions against
 /// these closed forms.
@@ -323,18 +320,6 @@ class ChannelModel {
   /// count.
   virtual Duration airtime(size_t on_air_bytes, double data_rate_bps) const = 0;
 
-  /// Lower bound on the airtime of *any* frame: the airtime of an empty
-  /// payload (just @p overhead_bytes of preamble/MAC framing). Because
-  /// `airtime` is strictly increasing in the byte count this bounds every
-  /// possible transmission, so `min_airtime + propagation` is a
-  /// conservative lookahead: no transmission started at or after time t
-  /// can deliver before t + that bound. The medium caches it at
-  /// model-install time (see `Medium::min_lookahead`); adaptive-rate
-  /// models keep it valid by never selecting a rate above the base rate.
-  Duration min_airtime(size_t overhead_bytes, double data_rate_bps) const {
-    return airtime(overhead_bytes, data_rate_bps);
-  }
-
   /// Probability that a frame from a transmitter of nominal range
   /// @p tx_range_m is decodable at @p distance_m, before collisions,
   /// shadowing and the medium's independent loss rate. Deterministic and
@@ -388,9 +373,8 @@ class ChannelModel {
                                   double tx_range_m) const;
 
   /// Bitrate (bps) to charge a transmission given the sender's estimated
-  /// SIR at its nominal-range edge. Must never exceed
-  /// @p base_rate_bps (the `min_airtime` lookahead bound depends on it);
-  /// the default pins the base rate.
+  /// SIR at its nominal-range edge. Never exceeds @p base_rate_bps; the
+  /// default pins the base rate.
   virtual double select_rate_bps(double base_rate_bps, double sir_db) const {
     (void)sir_db;
     return base_rate_bps;

@@ -12,14 +12,13 @@
 ///
 /// Determinism discipline (the channel layer's keyed-draw pattern):
 /// every draw comes from streams derived via `common::derive_seed` from
-/// the trial seed and a fixed tag, at compile time, on the coordinator —
-/// never during the trial, never from the medium's shared stream. The
-/// plan is therefore a pure function of (params, population, seed), so
-/// any `--jobs` x `--trial-threads` combination and grid-vs-brute see
-/// the identical fault sequence. With every knob at its default the plan
-/// is empty and nothing in the trial changes by a single draw — the
-/// fixed-population path stays the byte-identical reference (DESIGN.md
-/// "Fault injection & open membership").
+/// the trial seed and a fixed tag, at compile time — never during the
+/// trial, never from the medium's shared stream. The plan is therefore a
+/// pure function of (params, population, seed), so any `--jobs` value
+/// and grid-vs-brute see the identical fault sequence. With every knob
+/// at its default the plan is empty and nothing in the trial changes by
+/// a single draw — the fixed-population path stays the byte-identical
+/// reference (DESIGN.md "Fault injection & open membership").
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "sim/medium.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -31,40 +30,10 @@ Medium::Medium(Scheduler& sched, Params params, common::Rng rng)
       channel_(make_channel_model(params.channel)),
       rng_(rng) {
   tx_grid_.set_cell_size(cell_for(params_.range_m));
-  // Cache the conservative lookahead once per model install: the airtime
-  // floor and propagation are fixed for the trial, so recomputing them
-  // per transmission would be pure waste.
-  min_lookahead_ =
-      channel_->min_airtime(params_.frame_overhead_bytes,
-                            params_.data_rate_bps) +
-      params_.propagation;
-  if (params_.trial_threads >= 1) {
-    if (params_.brute_force) {
-      throw std::invalid_argument(
-          "Medium: trial_threads requires grid mode (brute_force delivery "
-          "recomputes receiver sets lazily and stays serial)");
-    }
-    executor_ = std::make_unique<ParallelExecutor>(params_.trial_threads);
-    // Enforce, not just document, that the parallel path never consumes
-    // the medium's shared sequential stream during concurrent fan-out.
-    rng_.set_draw_guard(&fanout_active_);
-  }
-}
-
-void Medium::check_not_in_phase(const char* what) const {
-  if (fanout_active_.load(std::memory_order_relaxed)) {
-    throw std::logic_error(std::string("Medium::") + what +
-                           ": medium access during a fan-out phase "
-                           "(receive-path code must stay node-local)");
-  }
 }
 
 NodeId Medium::add_node(MobilityModel* mobility, ReceiveCallback on_receive,
                         bool alive) {
-  // Same loud guard as transmit/position reads: the fan-out lanes index
-  // nodes_ concurrently, so membership may only change on the coordinator
-  // between phases.
-  check_not_in_phase("add_node");
   if (mobility == nullptr) {
     throw std::invalid_argument("Medium::add_node: null mobility");
   }
@@ -80,7 +49,6 @@ NodeId Medium::add_node(MobilityModel* mobility, ReceiveCallback on_receive,
 }
 
 void Medium::retire_node(NodeId node) {
-  check_not_in_phase("retire_node");
   NodeEntry& entry = nodes_.at(node);
   if (!entry.alive) return;
   entry.alive = false;
@@ -90,7 +58,6 @@ void Medium::retire_node(NodeId node) {
 }
 
 void Medium::revive_node(NodeId node) {
-  check_not_in_phase("revive_node");
   NodeEntry& entry = nodes_.at(node);
   if (entry.alive) return;
   entry.alive = true;
@@ -125,8 +92,6 @@ Duration Medium::frame_duration(size_t payload_bytes) const {
 }
 
 Vec2 Medium::position_of(NodeId node) const {
-  // Mobility models materialize legs lazily, so even this read mutates.
-  check_not_in_phase("position_of");
   return nodes_.at(node).mobility->position_at(sched_.now());
 }
 
@@ -229,7 +194,6 @@ size_t Medium::degree_of(NodeId node) const {
 }
 
 void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
-  check_not_in_phase("transmit");
   if (!frame) {
     throw std::invalid_argument("Medium::transmit: null frame");
   }
@@ -326,21 +290,15 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
 
   active_.emplace(id, std::move(tx));
   if (!params_.brute_force) tx_grid_.insert(id, sender_pos);
-  if (executor_) {
-    // Tag with the transmission id so a same-instant predecessor's
-    // deliver_batch can claim this delivery into its batch.
-    sched_.schedule_tagged(end, id, [this, id] { deliver_batch(id); });
-  } else {
-    // Also tagged in serial mode (inert for execution: the run loop
-    // treats tagged entries like any other) so delivery events carry the
-    // same no-fire-record rule in both engines and trace content stays
-    // mode-invariant.
-    sched_.schedule_tagged(end, id, [this, id] { deliver(id); });
-  }
+  // Deliveries are unowned: a frame already on the air must still reach
+  // its receivers when cancel_for_node sweeps a sender that died
+  // mid-flight (the dead sender's completion callback is skipped in
+  // deliver instead).
+  Scheduler::OwnerScope unowned(sched_, Scheduler::kNoOwner);
+  sched_.schedule_at(end, [this, id] { deliver(id); });
 }
 
 bool Medium::busy_for(NodeId node) const {
-  check_not_in_phase("busy_for");
   Vec2 p = position_of(node);
   // Uniform radios: every active transmission has the same audibility
   // radius, so the per-transmission lookup can be skipped.
@@ -361,7 +319,6 @@ bool Medium::busy_for(NodeId node) const {
 }
 
 TimePoint Medium::busy_until(NodeId node) const {
-  check_not_in_phase("busy_until");
   Vec2 p = position_of(node);
   TimePoint latest = sched_.now();
   const double uniform = channel_->coverage_m(params_.range_m);
@@ -393,10 +350,7 @@ void Medium::deliver(uint64_t tx_id) {
 
   DAPES_TRACE_EVENT(trace::EventType::kMediumDeliver, tx.frame->sender,
                     tx.id);
-  if (prewarm_) {
-    prewarm_->stage(&tx.frame, 1);
-    prewarm_->commit(*tx.frame);
-  }
+  if (prewarm_) prewarm_->prewarm(*tx.frame);
   TxReport report;
   if (params_.brute_force) {
     const NodeId sender = tx.frame->sender;
@@ -422,176 +376,16 @@ void Medium::deliver(uint64_t tx_id) {
   // state was torn down, and resuming its CSMA chain would make a ghost
   // transmit (which the transmit guard turns into a throw).
   if (tx.on_complete && nodes_[tx.frame->sender].alive) {
-    // Node context for the sender's completion handler, mirroring the
-    // phase-parallel engine where the completion item runs in the
-    // sender's chain; owner context so the chain's follow-up timers are
-    // cancellable by node.
+    // Node context for the sender's completion handler; owner context so
+    // the chain's follow-up timers are cancellable by node.
     trace::NodeScope scope(tx.frame->sender);
     Scheduler::OwnerScope own(sched_, tx.frame->sender);
     tx.on_complete(report);
   }
 }
 
-void Medium::deliver_batch(uint64_t first_id) {
-  // Batch-claim every delivery landing on this exact instant: such
-  // deliveries sit contiguously at the heap head in insertion order (any
-  // event the batch itself schedules gets a later sequence number, and no
-  // transmission it triggers can deliver before now + min_lookahead()),
-  // so claiming the tagged run reproduces the serial execution order
-  // exactly. One call — one "lock acquisition" worth of heap traffic.
-  claim_buf_.clear();
-  claim_buf_.push_back(first_id);
-  sched_.claim_tagged(sched_.now(), claim_buf_);
-
-  // Stage the whole batch up front so the prewarm can batch its work
-  // (e.g. multi-buffer hashing) across every same-instant frame. Staging
-  // is side-effect-free by contract; the observable commits happen below,
-  // per transmission, in the same canonical order as the serial path.
-  if (prewarm_) {
-    stage_buf_.clear();
-    for (uint64_t id : claim_buf_) {
-      auto it = active_.find(id);
-      if (it != active_.end()) stage_buf_.push_back(it->second.frame);
-    }
-    prewarm_->stage(stage_buf_.data(), stage_buf_.size());
-  }
-
-  // Decide every outcome serially, in canonical order: transmissions in
-  // claim (= insertion) order, receivers in ascending id within each.
-  // This keeps the unit-disk reference's shared-stream draws, the stats
-  // and every TxReport bit-identical to the serial path. The deferred
-  // work — one item per protocol callback — is recorded in that same
-  // order.
-  struct Item {
-    NodeId node = 0;
-    std::function<void()> run;
-  };
-  std::vector<Item> items;
-  for (uint64_t id : claim_buf_) {
-    auto it = active_.find(id);
-    if (it == active_.end()) continue;
-    ActiveTx tx = std::move(it->second);
-    active_.erase(it);
-    tx_grid_.erase(tx.id, tx.sender_pos);
-
-    DAPES_TRACE_EVENT(trace::EventType::kMediumDeliver, tx.frame->sender,
-                      tx.id);
-    if (prewarm_) prewarm_->commit(*tx.frame);
-    TxReport report;
-    for (const auto& [receiver, rp] : tx.receivers) {
-      if (!delivery_eligible(receiver, tx.start)) continue;
-      if (decide_one(tx, receiver, rp, report) &&
-          nodes_[receiver].on_receive) {
-        const NodeId r = receiver;
-        const FramePtr frame = tx.frame;
-        items.push_back(
-            {r, [this, frame, r] { nodes_[r].on_receive(frame, r); }});
-      }
-    }
-    if (report.collided_anywhere()) ++stats_.collided_frames;
-    // Same dead-sender completion skip as the serial path.
-    if (tx.on_complete && nodes_[tx.frame->sender].alive) {
-      items.push_back({tx.frame->sender,
-                       [cb = std::move(tx.on_complete), report] {
-                         cb(report);
-                       }});
-    }
-  }
-  if (items.empty()) return;
-
-  // Group the items into per-node chains — protocol state is node-local
-  // and unlocked, so one node's items must run in order on one lane —
-  // and sort the chains by the node's spatial grid cell, so one worker's
-  // consecutive chains touch neighboring nodes' state (the region
-  // partitioning; placement affects locality only, never results).
-  struct Chain {
-    uint64_t region = 0;
-    NodeId node = 0;
-    std::vector<uint32_t> items;
-  };
-  std::vector<Chain> chains;
-  std::unordered_map<NodeId, size_t> chain_of;
-  for (size_t i = 0; i < items.size(); ++i) {
-    auto [pos, fresh] = chain_of.try_emplace(items[i].node, chains.size());
-    if (fresh) chains.push_back(Chain{0, items[i].node, {}});
-    chains[pos->second].items.push_back(static_cast<uint32_t>(i));
-  }
-  const double cell = cell_for(params_.range_m);
-  for (Chain& c : chains) {
-    const Vec2 p = position_of(c.node);
-    const auto cx = static_cast<int64_t>(std::floor(p.x / cell));
-    const auto cy = static_cast<int64_t>(std::floor(p.y / cell));
-    c.region = (static_cast<uint64_t>(cx) << 32) ^
-               static_cast<uint64_t>(static_cast<uint32_t>(cy));
-  }
-  std::sort(chains.begin(), chains.end(),
-            [](const Chain& a, const Chain& b) {
-              if (a.region != b.region) return a.region < b.region;
-              return a.node < b.node;
-            });
-
-  // Fan out. Every scheduler effect of an item is staged in its slot
-  // mailbox; end_phase merges them in item order, which makes the heap —
-  // sequence numbers included — bit-identical to serial execution for
-  // any lane count. The armed guards turn a stray medium access or
-  // shared-stream draw inside the phase into an exception.
-  sched_.begin_phase(items.size());
-  fanout_active_.store(true, std::memory_order_relaxed);
-  // Worker threads have no tracer installed; propagate this trial's and
-  // enter the chain node's context so every emission inside the phase
-  // lands in that node's slot — the same slot the serial engine's
-  // NodeScope in deliver_one / the completion path would pick.
-  trace::Tracer* tracer = trace::active();
-  try {
-    executor_->run(chains.size(), [&](size_t ci) {
-      trace::TrialScope trace_trial(tracer);
-      trace::NodeScope trace_node(chains[ci].node);
-      // Owner context for the whole chain (all items belong to one
-      // node), mirroring the serial path's per-callback OwnerScope:
-      // staged schedule ops capture it so end_phase re-applies it.
-      Scheduler::OwnerScope own(sched_, chains[ci].node);
-      // Give the protocol callbacks on this lane the prewarm's
-      // thread-local state (the active verify cache); RAII so the lane's
-      // previous state survives an item throwing.
-      struct WorkerBind {
-        DeliveryPrewarm* p;
-        explicit WorkerBind(DeliveryPrewarm* prewarm) : p(prewarm) {
-          if (p) p->bind_worker();
-        }
-        ~WorkerBind() {
-          if (p) p->unbind_worker();
-        }
-      } bind(prewarm_);
-      for (uint32_t slot : chains[ci].items) {
-        sched_.bind_phase_slot(slot);
-        items[slot].run();
-      }
-      sched_.unbind_phase_slot();
-    });
-  } catch (...) {
-    fanout_active_.store(false, std::memory_order_relaxed);
-    sched_.end_phase();
-    throw;
-  }
-  fanout_active_.store(false, std::memory_order_relaxed);
-  sched_.end_phase();
-}
-
 void Medium::deliver_one(const ActiveTx& tx, NodeId receiver,
                          Vec2 receiver_pos, TxReport& report) {
-  if (decide_one(tx, receiver, receiver_pos, report) &&
-      nodes_[receiver].on_receive) {
-    // Node context for the protocol callback, mirroring the
-    // phase-parallel engine's per-chain NodeScope; owner context so
-    // receive-path timers are cancellable by node.
-    trace::NodeScope scope(receiver);
-    Scheduler::OwnerScope own(sched_, receiver);
-    nodes_[receiver].on_receive(tx.frame, receiver);
-  }
-}
-
-bool Medium::decide_one(const ActiveTx& tx, NodeId receiver,
-                        Vec2 receiver_pos, TxReport& report) {
   ++report.receivers;
 
   // Collision: another overlapping transmission audible here corrupts
@@ -617,7 +411,7 @@ bool Medium::decide_one(const ActiveTx& tx, NodeId receiver,
     ++report.collided;
     DAPES_TRACE_EVENT(trace::EventType::kMediumDropCollision, receiver,
                       tx.id);
-    return false;
+    return;
   }
   if (captured_interferers > 0) {
     DAPES_TRACE_EVENT(trace::EventType::kMediumCapture, receiver, tx.id,
@@ -646,10 +440,8 @@ bool Medium::decide_one(const ActiveTx& tx, NodeId receiver,
   if (channel_->deterministic_reference()) {
     delivered = channel_->receives(rx, rng_, rng_);
   } else {
-    // Bursty-erasure state snapshot for the trace. decide_one always
-    // runs on the coordinator in canonical order, so the emission is
-    // mode-invariant; link_state is a pure query, but not free, so only
-    // pay for it when a tracer is installed.
+    // Bursty-erasure state snapshot for the trace. link_state is a pure
+    // query, but not free, so only pay for it when a tracer is installed.
     if (trace::active() != nullptr) {
       const int state = channel_->link_state(rx);
       if (state >= 0) {
@@ -674,12 +466,17 @@ bool Medium::decide_one(const ActiveTx& tx, NodeId receiver,
     ++stats_.losses;
     ++report.lost;
     DAPES_TRACE_EVENT(trace::EventType::kMediumDropLoss, receiver, tx.id);
-    return false;
+    return;
   }
   ++stats_.deliveries;
   ++report.delivered;
   DAPES_TRACE_EVENT(trace::EventType::kMediumRx, receiver, tx.id);
-  return true;
+  if (!nodes_[receiver].on_receive) return;
+  // Node context for the protocol callback; owner context so
+  // receive-path timers are cancellable by node.
+  trace::NodeScope scope(receiver);
+  Scheduler::OwnerScope own(sched_, receiver);
+  nodes_[receiver].on_receive(tx.frame, receiver);
 }
 
 }  // namespace dapes::sim

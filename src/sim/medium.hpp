@@ -26,17 +26,6 @@
 /// are *identical* to the retained all-pairs reference
 /// (Params::brute_force), which the equivalence test suites assert. See
 /// DESIGN.md "Spatial medium" and "Channel & PHY models".
-///
-/// With `Params::trial_threads >= 1` the medium runs its *phase-parallel
-/// delivery engine*: frame deliveries landing on the same instant are
-/// batch-claimed from the scheduler, their reception outcomes decided
-/// serially in canonical order (preserving every shared-stream RNG draw),
-/// and the per-receiver protocol fan-out is executed on a worker pool as
-/// per-node task chains, grouped by spatial grid region, with all
-/// scheduler effects staged in per-item mailboxes and merged in canonical
-/// order. Results are bit-identical to the serial scheduler for any
-/// thread count; the serial path (`trial_threads == 0`, the default)
-/// stays the retained reference. See DESIGN.md "Parallel trial interior".
 #pragma once
 
 #include <cstdint>
@@ -45,14 +34,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include <atomic>
-
 #include "common/buffer.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "sim/channel.hpp"
 #include "sim/mobility.hpp"
-#include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/spatial_grid.hpp"
 
@@ -81,40 +67,18 @@ struct Frame {
 /// Shared immutable frame handle (one allocation per broadcast).
 using FramePtr = std::shared_ptr<const Frame>;
 
-/// Hook invoked around frame delivery so an upper layer can pre-compute
-/// per-frame work once per broadcast instead of once per receiver (the
-/// verify-cache layer: one digest + MAC verdict per frame, served to all
-/// N in-range receivers; see DESIGN.md "Crypto engine & verify cache").
-///
-/// Contract, designed so the serial and phase-parallel delivery paths
-/// stay bit-identical:
-///   * `stage` runs on the coordinator before any receiver callback of
-///     the delivery (serial: per frame; parallel: once for the whole
-///     same-instant batch). It must be free of observable side effects —
-///     no cache writes, no trace events — so the differing stage timing
-///     between the two paths cannot leak.
-///   * `commit` runs on the coordinator once per transmission, in
-///     canonical delivery order, immediately after the medium's deliver
-///     trace event. This is the only place the hook may publish state or
-///     emit events; any "was it already cached" flag must be decided
-///     here, at commit time, not at stage time.
-///   * `bind_worker`/`unbind_worker` bracket a fan-out chain on a worker
-///     lane (properly nested per thread) so the hook can install
-///     thread-local state — e.g. the active verify cache — for the
-///     protocol callbacks running there. Must restore the previous
-///     thread state on unbind: with trial_threads == 1 the "lane" is the
-///     coordinator thread itself.
+/// Hook invoked once per transmission as it leaves the air, so an upper
+/// layer can pre-compute per-frame work once per broadcast instead of
+/// once per receiver (the verify-cache layer: one digest + MAC verdict
+/// per frame, served to all N in-range receivers; see DESIGN.md "Crypto
+/// engine & verify cache").
 class DeliveryPrewarm {
  public:
   virtual ~DeliveryPrewarm() = default;
-  /// Inspect the frames about to be delivered (side-effect-free).
-  virtual void stage(const FramePtr* frames, size_t count) = 0;
-  /// Publish staged state for @p frame (coordinator, canonical order).
-  virtual void commit(const Frame& frame) = 0;
-  /// Install thread-local state on a fan-out lane.
-  virtual void bind_worker() = 0;
-  /// Restore the lane's previous thread-local state.
-  virtual void unbind_worker() = 0;
+  /// Pre-compute per-frame state for @p frame. Runs right after the
+  /// medium's deliver trace event and before any receiver callback of
+  /// the transmission.
+  virtual void prewarm(const Frame& frame) = 0;
 };
 
 /// Aggregate medium statistics for one trial.
@@ -158,14 +122,6 @@ class Medium {
     /// The reference exists for the equivalence tests and for
     /// bench_scale's speedup baseline.
     bool brute_force = false;
-    /// Lanes for the phase-parallel delivery engine (see the file
-    /// comment). 0 (the default) keeps the plain serial delivery path;
-    /// >= 1 enables the engine (1 = the staging code path on the calling
-    /// thread, no extra threads). Metrics are bit-identical across all
-    /// values. Requires grid mode: the engine relies on the receiver
-    /// sets captured at transmit time, so combining it with
-    /// `brute_force` throws std::invalid_argument.
-    int trial_threads = 0;
   };
 
   /// Delivered frame + the receiving node.
@@ -200,25 +156,23 @@ class Medium {
   /// connectivity query (delivery, neighbor sets, carrier sense) until
   /// `revive_node` admits it — how the fault layer pre-creates
   /// flash-crowd peers so mid-trial admission never perturbs RNG
-  /// streams. Never callable during a fan-out phase.
+  /// streams.
   NodeId add_node(MobilityModel* mobility, ReceiveCallback on_receive,
                   bool alive = true);
 
   /// Retire a node: it stops being delivered to, stops appearing in
   /// neighbor/carrier-sense/collision queries, and may no longer
   /// transmit (transmit throws). Frames it already put on the air keep
-  /// delivering — they left the antenna. Idempotent. Never callable
-  /// during a fan-out phase (membership is coordinator-only state), and
-  /// the caller is expected to follow up with
-  /// `Scheduler::cancel_for_node` so the node's pending timers cannot
-  /// fire into torn-down state.
+  /// delivering — they left the antenna. Idempotent. The caller is
+  /// expected to follow up with `Scheduler::cancel_for_node` so the
+  /// node's pending timers cannot fire into torn-down state.
   void retire_node(NodeId node);
 
   /// (Re-)admit a latent or retired node. Frames already in flight at
   /// admission time are *not* delivered to it (it was not listening when
   /// they were sent — and the rule keeps grid and brute delivery
   /// identical, see DESIGN.md "Fault injection & open membership").
-  /// Idempotent; never callable during a fan-out phase.
+  /// Idempotent.
   void revive_node(NodeId node);
 
   /// True when @p node is currently a live member (registered alive, or
@@ -242,18 +196,6 @@ class Medium {
   /// Airtime of a frame of @p payload_bytes including overhead, per the
   /// channel model's bitrate/airtime rule.
   Duration frame_duration(size_t payload_bytes) const;
-
-  /// Conservative lookahead of the installed channel model: minimum
-  /// propagation delay plus the model's preamble/airtime lower bound for
-  /// an empty payload. No transmission started at or after time t can
-  /// deliver before t + min_lookahead(), which is what makes a fan-out
-  /// phase at time t safe: nothing a phase item schedules can re-enter
-  /// the medium within the phase. Cached at model-install time.
-  Duration min_lookahead() const { return min_lookahead_; }
-
-  /// True when the phase-parallel delivery engine is active
-  /// (params().trial_threads >= 1).
-  bool parallel_delivery() const { return executor_ != nullptr; }
 
   /// Current position of @p node.
   Vec2 position_of(NodeId node) const;
@@ -345,16 +287,12 @@ class Medium {
   };
 
   void deliver(uint64_t tx_id);
+
+  /// One (frame, receiver) pair: collision fold, reception draw, stats
+  /// and report bookkeeping, then the receiver's callback when the frame
+  /// got through.
   void deliver_one(const ActiveTx& tx, NodeId receiver, Vec2 receiver_pos,
                    TxReport& report);
-
-  /// The decision half of deliver_one: collision fold, reception draw,
-  /// stats and report bookkeeping — everything except invoking the
-  /// receiver's callback. Returns true when the frame was delivered (the
-  /// callback should fire). Shared by the serial and parallel paths so
-  /// the decision logic, and its shared-stream draw order, has one home.
-  bool decide_one(const ActiveTx& tx, NodeId receiver, Vec2 receiver_pos,
-                  TxReport& report);
 
   /// Membership half of the delivery predicate, evaluated identically by
   /// the grid and brute paths at delivery time: the receiver must be
@@ -367,18 +305,6 @@ class Medium {
     const NodeEntry& e = nodes_[receiver];
     return e.alive && e.joined <= tx_start;
   }
-
-  /// Parallel-mode delivery: claim every same-instant delivery batched
-  /// behind @p first_id, decide all outcomes serially in canonical order,
-  /// then fan the receiver/completion callbacks out over the worker pool
-  /// as per-node chains inside a scheduler phase.
-  void deliver_batch(uint64_t first_id);
-
-  /// Throw if called during a fan-out phase: medium state (carrier
-  /// sense, positions, neighbor sets, transmit) is coordinator-only; the
-  /// protocol receive path must never touch it. Makes a cross-lane read
-  /// a loud failure instead of a data race.
-  void check_not_in_phase(const char* what) const;
 
   /// Channel-model coverage of the largest radio in the trial: the upper
   /// bound used for carrier-sense queries and collision pruning.
@@ -414,23 +340,8 @@ class Medium {
   std::unordered_map<uint64_t, ActiveTx> active_;
   uint64_t next_tx_id_ = 1;
   MediumStats stats_;
-
-  /// Cached conservative lookahead (propagation + empty-frame airtime),
-  /// computed once at model-install time instead of per transmission.
-  Duration min_lookahead_ = Duration::microseconds(0);
-  /// Worker pool of the phase-parallel delivery engine; null in serial
-  /// mode (trial_threads == 0).
-  std::unique_ptr<ParallelExecutor> executor_;
-  /// True while fan-out items run; arms the draw guard on rng_ (no
-  /// shared-stream draws on the parallel path) and backs
-  /// check_not_in_phase.
-  std::atomic<bool> fanout_active_{false};
-  /// Reused claim buffer for deliver_batch.
-  std::vector<uint64_t> claim_buf_;
   /// Delivery prewarm hook (verify-cache layer); null when disabled.
   DeliveryPrewarm* prewarm_ = nullptr;
-  /// Reused frame buffer for deliver_batch's stage pre-pass.
-  std::vector<FramePtr> stage_buf_;
 
   /// Lazy spatial index of node positions (grid mode). Entries hold the
   /// position at build time; queries inflate their radius by the drift

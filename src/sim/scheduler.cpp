@@ -20,26 +20,10 @@ constexpr size_t kCompactFloor = 64;
 /// memory between compactions.
 constexpr size_t kCompactAbsolute = 4096;
 
-/// Event-id stride pre-assigned to each phase slot. Ids only need to be
-/// unique and deterministic (nothing orders on them), so a fixed stride
-/// per slot makes them independent of worker timing and thread count. No
-/// single callback schedules anywhere near this many events.
-constexpr uint64_t kPhaseIdStride = uint64_t{1} << 20;
-
-/// The calling thread's binding: which scheduler it stages into and the
-/// slot it owns. Thread-local because staged calls come from deep inside
-/// protocol callbacks that just call sched.schedule(...) as usual. One
-/// binding suffices: a worker thread serves exactly one trial's pool.
-struct SlotBinding {
-  Scheduler* sched = nullptr;
-  size_t slot = 0;
-};
-thread_local SlotBinding t_binding;
-
 /// The calling thread's owner attribution (see Scheduler::OwnerScope):
-/// which scheduler it stamps and with what owner. Like the slot binding,
-/// one level suffices per thread — nesting is handled by the scope's
-/// save/restore, not by a stack here.
+/// which scheduler it stamps and with what owner. One level suffices per
+/// thread — nesting is handled by the scope's save/restore, not by a
+/// stack here.
 struct OwnerBinding {
   Scheduler* sched = nullptr;
   uint64_t owner = 0;
@@ -63,81 +47,25 @@ uint64_t Scheduler::current_owner() const {
   return t_owner.sched == this ? t_owner.owner : kNoOwner;
 }
 
-Scheduler::PhaseSlot* Scheduler::bound_slot() {
-  if (!phase_active_ || t_binding.sched != this) return nullptr;
-  return &phase_slots_[t_binding.slot];
-}
-
-EventId Scheduler::push_entry(TimePoint at, uint64_t id, uint64_t tag,
-                              uint64_t owner,
-                              std::shared_ptr<std::function<void()>> fn) {
+EventId Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
+  if (at < now_) at = now_;
+  DAPES_TRACE_HERE(trace::EventType::kSchedSchedule,
+                   static_cast<uint64_t>(at.us));
   Entry e;
   e.at = at;
   e.seq = next_seq_++;
-  e.id = id;
-  e.tag = tag;
-  e.owner = owner;
-  e.fn = std::move(fn);
+  e.id = next_id_++;
+  e.owner = current_owner();
+  e.fn = std::make_shared<std::function<void()>>(std::move(fn));
+  const EventId id{e.id};
   heap_.push_back(std::move(e));
   std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
-  return EventId{id};
-}
-
-EventId Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
-  if (at < now_) at = now_;
-  // Traced after clamping and before the staging branch: the staged and
-  // direct paths clamp identically, so the record is mode-invariant. The
-  // event id is deliberately not recorded (phase slots pre-assign strided
-  // ids, which differ from the serial ones by design).
-  DAPES_TRACE_HERE(trace::EventType::kSchedSchedule,
-                   static_cast<uint64_t>(at.us));
-  if (PhaseSlot* slot = bound_slot()) {
-    // Staged: pre-assigned id now, heap insertion (and the sequence
-    // number) at end_phase, in slot order.
-    if (slot->ids_used >= kPhaseIdStride) {
-      throw std::logic_error("Scheduler: phase slot id range exhausted");
-    }
-    const uint64_t id = phase_id_base_ +
-                        t_binding.slot * kPhaseIdStride + slot->ids_used++;
-    PhaseOp op;
-    op.at = at;
-    op.id = id;
-    op.owner = current_owner();
-    op.fn = std::make_shared<std::function<void()>>(std::move(fn));
-    slot->ops.push_back(std::move(op));
-    return EventId{id};
-  }
-  if (phase_active_) {
-    throw std::logic_error(
-        "Scheduler: schedule from an unbound thread during a phase");
-  }
-  const uint64_t id = next_id_++;
-  return push_entry(at, id, /*tag=*/0, current_owner(),
-                    std::make_shared<std::function<void()>>(std::move(fn)));
+  return id;
 }
 
 EventId Scheduler::schedule(Duration delay, std::function<void()> fn) {
   if (delay.us < 0) delay.us = 0;
   return schedule_at(now_ + delay, std::move(fn));
-}
-
-EventId Scheduler::schedule_tagged(TimePoint at, uint64_t tag,
-                                   std::function<void()> fn) {
-  if (tag == 0) {
-    throw std::invalid_argument("Scheduler::schedule_tagged: tag must be != 0");
-  }
-  if (phase_active_) {
-    throw std::logic_error("Scheduler::schedule_tagged: phase open");
-  }
-  if (at < now_) at = now_;
-  DAPES_TRACE_HERE(trace::EventType::kSchedSchedule,
-                   static_cast<uint64_t>(at.us));
-  const uint64_t id = next_id_++;
-  // Tagged events are deliberately unowned: they are the medium's
-  // in-flight frame deliveries, which must survive the sender's
-  // retirement (the frame is already on the air).
-  return push_entry(at, id, tag, kNoOwner,
-                    std::make_shared<std::function<void()>>(std::move(fn)));
 }
 
 bool Scheduler::apply_cancel(uint64_t id) {
@@ -154,31 +82,11 @@ bool Scheduler::apply_cancel(uint64_t id) {
 
 bool Scheduler::cancel(EventId id) {
   if (!id.valid()) return false;
-  // The record carries no success flag: the staged path below answers
-  // optimistically, so a flag would differ between engines.
   DAPES_TRACE_HERE(trace::EventType::kSchedCancel);
-  if (PhaseSlot* slot = bound_slot()) {
-    // Staged; applied by end_phase in slot order. Callers may only cancel
-    // events their own node scheduled (the lane-ownership contract, see
-    // DESIGN.md), so the eventual outcome is identical to an immediate
-    // cancel — the event cannot fire before the phase ends.
-    PhaseOp op;
-    op.is_cancel = true;
-    op.id = id.value;
-    slot->ops.push_back(std::move(op));
-    return true;
-  }
-  if (phase_active_) {
-    throw std::logic_error(
-        "Scheduler: cancel from an unbound thread during a phase");
-  }
   return apply_cancel(id.value);
 }
 
 size_t Scheduler::cancel_for_node(uint64_t owner) {
-  if (phase_active_) {
-    throw std::logic_error("Scheduler::cancel_for_node: phase open");
-  }
   if (owner == kNoOwner) {
     throw std::invalid_argument("Scheduler::cancel_for_node: kNoOwner");
   }
@@ -209,85 +117,6 @@ void Scheduler::compact() {
   std::make_heap(heap_.begin(), heap_.end(), EntryCompare{});
 }
 
-void Scheduler::purge_cancelled_head() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-    heap_.pop_back();
-  }
-}
-
-TimePoint Scheduler::peek_horizon() {
-  purge_cancelled_head();
-  return heap_.empty() ? kNoHorizon : heap_.front().at;
-}
-
-size_t Scheduler::claim_tagged(TimePoint at, std::vector<uint64_t>& out) {
-  size_t claimed = 0;
-  for (;;) {
-    purge_cancelled_head();
-    if (heap_.empty()) break;
-    const Entry& head = heap_.front();
-    if (head.at != at || head.tag == 0) break;
-    out.push_back(head.tag);
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-    heap_.pop_back();
-    // The claimer runs this event's work, so it counts as executed.
-    ++executed_;
-    ++claimed;
-  }
-  return claimed;
-}
-
-void Scheduler::begin_phase(size_t slots) {
-  if (phase_active_) {
-    throw std::logic_error("Scheduler::begin_phase: phases do not nest");
-  }
-  phase_id_base_ = next_id_;
-  // Reserve the whole strided range so ids never collide with later
-  // direct assignments.
-  next_id_ += slots * kPhaseIdStride;
-  phase_slots_.assign(slots, PhaseSlot{});
-  phase_active_ = true;
-}
-
-void Scheduler::bind_phase_slot(size_t slot) {
-  if (!phase_active_ || slot >= phase_slots_.size()) {
-    throw std::logic_error("Scheduler::bind_phase_slot: no such slot");
-  }
-  t_binding.sched = this;
-  t_binding.slot = slot;
-}
-
-void Scheduler::unbind_phase_slot() {
-  t_binding.sched = nullptr;
-  t_binding.slot = 0;
-}
-
-size_t Scheduler::end_phase() {
-  if (!phase_active_) {
-    throw std::logic_error("Scheduler::end_phase: no phase open");
-  }
-  // Close the phase first: the merge below uses the direct paths.
-  phase_active_ = false;
-  unbind_phase_slot();
-  size_t applied = 0;
-  for (PhaseSlot& slot : phase_slots_) {
-    for (PhaseOp& op : slot.ops) {
-      if (op.is_cancel) {
-        apply_cancel(op.id);
-      } else {
-        push_entry(op.at, op.id, /*tag=*/0, op.owner, std::move(op.fn));
-      }
-      ++applied;
-    }
-  }
-  phase_slots_.clear();
-  return applied;
-}
-
 size_t Scheduler::run_until(TimePoint until) {
   size_t count = 0;
   while (!heap_.empty()) {
@@ -302,11 +131,7 @@ size_t Scheduler::run_until(TimePoint until) {
     now_ = e.at;
     ++executed_;
     ++count;
-    // Tagged entries (medium deliveries) are not traced as fires: the
-    // phase-parallel engine batch-claims them without popping each one
-    // here, so a fire record would be engine-dependent. Their delivery
-    // is traced by the medium instead.
-    if (e.tag == 0) DAPES_TRACE_HERE(trace::EventType::kSchedFire);
+    DAPES_TRACE_HERE(trace::EventType::kSchedFire);
     // Re-install the entry's owner for the callback so events it
     // schedules inherit attribution (see OwnerScope).
     OwnerScope own(*this, e.owner);
@@ -331,11 +156,7 @@ size_t Scheduler::run() {
     now_ = e.at;
     ++executed_;
     ++count;
-    // Tagged entries (medium deliveries) are not traced as fires: the
-    // phase-parallel engine batch-claims them without popping each one
-    // here, so a fire record would be engine-dependent. Their delivery
-    // is traced by the medium instead.
-    if (e.tag == 0) DAPES_TRACE_HERE(trace::EventType::kSchedFire);
+    DAPES_TRACE_HERE(trace::EventType::kSchedFire);
     // Same owner inheritance as run_until.
     OwnerScope own(*this, e.owner);
     (*e.fn)();

@@ -6,23 +6,6 @@
 /// identical seeds give identical runs. Everything in the repository — the
 /// wireless medium, NDN forwarders, DAPES peers, the IP baselines — runs on
 /// one Scheduler instance per trial.
-///
-/// Two extensions serve the parallel trial interior (DESIGN.md "Parallel
-/// trial interior") without changing the serial contract:
-///
-///  * Tagged claims. `schedule_tagged` attaches a nonzero claim tag to an
-///    event; `claim_tagged` lets the handler of one such event batch-pop
-///    the maximal run of same-instant tagged events at the heap head in a
-///    single call, taking over their work. The medium uses this to fold
-///    all frame deliveries landing on the same microsecond into one
-///    phase-parallel batch.
-///  * Phase staging. Between `begin_phase` and `end_phase`, schedule and
-///    cancel calls from worker threads bound to per-item slots are staged
-///    in slot-private buffers ("mailboxes") instead of touching the heap;
-///    `end_phase` merges them in canonical slot order on the coordinator
-///    thread, assigning the same sequence numbers a serial execution of
-///    the items would have — so the heap ends up in a bit-identical state
-///    no matter how many workers ran the items.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +34,6 @@ struct EventId {
 /// determinism contract). Not copyable: exactly one instance per trial.
 class Scheduler {
  public:
-  /// `peek_horizon()` result when the queue is empty.
-  static constexpr TimePoint kNoHorizon{std::numeric_limits<int64_t>::max()};
-
   /// Owner value of events scheduled outside any OwnerScope. Not 0 —
   /// node ids start at 0, so 0 must stay a usable owner.
   static constexpr uint64_t kNoOwner = std::numeric_limits<uint64_t>::max();
@@ -94,13 +74,6 @@ class Scheduler {
   /// Schedule @p fn after a relative delay (negative delays clamp to 0).
   EventId schedule(Duration delay, std::function<void()> fn);
 
-  /// Schedule @p fn at @p at carrying a claim tag (must be nonzero): the
-  /// event runs normally unless a same-instant predecessor claims it via
-  /// `claim_tagged` first. Not callable during a phase — tagged events
-  /// come from the medium's transmit path, which never runs inside one.
-  EventId schedule_tagged(TimePoint at, uint64_t tag,
-                          std::function<void()> fn);
-
   /// Cancel a pending event. Returns false if it was already cancelled
   /// (and usually if it already fired — after a compaction the scheduler
   /// no longer remembers old ids, so a stale cancel may return true; it
@@ -113,49 +86,11 @@ class Scheduler {
 
   /// Teardown sweep for a retired node: cancel every pending event owned
   /// by @p owner (see OwnerScope), reusing the lazy-cancel + compaction
-  /// machinery so a mass retirement cannot bloat the heap. Tagged events
-  /// (in-flight medium deliveries) are never owned and are not touched.
-  /// Coordinator only — throws std::logic_error during a phase, and
+  /// machinery so a mass retirement cannot bloat the heap. Events
+  /// scheduled under `OwnerScope(sched, kNoOwner)` — the medium's
+  /// in-flight frame deliveries — are never touched. Throws
   /// std::invalid_argument for kNoOwner. Returns the number cancelled.
   size_t cancel_for_node(uint64_t owner);
-
-  /// Timestamp of the next live (non-cancelled) event, purging cancelled
-  /// entries from the heap head on the way; `kNoHorizon` when empty. The
-  /// parallel engine compares this against its conservative lookahead
-  /// bound (`Medium::min_lookahead`).
-  TimePoint peek_horizon();
-
-  /// Batch-pop: claim the maximal run of tagged events at the heap head
-  /// whose timestamp is exactly @p at, appending their tags to @p out in
-  /// execution (insertion) order. Each claimed event counts as executed —
-  /// the claimer takes over its work and its callback is dropped. Stops
-  /// at the first untagged or later-timestamped head, which preserves the
-  /// serial execution order exactly. Returns the number claimed.
-  size_t claim_tagged(TimePoint at, std::vector<uint64_t>& out);
-
-  /// Begin a parallel phase of @p slots work items. Until `end_phase`,
-  /// schedule/cancel calls are only legal from threads bound to a slot
-  /// (see `bind_phase_slot`) and are staged per slot; event ids are
-  /// pre-assigned per slot from a fixed stride so they depend only on the
-  /// slot index, never on worker timing. Coordinator only; phases do not
-  /// nest.
-  void begin_phase(size_t slots);
-
-  /// Bind the calling thread to staging slot @p slot of the open phase.
-  /// Rebinding to another slot is allowed (workers bind once per item).
-  void bind_phase_slot(size_t slot);
-
-  /// Clear the calling thread's slot binding.
-  void unbind_phase_slot();
-
-  /// Merge every slot's staged operations into the heap in slot order,
-  /// assigning sequence numbers exactly as a serial execution of the
-  /// items (in slot order) would have. Coordinator only. Returns the
-  /// number of operations applied.
-  size_t end_phase();
-
-  /// True while a phase is open (between begin_phase and end_phase).
-  bool in_phase() const { return phase_active_; }
 
   /// Run until the queue is empty or simulated time reaches @p until.
   /// Returns the number of events executed by this call.
@@ -174,8 +109,7 @@ class Scheduler {
   /// lazy removal — the quantity the compaction keeps bounded.
   size_t queued() const { return heap_.size(); }
 
-  /// Total events executed over the scheduler's lifetime (claimed tagged
-  /// events count: their work ran, just under the claimer).
+  /// Total events executed over the scheduler's lifetime.
   uint64_t executed() const { return executed_; }
 
  private:
@@ -183,8 +117,6 @@ class Scheduler {
     TimePoint at;
     uint64_t seq = 0;
     uint64_t id = 0;
-    /// Claim tag (0 = not claimable). See schedule_tagged/claim_tagged.
-    uint64_t tag = 0;
     /// Owning node for cancel_for_node (kNoOwner = unowned).
     uint64_t owner = kNoOwner;
     std::shared_ptr<std::function<void()>> fn;
@@ -196,40 +128,14 @@ class Scheduler {
     }
   };
 
-  /// One staged schedule or cancel from a phase slot, replayed by
-  /// end_phase in slot order.
-  struct PhaseOp {
-    bool is_cancel = false;
-    TimePoint at;
-    uint64_t id = 0;
-    /// Owner captured at staging time, re-applied by end_phase.
-    uint64_t owner = kNoOwner;
-    std::shared_ptr<std::function<void()>> fn;
-  };
-  struct PhaseSlot {
-    std::vector<PhaseOp> ops;
-    /// Ids handed out so far (offset into the slot's pre-assigned range).
-    uint64_t ids_used = 0;
-  };
-
   /// Drop every cancelled entry from the heap in one O(n) pass. Called
   /// when cancelled entries outnumber live ones *or* exceed an absolute
   /// cap: without the cap, a huge queue could hold an arbitrary byte
   /// volume of dead entries while still passing the ratio test.
   void compact();
 
-  /// Pop cancelled entries sitting at the heap head.
-  void purge_cancelled_head();
-
-  /// Heap insertion shared by the direct and staged paths.
-  EventId push_entry(TimePoint at, uint64_t id, uint64_t tag, uint64_t owner,
-                     std::shared_ptr<std::function<void()>> fn);
-
-  /// Cancel bookkeeping shared by the direct and staged paths.
+  /// Cancel bookkeeping shared by cancel and cancel_for_node.
   bool apply_cancel(uint64_t id);
-
-  /// The calling thread's slot, or nullptr when unbound to this instance.
-  PhaseSlot* bound_slot();
 
   TimePoint now_ = TimePoint::zero();
   uint64_t next_seq_ = 1;
@@ -239,12 +145,6 @@ class Scheduler {
   /// as a plain vector so compact() can filter it in place.
   std::vector<Entry> heap_;
   std::unordered_set<uint64_t> cancelled_;
-
-  bool phase_active_ = false;
-  /// First id of the open phase's pre-assigned range (slot k owns
-  /// [base + k*stride, base + (k+1)*stride)).
-  uint64_t phase_id_base_ = 0;
-  std::vector<PhaseSlot> phase_slots_;
 };
 
 }  // namespace dapes::sim

@@ -29,13 +29,11 @@ enum class EventType : uint16_t {
   kMediumDropLoss,       ///< channel/loss drop; args: tx id
   kMediumDropCollision,  ///< collision drop; args: tx id
   kMediumCapture,        ///< survived >=1 interferer; args: tx id, count
-  // Scheduler: the event-loop arcs. Fire is only traced for untagged
-  // events — tagged ones are the medium's internal delivery batching,
-  // already covered by medium.deliver (and never individually fired when
-  // a batch claims them).
+  // Scheduler: the event-loop arcs. Every executed event, frame
+  // deliveries included, emits exactly one fire.
   kSchedSchedule,  ///< event scheduled; args: target time (us)
   kSchedCancel,    ///< cancel requested (no outcome arg; see trace.hpp)
-  kSchedFire,      ///< untagged event fired
+  kSchedFire,      ///< event fired
   // Content Store (the shared-NameTree fast tables; the retained
   // ndn::ref reference tables are deliberately untraced).
   kCsInsert,  ///< insert or refresh; args: content bytes, refreshed flag
@@ -61,25 +59,21 @@ enum class EventType : uint16_t {
   kStratKnowledgeSuppress,  ///< knowledge says missing -> suppress
   kStratTimeout,            ///< relayed Interest timed out
   // Crypto verify-cache layer (DESIGN.md "Crypto engine & verify cache").
-  /// Verify-cache commit for one delivered Data frame; args: cached flag
-  /// (1 = the frame's digest+verdict were already cached at commit time,
-  /// 0 = freshly computed by the prewarm), frame bytes. Emitted on the
-  /// coordinator right after medium.deliver in both the serial and the
-  /// phase-parallel path, with the flag decided at commit time, so the
-  /// merged trace is bit-identical across --trial-threads values.
+  /// Verify-cache prewarm of one delivered Data frame; args: cached flag
+  /// (1 = the frame's digest+verdict were already cached, 0 = freshly
+  /// computed by the prewarm), frame bytes. Emitted right after
+  /// medium.deliver.
   kCryptoPrewarm,
   // Open membership / fault injection (DESIGN.md "Fault injection &
-  // open membership"). All emitted on the coordinator — membership never
-  // changes inside a phase — so they are engine-invariant by position.
+  // open membership").
   kNodeJoin,     ///< node became live; args: 1 = revive/admission, 0 = setup
   kNodeLeave,    ///< node retired from the medium
   kFaultInject,  ///< fault plan event applied; args: FaultKind
   kPeerLied,     ///< adversary advertised a false bitmap; args: claimed, real
   // Channel realism stack (DESIGN.md "Channel realism round two").
   /// Bursty-erasure link state observed at a reception decision; args:
-  /// tx id, state (0 good / 1 bad). Emitted on the coordinator in
-  /// decide_one's canonical order, so trace content stays invariant
-  /// across engine modes; only models running a burst process emit it.
+  /// tx id, state (0 good / 1 bad). Emitted per candidate receiver in
+  /// delivery order; only models running a burst process emit it.
   kChannelState,
 
   kCount  ///< number of event types (not a valid event)

@@ -18,8 +18,8 @@
 ///
 /// Records are stored in canonical merged order — nondecreasing time —
 /// so the time-delta encoding is always nonnegative and the file is
-/// byte-identical for any `--jobs` x `--trial-threads` combination
-/// (the determinism contract the CI byte-diff enforces).
+/// byte-identical for any `--jobs` value (the determinism contract the
+/// CI byte-diff enforces).
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,9 @@
 /// node, the event type, an optional name hash (resolved to a URI through
 /// the file's name dictionary, never stored inline) and up to three
 /// varint payload arguments. Everything in it is deterministic across
-/// `--jobs` and `--trial-threads` — scheduler event ids, which differ
-/// between the serial and phase-parallel engines by design, are banned
-/// from records (DESIGN.md "Event trace architecture").
+/// `--jobs` — scheduler event ids, internal handles rather than
+/// behaviour, are banned from records (DESIGN.md "Event trace
+/// architecture").
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 
 namespace dapes::trace {
 
-/// `Record::node` value for events with no subject node (coordinator
+/// `Record::node` value for events with no subject node (unattributed
 /// emissions such as scheduler fires).
 inline constexpr uint32_t kNoNode = 0xffffffffu;
 

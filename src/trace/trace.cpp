@@ -40,7 +40,7 @@ Tracer::Slot& Tracer::slot_for_context() {
   if (node == kNoNode) return slots_[0];
   const size_t index = static_cast<size_t>(node) + 1;
   // An unregistered node (no ensure_node) falls back to the unattributed
-  // slot rather than growing the table, which workers may be indexing.
+  // slot rather than growing the table mid-run.
   return index < slots_.size() ? slots_[index] : slots_[0];
 }
 

@@ -1,7 +1,7 @@
 /// @file
 /// The per-trial Tracer: thread-local installation, per-node emission
 /// buffers, and the canonical merge that makes trace content bit-identical
-/// across `--jobs` and `--trial-threads`.
+/// across `--jobs`.
 ///
 /// Access pattern: a trial installs its Tracer into thread-local storage
 /// (`TrialScope`), and instrumented code — scheduler, medium, tables,
@@ -12,18 +12,12 @@
 ///
 /// Determinism discipline (DESIGN.md "Event trace architecture"):
 ///  * Emissions land in per-slot buffers — slot 0 for unattributed
-///    (coordinator) events, slot n+1 for events emitted under
-///    `NodeScope(n)`. A worker thread of the phase-parallel engine only
-///    ever appends to the slots of the nodes whose items it runs, and the
-///    per-node item chains preserve item order, so each slot's record
-///    sequence is identical to what the serial engine produces.
+///    events, slot n+1 for events emitted under `NodeScope(n)` — so the
+///    ring sink bounds memory per node.
 ///  * The canonical merge orders records by (sim time, slot, per-slot
-///    emission index) — a total order over content that is invariant to
-///    worker placement and lane count.
-///  * Records never contain scheduler event ids (pre-assigned per phase
-///    slot, they differ between engines by design) and cancel records
-///    carry no success flag (the staged cancel path answers
-///    optimistically).
+///    emission index) — a total order over content.
+///  * Records never contain scheduler event ids (internal handles, not
+///    behaviour) and cancel records carry no success flag.
 #pragma once
 
 #include <cstdint>
@@ -55,14 +49,12 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;  ///< not copyable
 
   /// Pre-size the slot table for @p node (slot n+1). Call at node
-  /// registration time, never during a parallel phase: workers index the
-  /// slot table concurrently and must never see it grow.
+  /// registration time, before the run loop emits.
   void ensure_node(uint32_t node);
 
   /// Emit one event. @p subject is the node the event is about (kNoNode
   /// for none); the *buffer* the record lands in is chosen by the
-  /// thread's NodeScope context, which is what keeps concurrent emission
-  /// race-free. At most 3 args are recorded.
+  /// thread's NodeScope context. At most 3 args are recorded.
   void emit(EventType type, uint32_t subject,
             std::initializer_list<uint64_t> args) {
     append(make_record(type, subject, 0, args), nullptr);
@@ -102,9 +94,8 @@ class Tracer {
 
  private:
   /// One emission slot: an optionally ring-bounded record sequence plus
-  /// the slot-local name dictionary. Only ever appended to by the one
-  /// thread currently running that slot's node (or the coordinator for
-  /// slot 0), so no synchronization is needed.
+  /// the slot-local name dictionary. Only the trial's thread appends, so
+  /// no synchronization is needed.
   struct Slot {
     std::vector<Record> records;
     /// Ring start when bounded (records is used as a circular buffer
@@ -124,8 +115,8 @@ class Tracer {
   std::function<int64_t()> clock_;
   std::unique_ptr<TraceSink> sink_;
   size_t capacity_ = 0;
-  /// Slot 0 = unattributed; slot n+1 = node n. Sized by ensure_node on
-  /// the coordinator only — never grown during a parallel phase.
+  /// Slot 0 = unattributed; slot n+1 = node n. Sized by ensure_node,
+  /// never grown by an emission.
   std::vector<Slot> slots_;
   bool flushed_ = false;
 
@@ -149,10 +140,8 @@ inline Tracer* active() { return detail::t_tracer; }
 /// The calling thread's node context (kNoNode outside any NodeScope).
 inline uint32_t context_node() { return detail::t_node; }
 
-/// RAII installation of a trial's tracer into this thread (the trial
-/// thread for its whole run; a worker thread for the duration of a
-/// phase-parallel item chain). Resets the node context; restores both on
-/// destruction. @p tracer may be null (an explicit "tracing off" scope).
+/// RAII installation of a trial's tracer into this thread for the trial's
+/// whole run. Resets the node context; restores both on destruction. @p tracer may be null (an explicit "tracing off" scope).
 class TrialScope {
  public:
   /// Install @p tracer on this thread.

@@ -14,8 +14,8 @@
 //     closed form.
 //  2. Pure-function determinism. Link state is a pure function of
 //     (seed, pair, time) — repeatable, symmetric in the pair — and the
-//     whole stack stays bit-identical across grid-vs-brute, --jobs
-//     1-vs-8 and --trial-threads 1/2/4 for every model combination.
+//     whole stack stays bit-identical across grid-vs-brute for every
+//     model combination, and across --jobs 1-vs-8 for the sweep axes.
 //  3. The harness closes the link_seed foot-gun: Topology always
 //     installs a per-trial link_seed (distinct across trial seeds) when
 //     the caller leaves the field at 0.
@@ -23,7 +23,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -451,24 +450,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BurstStackEquivalence,
 }  // namespace dapes::sim
 
 // ---------------------------------------------------------------------
-// 6. Harness-level determinism: --jobs and --trial-threads identity for
-// the new models, and the link_seed foot-gun closure.
+// 6. Harness-level determinism: --jobs identity for the new sweep axes,
+// and the link_seed foot-gun closure.
 // ---------------------------------------------------------------------
 
 namespace dapes::harness {
 namespace {
 
-void expect_equal(const TrialResult& a, const TrialResult& b) {
-  EXPECT_DOUBLE_EQ(a.download_time_s, b.download_time_s);
-  EXPECT_DOUBLE_EQ(a.completion_fraction, b.completion_fraction);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.tx_by_kind, b.tx_by_kind);
-  EXPECT_EQ(a.collided_frames, b.collided_frames);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-}
-
-/// Tiny but traffic-bearing loss.sweep world with a channel-stack knob
-/// hook per combination.
+/// Tiny but traffic-bearing loss.sweep world on the log-distance model.
 ScenarioParams stack_params(uint64_t seed) {
   ScenarioParams p;
   p.files = 1;
@@ -483,60 +472,6 @@ ScenarioParams stack_params(uint64_t seed) {
   p.seed = seed;
   p.channel.model = "log-distance";
   return p;
-}
-
-struct StackCombo {
-  const char* label;
-  std::function<void(ScenarioParams&)> apply;
-};
-
-std::vector<StackCombo> stack_combos() {
-  return {
-      {"burst",
-       [](ScenarioParams& p) {
-         p.channel.ge_bad_fraction = 0.3;
-         p.channel.ge_mean_burst_ms = 50.0;
-       }},
-      {"rayleigh+corr-shadow",
-       [](ScenarioParams& p) {
-         p.channel.fading = "rayleigh";
-         p.channel.shadowing_sigma_db = 5.0;
-         p.channel.shadowing_corr_m = 40.0;
-       }},
-      {"rician+adaptive",
-       [](ScenarioParams& p) {
-         p.channel.fading = "rician";
-         p.channel.rician_k = 3.0;
-         p.channel.adaptive_rate = true;
-       }},
-      {"everything",
-       [](ScenarioParams& p) {
-         p.channel.ge_bad_fraction = 0.2;
-         p.channel.ge_mean_burst_ms = 80.0;
-         p.channel.fading = "rician";
-         p.channel.rician_k = 4.0;
-         p.channel.shadowing_sigma_db = 4.0;
-         p.channel.shadowing_corr_m = 60.0;
-         p.channel.adaptive_rate = true;
-       }},
-  };
-}
-
-TEST(BurstStackEngines, TrialThreadsOneTwoFourMatchSerialExactly) {
-  uint64_t seed = 3;
-  for (const StackCombo& combo : stack_combos()) {
-    SCOPED_TRACE(combo.label);
-    ScenarioParams p = stack_params(seed++);
-    combo.apply(p);
-    TrialResult serial = run_trial(ProtocolNames::kLossSweep, p);
-    ASSERT_GT(serial.transmissions, 0u);
-    for (int lanes : {1, 2, 4}) {
-      SCOPED_TRACE(lanes);
-      ScenarioParams q = p;
-      q.trial_threads = lanes;
-      expect_equal(serial, run_trial(ProtocolNames::kLossSweep, q));
-    }
-  }
 }
 
 TEST(BurstStackEngines, SweepJobsOneAndEightBitIdentical) {

@@ -11,7 +11,9 @@
 //     in its strongest testable form.
 //   * Churn determinism — under real churn (leaves, crashes, flash
 //     crowd, liars) the trial is bit-identical between grid and brute
-//     media, between --jobs 1 and 8, and across --trial-threads 0/1/2/4.
+//     media, and between --jobs 1 and 8.
+//   * In-flight frames outlive their sender — retiring a sender and
+//     sweeping its events cannot recall a frame already on the air.
 //   * Graceful degradation — adversarial bitmap liars never stall the
 //     honest swarm, and seeder departure after seeding still completes.
 //   * Lifecycle tracing — node.join / node.leave / fault.inject /
@@ -20,8 +22,8 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +31,8 @@
 #include "harness/driver.hpp"
 #include "harness/trial_runner.hpp"
 #include "sim/faults.hpp"
+#include "sim/medium.hpp"
+#include "sim/mobility.hpp"
 #include "trace/events.hpp"
 #include "trace/format.hpp"
 
@@ -284,22 +288,6 @@ TEST(Faults, ChurnTrialIdenticalGridVsBrute) {
   }
 }
 
-TEST(Faults, ChurnTrialIdenticalAcrossTrialThreads) {
-  for (uint64_t seed : {2ull, 7ull}) {
-    SCOPED_TRACE(seed);
-    ScenarioParams p = churny_field(seed);
-    TrialResult serial = run_trial(ProtocolNames::kDapes, p);
-    ASSERT_GT(serial.transmissions, 0u);
-    for (int lanes : {1, 2, 4}) {
-      SCOPED_TRACE(lanes);
-      ScenarioParams q = p;
-      q.trial_threads = lanes;
-      TrialResult parallel = run_trial(ProtocolNames::kDapes, q);
-      expect_equal(serial, parallel);
-    }
-  }
-}
-
 TEST(Faults, ChurnTrialsIdenticalAcrossJobs) {
   ScenarioParams p = churny_field(3);
   const int trials = 4;
@@ -350,13 +338,6 @@ struct TempDir {
   ~TempDir() { std::filesystem::remove_all(path); }
 };
 
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 TEST(Faults, LifecycleEventsLandInTrace) {
   TempDir dir("lifecycle");
   ScenarioParams p = churny_field(6);
@@ -396,22 +377,56 @@ TEST(Faults, LifecycleEventsLandInTrace) {
             count(trace::EventType::kNodeLeave));
 }
 
-TEST(Faults, ChurnTraceByteIdenticalAcrossTrialThreads) {
-  TempDir dir("lanes");
-  ScenarioParams p = churny_field(8);
-  p.trace.sink = "file";
+TEST(Faults, InFlightFrameOutlivesSweptSender) {
+  // A sender transmits inside its own OwnerScope (as every protocol
+  // callback does), then dies before the frame leaves the air: the
+  // teardown sweep must take its timers but not the frame, which must
+  // still reach every receiver in range.
+  sim::Scheduler sched;
+  sim::Medium::Params mp;
+  mp.range_m = 50.0;
+  mp.loss_rate = 0.0;
+  sim::Medium medium(sched, mp, common::Rng(7));
+  std::vector<std::unique_ptr<sim::StationaryMobility>> spots;
+  std::map<sim::NodeId, int> received;
+  auto add = [&](double x) {
+    spots.push_back(std::make_unique<sim::StationaryMobility>(sim::Vec2{x, 0}));
+    return medium.add_node(spots.back().get(),
+                           [&](const sim::FramePtr&, sim::NodeId receiver) {
+                             ++received[receiver];
+                           });
+  };
+  const sim::NodeId sender = add(0.0);
+  const std::vector<sim::NodeId> in_range = {add(10.0), add(25.0), add(45.0)};
+  const sim::NodeId out_of_range = add(200.0);
 
-  p.trial_threads = 0;
-  p.trace.path = (dir.path / "t0").string();
-  run_trial(ProtocolNames::kDapes, p);
+  bool completed = false;
+  bool timer_fired = false;
+  {
+    sim::Scheduler::OwnerScope own(sched, sender);
+    auto frame = std::make_shared<sim::Frame>();
+    frame->sender = sender;
+    frame->payload = common::Bytes(1000, 0x5a);
+    medium.transmit(frame, [&](const sim::Medium::TxReport&) {
+      completed = true;
+    });
+    sched.schedule(sim::Duration::milliseconds(1),
+                   [&] { timer_fired = true; });
+  }
+  // Still at time zero, so the frame is on the air while its sender dies.
+  ASSERT_GT(medium.frame_duration(1000).us, 0);
+  medium.retire_node(sender);
+  // Only the sender's own timer is swept; the delivery is unowned.
+  EXPECT_EQ(sched.cancel_for_node(sender), 1u);
+  sched.run();
 
-  p.trial_threads = 4;
-  p.trace.path = (dir.path / "t4").string();
-  run_trial(ProtocolNames::kDapes, p);
-
-  const std::string serial = slurp(dir.path / "t0");
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, slurp(dir.path / "t4"));
+  for (sim::NodeId r : in_range) EXPECT_EQ(received[r], 1) << "node " << r;
+  EXPECT_EQ(received.count(out_of_range), 0u);
+  EXPECT_EQ(received.count(sender), 0u);
+  EXPECT_EQ(medium.stats().deliveries, in_range.size());
+  EXPECT_FALSE(timer_fired);
+  // A dead sender gets no completion report.
+  EXPECT_FALSE(completed);
 }
 
 }  // namespace

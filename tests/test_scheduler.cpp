@@ -191,153 +191,6 @@ TEST(Scheduler, CancelledPileCompactedByAbsoluteCap) {
   EXPECT_LE(sched.queued(), 10000u + 4096u);
 }
 
-TEST(Scheduler, PeekHorizonTracksLiveHead) {
-  Scheduler sched;
-  EXPECT_EQ(sched.peek_horizon(), Scheduler::kNoHorizon);
-  EventId a = sched.schedule(Duration::milliseconds(5), [] {});
-  sched.schedule(Duration::milliseconds(9), [] {});
-  EXPECT_EQ(sched.peek_horizon().us, 5000);
-  // Cancelling the head must move the horizon, not report a dead event.
-  sched.cancel(a);
-  EXPECT_EQ(sched.peek_horizon().us, 9000);
-}
-
-TEST(Scheduler, ClaimTaggedPopsSameInstantRun) {
-  Scheduler sched;
-  std::vector<int> order;
-  const TimePoint at{10000};
-  // A claims B; the untagged C blocks the run, so C and the tagged D
-  // behind it fire normally (D runs itself when nobody claims it).
-  sched.schedule_tagged(at, 1, [&] {
-    order.push_back(1);
-    std::vector<uint64_t> tags;
-    EXPECT_EQ(sched.claim_tagged(at, tags), 1u);
-    EXPECT_EQ(tags, (std::vector<uint64_t>{2}));
-  });
-  sched.schedule_tagged(at, 2, [] { ADD_FAILURE() << "claimed event fired"; });
-  sched.schedule_at(at, [&] { order.push_back(3); });
-  sched.schedule_tagged(at, 4, [&] { order.push_back(4); });
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
-  // The claimed event's work ran under the claimer: it counts executed.
-  EXPECT_EQ(sched.executed(), 4u);
-}
-
-TEST(Scheduler, ClaimTaggedStopsAtLaterTimestamp) {
-  Scheduler sched;
-  int later = 0;
-  sched.schedule_tagged(TimePoint{10000}, 1, [&] {
-    std::vector<uint64_t> tags;
-    EXPECT_EQ(sched.claim_tagged(TimePoint{10000}, tags), 0u);
-    EXPECT_TRUE(tags.empty());
-  });
-  sched.schedule_tagged(TimePoint{10001}, 2, [&] { ++later; });
-  sched.run();
-  EXPECT_EQ(later, 1);
-}
-
-TEST(Scheduler, ClaimTaggedSkipsCancelledHead) {
-  Scheduler sched;
-  const TimePoint at{10000};
-  EventId doomed;
-  sched.schedule_tagged(at, 1, [&] {
-    std::vector<uint64_t> tags;
-    // The cancelled tag-2 entry sits between the claimer and tag 3; the
-    // claim must step over it, not stop on a dead head.
-    EXPECT_EQ(sched.claim_tagged(at, tags), 1u);
-    EXPECT_EQ(tags, (std::vector<uint64_t>{3}));
-  });
-  doomed = sched.schedule_tagged(at, 2, [] {
-    ADD_FAILURE() << "cancelled event fired";
-  });
-  sched.schedule_tagged(at, 3, [] { ADD_FAILURE() << "claimed event fired"; });
-  sched.cancel(doomed);
-  sched.run();
-}
-
-TEST(Scheduler, PhaseStagingMergesInSlotOrder) {
-  // Stage from slots in scrambled order; after end_phase the events must
-  // fire in *slot* order — the order a serial execution of the phase's
-  // items would have produced — not the order the staging happened in.
-  Scheduler sched;
-  std::vector<int> order;
-  const TimePoint at{5000};
-  sched.begin_phase(3);
-  ASSERT_TRUE(sched.in_phase());
-  sched.bind_phase_slot(2);
-  sched.schedule_at(at, [&] { order.push_back(2); });
-  sched.bind_phase_slot(0);
-  sched.schedule_at(at, [&] { order.push_back(0); });
-  sched.bind_phase_slot(1);
-  sched.schedule_at(at, [&] { order.push_back(1); });
-  sched.unbind_phase_slot();
-  EXPECT_EQ(sched.end_phase(), 3u);
-  EXPECT_FALSE(sched.in_phase());
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(Scheduler, PhaseStagedCancelApplies) {
-  Scheduler sched;
-  int fired = 0;
-  EventId victim = sched.schedule(Duration::milliseconds(5), [&] { ++fired; });
-  sched.begin_phase(1);
-  sched.bind_phase_slot(0);
-  EXPECT_TRUE(sched.cancel(victim));
-  sched.unbind_phase_slot();
-  sched.end_phase();
-  sched.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Scheduler, PhaseIdsIndependentOfStagingOrder) {
-  // Ids are pre-assigned per slot from a fixed stride: the same slot and
-  // offset always yields the same id, regardless of which slot staged
-  // first. (Nothing orders on ids, but cancel() keys on them, so they
-  // must be reproducible across worker schedules.)
-  auto ids_with_order = [](bool reverse) {
-    Scheduler sched;
-    sched.begin_phase(2);
-    uint64_t slot0, slot1;
-    if (reverse) {
-      sched.bind_phase_slot(1);
-      slot1 = sched.schedule_at(TimePoint{1000}, [] {}).value;
-      sched.bind_phase_slot(0);
-      slot0 = sched.schedule_at(TimePoint{1000}, [] {}).value;
-    } else {
-      sched.bind_phase_slot(0);
-      slot0 = sched.schedule_at(TimePoint{1000}, [] {}).value;
-      sched.bind_phase_slot(1);
-      slot1 = sched.schedule_at(TimePoint{1000}, [] {}).value;
-    }
-    sched.unbind_phase_slot();
-    sched.end_phase();
-    return std::pair{slot0, slot1};
-  };
-  EXPECT_EQ(ids_with_order(false), ids_with_order(true));
-}
-
-TEST(Scheduler, UnboundScheduleDuringPhaseThrows) {
-  Scheduler sched;
-  sched.begin_phase(1);
-  EXPECT_THROW(sched.schedule(Duration::milliseconds(1), [] {}),
-               std::logic_error);
-  EXPECT_THROW(sched.schedule_tagged(TimePoint{1000}, 1, [] {}),
-               std::logic_error);
-  sched.end_phase();
-  // After the phase the direct path works again.
-  sched.schedule(Duration::milliseconds(1), [] {});
-  EXPECT_EQ(sched.run(), 1u);
-}
-
-TEST(Scheduler, PhasesDoNotNest) {
-  Scheduler sched;
-  sched.begin_phase(1);
-  EXPECT_THROW(sched.begin_phase(1), std::logic_error);
-  sched.end_phase();
-  EXPECT_THROW(sched.end_phase(), std::logic_error);
-}
-
 TEST(Scheduler, CancelForNodeSweepsOnlyThatOwner) {
   Scheduler sched;
   int owned = 0, other = 0, unowned = 0;
@@ -393,27 +246,10 @@ TEST(Scheduler, OwnerScopeRestoresPreviousOwner) {
   EXPECT_EQ(sched.current_owner(), Scheduler::kNoOwner);
 }
 
-TEST(Scheduler, CancelForNodeSkipsTaggedDeliveries) {
-  // Tagged events model in-flight frames: they must survive the sender's
-  // sweep (the medium resolves dead senders at delivery time instead).
-  Scheduler sched;
-  int delivered = 0;
-  {
-    Scheduler::OwnerScope own(sched, 5);
-    sched.schedule_tagged(TimePoint{1000}, 42, [&] { ++delivered; });
-  }
-  EXPECT_EQ(sched.cancel_for_node(5), 0u);
-  sched.run();
-  EXPECT_EQ(delivered, 1);
-}
-
 TEST(Scheduler, CancelForNodeRejectsBadArgs) {
   Scheduler sched;
   EXPECT_THROW(sched.cancel_for_node(Scheduler::kNoOwner),
                std::invalid_argument);
-  sched.begin_phase(1);
-  EXPECT_THROW(sched.cancel_for_node(0), std::logic_error);
-  sched.end_phase();
 }
 
 TEST(Scheduler, CancelForNodeComposesWithCompaction) {

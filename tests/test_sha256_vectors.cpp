@@ -1,8 +1,8 @@
 // FIPS 180-4 known-answer and engine-equivalence suite for the SHA-256
 // dispatch layer (DESIGN.md "Crypto engine & verify cache").
 //
-// Every engine this CPU supports — the retained scalar reference plus any
-// compiled SIMD kernels (SSSE3 x4, AVX2 x8, SHA-NI) — is swept through:
+// Every engine this CPU supports — the retained scalar reference plus
+// SHA-NI where compiled in and supported — is swept through:
 //   * the NIST FIPS 180-4 known-answer vectors (empty, "abc", the 448-
 //     and 896-bit two-block messages, the million-'a' long message);
 //   * a CAVP-style monte-carlo chain (two 1000-iteration checkpoints,
@@ -11,8 +11,6 @@
 //   * a randomized scalar-vs-engine equivalence sweep: 10k buffers whose
 //     lengths concentrate on the adversarial padding boundaries (0, 1,
 //     55, 56, 63, 64, 65, odd) plus multi-MiB bulk messages;
-//   * multi-buffer lane-count sweeps of sha256_many (every count around
-//     the 4/8-lane widths, mixed block counts, duplicate buffers);
 //   * incremental-update splits (the streaming Sha256 context must agree
 //     with the one-shot path under every engine).
 //
@@ -21,7 +19,6 @@
 // vouch for itself.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -93,29 +90,6 @@ TEST_F(EngineSweepTest, MillionAMessageEveryEngine) {
   });
 }
 
-TEST_F(EngineSweepTest, KnownAnswersThroughMultiBuffer) {
-  // The same vectors through sha256_many, padded with duplicates so the
-  // batch exceeds every kernel's lane width and the multi-buffer path is
-  // actually taken.
-  std::vector<BytesView> inputs;
-  std::vector<std::string> expected;
-  for (int rep = 0; rep < 3; ++rep) {
-    for (const Kat& kat : kKats) {
-      inputs.push_back(BytesView(
-          reinterpret_cast<const uint8_t*>(kat.message),
-          std::strlen(kat.message)));
-      expected.push_back(kat.digest_hex);
-    }
-  }
-  for_each_engine([&](const Sha256Engine&) {
-    std::vector<Digest> out(inputs.size());
-    sha256_many(inputs.data(), out.data(), inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      EXPECT_EQ(out[i].to_hex(), expected[i]) << "input " << i;
-    }
-  });
-}
-
 // CAVP-style monte-carlo: seed = 32 zero bytes; each checkpoint is 1000
 // iterations of MD[i] = SHA-256(MD[i-3] || MD[i-2] || MD[i-1]) with the
 // window re-seeded from the previous checkpoint. Expected values were
@@ -177,56 +151,13 @@ TEST_F(EngineSweepTest, RandomizedEquivalenceTenThousandBuffers) {
     reference[i] = ref::sha256(view_of(buffers[i]));
   }
 
-  std::vector<BytesView> views;
-  views.reserve(buffers.size());
-  for (const Bytes& b : buffers) views.push_back(view_of(b));
-
   for_each_engine([&](const Sha256Engine&) {
-    // Batched through the engine's multi-buffer kernel...
-    std::vector<Digest> batched(views.size());
-    sha256_many(views.data(), batched.data(), views.size());
-    size_t batch_mismatches = 0;
-    for (size_t i = 0; i < views.size(); ++i) {
-      if (batched[i] != reference[i]) ++batch_mismatches;
+    size_t mismatches = 0;
+    for (size_t i = 0; i < buffers.size(); ++i) {
+      if (Sha256::hash(view_of(buffers[i])) != reference[i]) ++mismatches;
     }
-    EXPECT_EQ(batch_mismatches, 0u);
-    // ...and single-shot through its block compressor (spot-checked: the
-    // full sweep would be quadratic in test time for no extra coverage).
-    for (size_t i = 0; i < views.size(); i += 97) {
-      ASSERT_EQ(Sha256::hash(views[i]), reference[i]) << "buffer " << i;
-    }
+    EXPECT_EQ(mismatches, 0u);
   });
-}
-
-TEST_F(EngineSweepTest, LaneCountSweep) {
-  // Every batch size around the 4- and 8-lane kernel widths, with block
-  // counts mixed so grouping, lockstep chunking and the singles fallback
-  // all engage, plus duplicated buffers (lane-padding replays a slot).
-  common::Rng fill(4242);
-  std::vector<Bytes> pool;
-  for (size_t len : {0u, 1u, 55u, 64u, 65u, 200u, 1000u, 4096u}) {
-    Bytes b(len);
-    for (auto& byte : b) {
-      byte = static_cast<uint8_t>(fill.uniform_int(0, 255));
-    }
-    pool.push_back(std::move(b));
-  }
-  for (size_t count = 1; count <= 33; ++count) {
-    std::vector<BytesView> views;
-    std::vector<Digest> expected;
-    for (size_t i = 0; i < count; ++i) {
-      const Bytes& b = pool[(i * 5 + count) % pool.size()];
-      views.push_back(view_of(b));
-      expected.push_back(ref::sha256(view_of(b)));
-    }
-    for_each_engine([&](const Sha256Engine&) {
-      std::vector<Digest> out(count);
-      sha256_many(views.data(), out.data(), count);
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(out[i], expected[i]) << "count " << count << " slot " << i;
-      }
-    });
-  }
 }
 
 TEST_F(EngineSweepTest, IncrementalUpdateSplitsEveryEngine) {
@@ -255,10 +186,8 @@ TEST_F(EngineSweepTest, ScalarEngineAlwaysPresent) {
   bool scalar = false;
   for (const Sha256Engine* e : all_engines()) {
     if (std::string_view(e->name) == "scalar") scalar = true;
-    // Every listed engine must have a single-stream compressor; the
-    // multi-buffer kernel is optional but implies a lane width.
+    // Every listed engine must have a block compressor.
     EXPECT_NE(e->compress, nullptr) << e->name;
-    EXPECT_EQ(e->compress_multi != nullptr, e->lanes > 0) << e->name;
   }
   EXPECT_TRUE(scalar);
 }

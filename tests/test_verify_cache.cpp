@@ -11,9 +11,8 @@
 //     so a stale verdict is unreachable;
 //   * eviction and capacity accounting of the cache itself;
 //   * trial equivalence: the cache is exact, so for 12 randomized seeds
-//     (channel x mobility mixed, the test_parallel_trial scenario) every
-//     deterministic TrialResult field is bit-identical with the cache on
-//     or off — and stays so under the phase-parallel engine.
+//     (channel x mobility mixed) every deterministic TrialResult field is
+//     bit-identical with the cache on or off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -313,9 +312,7 @@ TEST_F(BroadcastVerify, MutationInvalidatesCachedVerdict) {
   frame->sender = 0;
   frame->payload = origin.wire();
   frame->kind = "ndn-data";
-  sim::FramePtr fp = frame;
-  prewarm.stage(&fp, 1);
-  prewarm.commit(*fp);
+  prewarm.prewarm(*frame);
 
   auto decoded = ndn::Data::decode(frame->payload);
   ASSERT_TRUE(decoded.has_value());
@@ -352,9 +349,7 @@ TEST_F(BroadcastVerify, UnknownSignerIsNotCachedAsValid) {
   frame->sender = 0;
   frame->payload = data.wire();
   frame->kind = "ndn-data";
-  sim::FramePtr fp = frame;
-  prewarm.stage(&fp, 1);
-  prewarm.commit(*fp);
+  prewarm.prewarm(*frame);
 
   auto decoded = ndn::Data::decode(frame->payload);
   ASSERT_TRUE(decoded.has_value());
@@ -371,8 +366,8 @@ using harness::ProtocolNames;
 using harness::ScenarioParams;
 using harness::TrialResult;
 
-// The test_parallel_trial scenario: small enough for suite speed, varied
-// enough that seeds cover {unit-disk, log-distance} x {waypoint, group}.
+// Small enough for suite speed, varied enough that seeds cover
+// {unit-disk, log-distance} x {waypoint, group}.
 ScenarioParams small_field(uint64_t seed) {
   ScenarioParams p;
   p.files = 1;
@@ -423,23 +418,9 @@ TEST_P(CachedTrialEquivalence, CacheDoesNotChangeResults) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CachedTrialEquivalence,
                          ::testing::Range<uint64_t>(1, 13));
 
-TEST(CachedTrial, ComposesWithPhaseParallelEngine) {
-  // The cache + prewarm must stay bit-identical under the fan-out engine
-  // too (worker lanes read the cache the prewarm committed).
-  ScenarioParams p = small_field(5);
-  p.verify_cache = true;
-  TrialResult serial = run_trial(ProtocolNames::kScaleField, p);
-  for (int lanes : {1, 4}) {
-    SCOPED_TRACE(lanes);
-    ScenarioParams q = p;
-    q.trial_threads = lanes;
-    expect_equal(serial, run_trial(ProtocolNames::kScaleField, q));
-  }
-}
-
 TEST(CachedTrial, CacheActuallyServesTheTrial) {
   // Guard against the whole layer silently wiring to a no-op: through a
-  // full protocol trial, the prewarm must commit entries and the receive
+  // full protocol trial, the prewarm must store entries and the receive
   // path must serve verifies from them — both the per-packet integrity
   // digests and the metadata MAC checks. (The compute-count *savings*
   // depend on verifiers-per-broadcast, a density property this small
