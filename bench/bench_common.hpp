@@ -14,7 +14,7 @@
 //                        scalar verify path (results are identical either
 //                        way; this is the equivalence/baseline knob)
 //   --trace SINK[:PATH]  structured event tracing: SINK is ring, file or
-//                        null; PATH is where the merged binary trace goes
+//                        null; PATH is where the binary trace goes
 //                        (required for file, optional for ring). Runners
 //                        suffix PATH per cell/trial (".c<cell>.t<trial>"),
 //                        so traced sweeps compose with --jobs. Off by

@@ -31,11 +31,11 @@ std::optional<Digest> VerifyCache::lookup_digest(const void* data,
                                                  size_t size) const {
   auto it = digests_.find(RangeKey{data, size});
   if (it == digests_.end()) {
-    digest_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.digest_misses;
     verify_counters().digest_misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  digest_hits_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.digest_hits;
   verify_counters().digest_hits.fetch_add(1, std::memory_order_relaxed);
   return it->second.value;
 }
@@ -44,11 +44,11 @@ std::optional<bool> VerifyCache::lookup_mac(const void* data, size_t size,
                                             const Digest& secret) const {
   auto it = macs_.find(MacKey{RangeKey{data, size}, secret});
   if (it == macs_.end()) {
-    mac_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.mac_misses;
     verify_counters().mac_misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  mac_hits_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.mac_hits;
   verify_counters().mac_hits.fetch_add(1, std::memory_order_relaxed);
   return it->second.value;
 }
@@ -67,13 +67,13 @@ void VerifyCache::store(Map<Key, Value, Hash>& map, std::list<Key>& order,
     const Key& victim = order.front();
     map.erase(victim);
     order.pop_front();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.evictions;
     verify_counters().evictions.fetch_add(1, std::memory_order_relaxed);
   }
   auto lru = order.insert(order.end(), key);
   map.emplace(key,
               Entry<Key, Value>{std::move(value), std::move(anchor), lru});
-  insertions_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.insertions;
   verify_counters().insertions.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -96,17 +96,6 @@ void VerifyCache::clear() {
   macs_.clear();
   digest_order_.clear();
   mac_order_.clear();
-}
-
-VerifyCache::Stats VerifyCache::stats() const {
-  Stats s;
-  s.digest_hits = digest_hits_.load(std::memory_order_relaxed);
-  s.digest_misses = digest_misses_.load(std::memory_order_relaxed);
-  s.mac_hits = mac_hits_.load(std::memory_order_relaxed);
-  s.mac_misses = mac_misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  return s;
 }
 
 Digest cached_content_digest(common::BytesView content) {

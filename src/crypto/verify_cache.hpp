@@ -75,9 +75,10 @@ VerifyCounters& verify_counters();
 /// the keying and concurrency contracts.
 class VerifyCache {
  public:
-  /// Default per-kind entry capacity. Far above any same-instant batch
-  /// size, so a delivery batch's own insertions cannot evict the entries
-  /// its receivers are about to read.
+  /// Default per-kind entry capacity. The prewarm stores at most one
+  /// entry of each kind per delivered Data frame, so the cache holds the
+  /// last 8192 Data broadcasts: far more than the receivers of one
+  /// delivery read, while bounding the frame buffers a trial pins.
   static constexpr size_t kDefaultCapacity = 8192;
 
   /// Cache with @p capacity entries per kind (minimum 8; digests and MAC
@@ -120,8 +121,8 @@ class VerifyCache {
     uint64_t insertions = 0;     ///< entries stored into this cache
     uint64_t evictions = 0;      ///< entries evicted from this cache
   };
-  /// Snapshot this cache's counters.
-  Stats stats() const;
+  /// This cache's counters.
+  Stats stats() const { return stats_; }
 
  private:
   /// Identity of a byte range inside a ref-counted buffer.
@@ -176,13 +177,9 @@ class VerifyCache {
   std::list<RangeKey> digest_order_;
   std::list<MacKey> mac_order_;
 
-  /// Instance stats.
-  mutable std::atomic<uint64_t> digest_hits_{0};
-  mutable std::atomic<uint64_t> digest_misses_{0};
-  mutable std::atomic<uint64_t> mac_hits_{0};
-  mutable std::atomic<uint64_t> mac_misses_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
+  /// Instance stats; plain integers, since only the trial thread uses
+  /// the cache. Lookups are const, hence mutable.
+  mutable Stats stats_;
 };
 
 /// The calling thread's active per-trial cache (null when caching is

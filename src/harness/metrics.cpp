@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace dapes::harness {
 
@@ -15,47 +14,6 @@ double percentile(std::vector<double> values, double p) {
   if (hi >= values.size()) hi = values.size() - 1;
   double frac = rank - static_cast<double>(lo);
   return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
-double aggregate(const std::vector<TrialResult>& trials,
-                 double (*metric)(const TrialResult&), double pct) {
-  std::vector<double> values;
-  values.reserve(trials.size());
-  for (const auto& t : trials) values.push_back(metric(t));
-  return percentile(std::move(values), pct);
-}
-
-double metric_download_time(const TrialResult& r) { return r.download_time_s; }
-
-double metric_transmissions_k(const TrialResult& r) {
-  return static_cast<double>(r.transmissions) / 1000.0;
-}
-
-void print_figure(const std::string& title, const std::string& x_label,
-                  const std::vector<double>& xs,
-                  const std::vector<Series>& series,
-                  const std::string& y_unit) {
-  std::printf("\n=== %s ===\n", title.c_str());
-  if (!y_unit.empty()) std::printf("(y values in %s)\n", y_unit.c_str());
-
-  std::printf("%-14s", x_label.c_str());
-  for (const auto& s : series) {
-    std::printf(" %28s", s.label.c_str());
-  }
-  std::printf("\n");
-
-  for (size_t i = 0; i < xs.size(); ++i) {
-    std::printf("%-14.6g", xs[i]);
-    for (const auto& s : series) {
-      if (i < s.y.size()) {
-        std::printf(" %28.2f", s.y[i]);
-      } else {
-        std::printf(" %28s", "-");
-      }
-    }
-    std::printf("\n");
-  }
-  std::fflush(stdout);
 }
 
 }  // namespace dapes::harness

@@ -1,42 +1,16 @@
 /// @file
-/// Metric aggregation and figure/table printing.
+/// The paper's trial aggregation: an interpolated percentile.
 ///
 /// The paper reports the 90th percentile over ten trials; benches default
-/// to fewer trials for turnaround but use the same aggregation. Output is
-/// a plain aligned text table, one row per x-value, one column per series —
-/// the same rows/series the paper's figures plot.
+/// to fewer trials for turnaround but use the same aggregation (the
+/// Sweep engine's `SweepMetric::percentile`).
 #pragma once
 
-#include <string>
 #include <vector>
-
-#include "harness/scenario.hpp"
 
 namespace dapes::harness {
 
 /// Interpolated percentile (p in [0,100]) of a sample vector.
 double percentile(std::vector<double> values, double p);
-
-/// One curve of a figure: label + y value per x.
-struct Series {
-  std::string label;      ///< legend label
-  std::vector<double> y;  ///< one y value per x
-};
-
-/// Print "<title>" then an aligned table: first column x, then one column
-/// per series.
-void print_figure(const std::string& title, const std::string& x_label,
-                  const std::vector<double>& xs,
-                  const std::vector<Series>& series,
-                  const std::string& y_unit = "");
-
-/// Aggregate a metric across trials at the paper's percentile (90th).
-double aggregate(const std::vector<TrialResult>& trials,
-                 double (*metric)(const TrialResult&), double pct = 90.0);
-
-/// Mean download time of a trial, in seconds.
-double metric_download_time(const TrialResult& r);
-/// Frames transmitted during a trial, in thousands.
-double metric_transmissions_k(const TrialResult& r);
 
 }  // namespace dapes::harness

@@ -137,33 +137,4 @@ TrialResult run_realworld_trial(int scenario, const ScenarioParams& params) {
   return result;
 }
 
-RealWorldResult run_realworld_scenario(int scenario,
-                                       const RealWorldParams& params) {
-  ScenarioParams sp;
-  sp.files = params.files;
-  sp.file_size_bytes = params.file_size_bytes;
-  sp.packet_size = params.packet_size;
-  sp.wifi_range_m = params.wifi_range_m;
-  sp.data_rate_bps = params.data_rate_bps;
-  sp.loss_rate = params.loss_rate;
-  sp.sim_limit_s = params.sim_limit_s;
-  sp.peer = params.peer;
-  sp.seed = params.seed;
-
-  TrialResult t = run_realworld_trial(scenario, sp);
-
-  RealWorldResult result;
-  result.scenario = "scenario-" + std::to_string(scenario);
-  result.download_time_s = t.download_time_s;
-  result.transmissions = t.transmissions;
-  result.memory_overhead_mb =
-      static_cast<double>(t.peak_state_bytes) / (1024.0 * 1024.0);
-  result.knowledge_kb = static_cast<double>(t.peak_knowledge_bytes) / 1024.0;
-  result.context_switches = t.context_switches;
-  result.system_calls = t.system_calls;
-  result.page_faults = t.page_faults;
-  result.completion_fraction = t.completion_fraction;
-  return result;
-}
-
 }  // namespace dapes::harness

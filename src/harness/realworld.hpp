@@ -17,43 +17,9 @@
 /// counts — see EXPERIMENTS.md for the exact formulas and the rationale.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 #include "harness/scenario.hpp"
 
 namespace dapes::harness {
-
-/// Legacy parameter block of the scripted Fig. 8 scenarios.
-struct RealWorldParams {
-  size_t files = 10;           ///< files in the shared collection
-  /// File size (paper: 1 MB, divided by the default scale factor).
-  size_t file_size_bytes = 1024 * 1024 / kDefaultScale;
-  size_t packet_size = 1024;   ///< payload bytes per packet
-  double wifi_range_m = 50.0;  ///< paper: MacBook WiFi range ~50 m
-  /// Radio data rate (paper: 11 Mb/s, scaled).
-  double data_rate_bps = 11e6 / kDefaultScale;
-  double loss_rate = 0.10;       ///< uniform frame loss
-  double sim_limit_s = 1500.0;   ///< simulated-time cap
-  core::PeerOptions peer{};      ///< per-peer application knobs
-  uint64_t seed = 1;             ///< trial RNG seed
-};
-
-/// Legacy result block of the scripted Fig. 8 scenarios (Table I row).
-struct RealWorldResult {
-  std::string scenario;           ///< scenario name ("carrier", ...)
-  double download_time_s = 0.0;   ///< all peers complete
-  uint64_t transmissions = 0;     ///< frames put on the air
-  double memory_overhead_mb = 0.0;  ///< peak modeled protocol state
-  /// Peak "what is available around me" bookkeeping (bitmaps, RPF state,
-  /// overheard knowledge) — the component Table I shows growing with
-  /// multi-hop communication.
-  double knowledge_kb = 0.0;
-  uint64_t context_switches = 0;  ///< modeled proxy (EXPERIMENTS.md)
-  uint64_t system_calls = 0;      ///< modeled proxy (EXPERIMENTS.md)
-  uint64_t page_faults = 0;       ///< modeled proxy (EXPERIMENTS.md)
-  double completion_fraction = 0.0;  ///< fraction of peers that finished
-};
 
 /// Run scenario 1/2/3 of Fig. 8 as an engine trial (the ScenarioParams
 /// radio/workload/peer fields apply; the Fig. 7 population fields are
@@ -61,10 +27,5 @@ struct RealWorldResult {
 /// peer finishes (Table I), not the Fig. 9/10 mean. This is what the
 /// "realworld.*" protocol drivers in the registry call.
 TrialResult run_realworld_trial(int scenario, const ScenarioParams& params);
-
-/// Run scenario 1/2/3 of Fig. 8 with the legacy params/result types
-/// (wraps run_realworld_trial).
-RealWorldResult run_realworld_scenario(int scenario,
-                                       const RealWorldParams& params);
 
 }  // namespace dapes::harness

@@ -118,11 +118,6 @@ TrialResult run_medium_stress_trial(const ScenarioParams& params) {
   }
 
   TrialResult result;
-  if (topo.tracer) {
-    for (sim::NodeId node = 0; node < topo.medium->node_count(); ++node) {
-      topo.tracer->ensure_node(node);
-    }
-  }
   const auto wall_start = std::chrono::steady_clock::now();
   topo.sched.run_until(limit);
   if (topo.tracer) topo.tracer->flush();

@@ -18,7 +18,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "dapes/peer.hpp"
 #include "sim/channel.hpp"
@@ -109,7 +108,7 @@ struct ScenarioParams {
   /// Structured event tracing (`--trace <sink>[:<path>]`). Disabled by
   /// default (empty sink): no records, no buffers, and the instrumented
   /// hot paths pay one thread-local null check per potential event.
-  /// When enabled, the merged trace is bit-identical for any `--jobs`
+  /// When enabled, the trace is bit-identical for any `--jobs`
   /// value; multi-trial runners suffix the output path per trial/cell so
   /// concurrent trials never share a file.
   trace::TraceConfig trace;
@@ -161,15 +160,5 @@ TrialResult run_bithoc_trial(const ScenarioParams& params);
 /// Same topology and workload, but peers run Ekta (DSR + DHT + UDP) —
 /// the paper's second IP baseline (Fig. 10).
 TrialResult run_ekta_trial(const ScenarioParams& params);
-
-/// Multi-trial convenience wrapper over the experiment engine (driver
-/// registry + TrialRunner, see driver.hpp / trial_runner.hpp). Trial i
-/// runs with seed common::derive_seed(params.seed, i) on a single thread;
-/// use TrialRunner directly to fan trials out over a thread pool.
-std::vector<TrialResult> run_dapes_trials(ScenarioParams params, int trials);
-/// Bithoc counterpart of run_dapes_trials.
-std::vector<TrialResult> run_bithoc_trials(ScenarioParams params, int trials);
-/// Ekta counterpart of run_dapes_trials.
-std::vector<TrialResult> run_ekta_trials(ScenarioParams params, int trials);
 
 }  // namespace dapes::harness

@@ -195,13 +195,6 @@ TrialResult run_to_completion(const ScenarioParams& params, Topology& topo,
                               CompletionTracker& tracker,
                               const std::function<StateSample()>& sample) {
   TrialResult result;
-  if (topo.tracer) {
-    // Every node is registered by now: size the per-node trace slots
-    // once, before the run loop emits into them.
-    for (sim::NodeId n = 0; n < topo.medium->node_count(); ++n) {
-      topo.tracer->ensure_node(n);
-    }
-  }
   const auto wall_start = std::chrono::steady_clock::now();
   const TimePoint limit{static_cast<int64_t>(params.sim_limit_s * 1e6)};
   const Duration chunk = Duration::seconds(5.0);

@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -97,22 +96,17 @@ struct Topology {
   int group_fill_ = 0;
 };
 
-/// Completion bookkeeping shared by all drivers.
-///
-/// `record` is the one piece of cross-node shared state the completion
-/// callbacks mutate. The event loop calls it from the trial thread only,
-/// so its mutex is never contended; it costs one uncontended lock per
-/// finished downloader. Every consumer (count, mean, max) is
-/// independent of the order downloaders finish in, and the readers run
-/// on the trial thread between events, lock-free.
+/// Completion bookkeeping shared by all drivers. Only the trial thread
+/// touches it (completion callbacks run inside the event loop). Every
+/// consumer (count, mean, max) is independent of the order downloaders
+/// finish in.
 struct CompletionTracker {
   int expected = 0;           ///< downloaders that should finish
   int completed = 0;          ///< downloaders that have finished
   std::vector<double> times;  ///< completion times, seconds
 
-  /// Record one downloader finishing at time @p t. Thread-safe.
+  /// Record one downloader finishing at time @p t.
   void record(double t) {
-    std::lock_guard<std::mutex> lock(mutex_);
     ++completed;
     times.push_back(t);
   }
@@ -126,9 +120,6 @@ struct CompletionTracker {
 
   /// True once every expected downloader finished.
   bool done() const { return completed >= expected; }
-
- private:
-  std::mutex mutex_;  ///< serializes `record`
 };
 
 /// Apply the hetero.radio mixed-range radios to an already-populated

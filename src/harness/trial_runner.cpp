@@ -76,18 +76,4 @@ std::vector<TrialResult> TrialRunner::run(const std::string& driver_name,
              trials);
 }
 
-// Legacy multi-trial entry points (scenario.hpp) now route through the
-// engine on a single thread.
-std::vector<TrialResult> run_dapes_trials(ScenarioParams params, int trials) {
-  return TrialRunner(1).run(ProtocolNames::kDapes, params, trials);
-}
-
-std::vector<TrialResult> run_bithoc_trials(ScenarioParams params, int trials) {
-  return TrialRunner(1).run(ProtocolNames::kBithoc, params, trials);
-}
-
-std::vector<TrialResult> run_ekta_trials(ScenarioParams params, int trials) {
-  return TrialRunner(1).run(ProtocolNames::kEkta, params, trials);
-}
-
 }  // namespace dapes::harness

@@ -16,36 +16,11 @@ constexpr size_t kCompactFloor = 64;
 
 /// Absolute cancelled-entry cap: compact once this many dead entries
 /// accumulate even if they are still a minority of a huge heap. 4096
-/// entries is ~256 KB of Entry + closure storage — the bound on wasted
-/// memory between compactions.
+/// entries is 256 KB of Entry storage plus their closures — the bound on
+/// wasted memory between compactions.
 constexpr size_t kCompactAbsolute = 4096;
 
-/// The calling thread's owner attribution (see Scheduler::OwnerScope):
-/// which scheduler it stamps and with what owner. One level suffices per
-/// thread — nesting is handled by the scope's save/restore, not by a
-/// stack here.
-struct OwnerBinding {
-  Scheduler* sched = nullptr;
-  uint64_t owner = 0;
-};
-thread_local OwnerBinding t_owner;
-
 }  // namespace
-
-Scheduler::OwnerScope::OwnerScope(Scheduler& sched, uint64_t owner)
-    : prev_sched_(t_owner.sched), prev_owner_(t_owner.owner) {
-  t_owner.sched = &sched;
-  t_owner.owner = owner;
-}
-
-Scheduler::OwnerScope::~OwnerScope() {
-  t_owner.sched = prev_sched_;
-  t_owner.owner = prev_owner_;
-}
-
-uint64_t Scheduler::current_owner() const {
-  return t_owner.sched == this ? t_owner.owner : kNoOwner;
-}
 
 EventId Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
   if (at < now_) at = now_;
@@ -55,8 +30,8 @@ EventId Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
   e.at = at;
   e.seq = next_seq_++;
   e.id = next_id_++;
-  e.owner = current_owner();
-  e.fn = std::make_shared<std::function<void()>>(std::move(fn));
+  e.owner = owner_;
+  e.fn = std::move(fn);
   const EventId id{e.id};
   heap_.push_back(std::move(e));
   std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
@@ -135,7 +110,7 @@ size_t Scheduler::run_until(TimePoint until) {
     // Re-install the entry's owner for the callback so events it
     // schedules inherit attribution (see OwnerScope).
     OwnerScope own(*this, e.owner);
-    (*e.fn)();
+    e.fn();
   }
   // The clock always reaches the requested horizon, whether or not
   // events remain beyond it.
@@ -159,7 +134,7 @@ size_t Scheduler::run() {
     DAPES_TRACE_HERE(trace::EventType::kSchedFire);
     // Same owner inheritance as run_until.
     OwnerScope own(*this, e.owner);
-    (*e.fn)();
+    e.fn();
   }
   return count;
 }

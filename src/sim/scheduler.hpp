@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -39,24 +38,26 @@ class Scheduler {
   static constexpr uint64_t kNoOwner = std::numeric_limits<uint64_t>::max();
 
   /// RAII owner attribution for the fault-injection teardown sweep
-  /// (`cancel_for_node`): while a scope is alive on the calling thread,
-  /// every event that thread schedules into @p sched is stamped with
-  /// @p owner. Events fired by the run loop re-install their own owner
-  /// around the callback, so transitively scheduled events (retransmit
-  /// timers rescheduling themselves, CSMA backoff chains) inherit it
-  /// without any per-call plumbing. Scopes nest; the previous binding is
-  /// restored on destruction.
+  /// (`cancel_for_node`): while a scope is alive, every event scheduled
+  /// into @p sched is stamped with @p owner. Events fired by the run loop
+  /// re-install their own owner around the callback, so transitively
+  /// scheduled events (retransmit timers rescheduling themselves, CSMA
+  /// backoff chains) inherit it without any per-call plumbing. Scopes
+  /// nest; the previous owner is restored on destruction.
   class OwnerScope {
    public:
-    /// Install @p owner for @p sched on this thread.
-    OwnerScope(Scheduler& sched, uint64_t owner);
-    /// Restore the previous binding.
-    ~OwnerScope();
+    /// Make @p owner the current owner of @p sched.
+    OwnerScope(Scheduler& sched, uint64_t owner)
+        : sched_(sched), prev_owner_(sched.owner_) {
+      sched.owner_ = owner;
+    }
+    /// Restore the previous owner.
+    ~OwnerScope() { sched_.owner_ = prev_owner_; }
     OwnerScope(const OwnerScope&) = delete;             ///< not copyable
     OwnerScope& operator=(const OwnerScope&) = delete;  ///< not copyable
 
    private:
-    Scheduler* prev_sched_;
+    Scheduler& sched_;
     uint64_t prev_owner_;
   };
 
@@ -80,9 +81,9 @@ class Scheduler {
   /// is harmless either way).
   bool cancel(EventId id);
 
-  /// The owner the calling thread currently stamps onto scheduled events
-  /// (kNoOwner when no OwnerScope for this scheduler is active).
-  uint64_t current_owner() const;
+  /// The owner currently stamped onto scheduled events (kNoOwner when no
+  /// OwnerScope for this scheduler is active).
+  uint64_t current_owner() const { return owner_; }
 
   /// Teardown sweep for a retired node: cancel every pending event owned
   /// by @p owner (see OwnerScope), reusing the lazy-cancel + compaction
@@ -119,7 +120,7 @@ class Scheduler {
     uint64_t id = 0;
     /// Owning node for cancel_for_node (kNoOwner = unowned).
     uint64_t owner = kNoOwner;
-    std::shared_ptr<std::function<void()>> fn;
+    std::function<void()> fn;
   };
   struct EntryCompare {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -141,6 +142,8 @@ class Scheduler {
   uint64_t next_seq_ = 1;
   uint64_t next_id_ = 1;
   uint64_t executed_ = 0;
+  /// Owner stamped onto newly scheduled events (see OwnerScope).
+  uint64_t owner_ = kNoOwner;
   /// Max-priority heap over EntryCompare (std::push_heap/pop_heap), kept
   /// as a plain vector so compact() can filter it in place.
   std::vector<Entry> heap_;

@@ -166,10 +166,10 @@ using EventTypeRegistry = ConstSingleton<EventTypeRegistryValues>;
 /// Access through `TraceSinkNames::get()`.
 class TraceSinkNameValues {
  public:
-  /// Bounded per-node ring buffers (the default): memory stays capped,
-  /// the newest `ring_capacity` records per node survive to the flush.
+  /// Bounded ring buffer (the default): memory stays capped, the newest
+  /// `ring_capacity` records of the trial survive to the flush.
   std::string_view kRing = "ring";
-  /// Unbounded in-memory buffers written to the output path at flush.
+  /// Unbounded in-memory buffer written to the output path at flush.
   std::string_view kFile = "file";
   /// Count-only: records are tallied and discarded (overhead probes).
   std::string_view kNull = "null";

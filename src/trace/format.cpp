@@ -10,7 +10,7 @@ namespace {
 
 constexpr char kMagic[4] = {'D', 'T', 'R', 'C'};
 constexpr char kEndMagic[4] = {'D', 'E', 'N', 'D'};
-constexpr uint8_t kVersion = 1;
+constexpr uint8_t kVersion = 2;
 
 [[noreturn]] void malformed(const char* what, size_t pos) {
   throw std::runtime_error("trace: malformed file (" + std::string(what) +
@@ -80,14 +80,12 @@ std::string encode_trace(const TraceData& trace) {
     put_string(out, name);
   }
 
-  put_varint(out, trace.dropped_per_slot.size());
-
   put_varint(out, trace.records.size());
   int64_t prev_t = 0;
   for (const Record& r : trace.records) {
     if (r.t_us < prev_t) {
       throw std::runtime_error(
-          "trace: records not in canonical (nondecreasing time) order");
+          "trace: records not in nondecreasing time order");
     }
     put_varint(out, static_cast<uint64_t>(r.t_us - prev_t));
     prev_t = r.t_us;
@@ -104,7 +102,7 @@ std::string encode_trace(const TraceData& trace) {
     put_string(out, uri);
   }
 
-  for (uint64_t d : trace.dropped_per_slot) put_varint(out, d);
+  put_varint(out, trace.dropped);
   put_varint(out, trace.total_emitted);
 
   out.append(kEndMagic, sizeof(kEndMagic));
@@ -131,8 +129,6 @@ TraceData decode_trace(const std::string& bytes) {
     trace.types.emplace_back(static_cast<uint16_t>(id),
                              get_string(bytes, pos));
   }
-
-  const uint64_t slot_count = get_varint(bytes, pos);
 
   const uint64_t record_count = get_varint(bytes, pos);
   trace.records.reserve(
@@ -171,11 +167,7 @@ TraceData decode_trace(const std::string& bytes) {
     trace.names.emplace_back(hash, get_string(bytes, pos));
   }
 
-  if (slot_count > bytes.size()) malformed("slot count", pos);
-  trace.dropped_per_slot.resize(slot_count);
-  for (uint64_t i = 0; i < slot_count; ++i) {
-    trace.dropped_per_slot[i] = get_varint(bytes, pos);
-  }
+  trace.dropped = get_varint(bytes, pos);
   trace.total_emitted = get_varint(bytes, pos);
 
   if (bytes.size() - pos != sizeof(kEndMagic) ||

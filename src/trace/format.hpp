@@ -1,25 +1,26 @@
 /// @file
-/// The DTRC binary trace format: canonical merged records + embedded
+/// The DTRC binary trace format: emission-order records + embedded
 /// event-type table + name dictionary.
 ///
-/// Layout (all integers LEB128 varints unless noted):
+/// Layout (all integers LEB128 varints unless noted), version 2:
 ///
 ///   "DTRC" magic, u8 version
 ///   type table:   count, then (id, name) pairs — the event-type registry
 ///                 frozen into the file, so readers never depend on the
 ///                 writer's enum layout
-///   slot count:   number of emission buffers at flush (nodes + 1)
 ///   records:      count, then per record: time delta from the previous
 ///                 record (first record: absolute), node+1 (0 = none),
 ///                 type, name hash, narg, args
 ///   name dict:    count, then (hash, uri) pairs sorted by hash
-///   drop counts:  per-slot ring-eviction drops, plus total emitted
+///   drop count:   ring-eviction drops, then total emitted
 ///   "DEND" end marker
 ///
-/// Records are stored in canonical merged order — nondecreasing time —
-/// so the time-delta encoding is always nonnegative and the file is
-/// byte-identical for any `--jobs` value (the determinism contract the
-/// CI byte-diff enforces).
+/// Records are stored in the trial's emission order, which is
+/// nondecreasing in time (one thread, a clock that never runs
+/// backwards), so the time-delta encoding is always nonnegative and the
+/// file is byte-identical for any `--jobs` value (the determinism
+/// contract the CI byte-diff enforces). Readers reject any other
+/// version.
 #pragma once
 
 #include <cstdint>
@@ -34,26 +35,19 @@ namespace dapes::trace {
 
 /// A fully parsed (or about-to-be-written) trace.
 struct TraceData {
-  /// Records in canonical merged order (nondecreasing t_us).
+  /// Records in emission order (nondecreasing t_us).
   std::vector<Record> records;
   /// Name dictionary: (hash, uri) sorted ascending by hash.
   std::vector<std::pair<uint64_t, std::string>> names;
   /// Event-type table embedded in the file: (id, well-known name).
   std::vector<std::pair<uint16_t, std::string>> types;
-  /// Ring-eviction drops per emission slot (slot 0 = unattributed).
-  std::vector<uint64_t> dropped_per_slot;
+  /// Records dropped to ring eviction (or the null sink's zero cap).
+  uint64_t dropped = 0;
   /// Total records emitted (kept + dropped).
   uint64_t total_emitted = 0;
 
-  /// Sum of dropped_per_slot.
-  uint64_t total_dropped() const {
-    uint64_t n = 0;
-    for (uint64_t d : dropped_per_slot) n += d;
-    return n;
-  }
-
-  /// Dictionary lookup; empty string when the hash is unknown (e.g. the
-  /// per-slot dictionary cap was hit before this name's first record).
+  /// Dictionary lookup; null when the hash is unknown (e.g. the ring's
+  /// dictionary cap was hit before this name's first record).
   const std::string* name_of(uint64_t hash) const;
 
   /// Well-known name of a stored type id via the embedded table ("?"

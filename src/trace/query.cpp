@@ -81,7 +81,7 @@ TraceStats compute_stats(const TraceData& trace) {
   TraceStats stats;
   stats.records = trace.records.size();
   stats.emitted = trace.total_emitted;
-  stats.dropped = trace.total_dropped();
+  stats.dropped = trace.dropped;
   if (!trace.records.empty()) {
     stats.t_first_us = trace.records.front().t_us;
     stats.t_last_us = trace.records.back().t_us;

@@ -73,7 +73,7 @@ struct DiffResult {
   size_t count_b = 0;       ///< records in B
 };
 
-/// Compare two traces record-by-record in canonical order.
+/// Compare two traces record-by-record in emission order.
 DiffResult diff_traces(const TraceData& a, const TraceData& b);
 
 /// Print the first-divergence report (or "identical") to @p out.

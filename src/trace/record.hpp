@@ -48,11 +48,13 @@ struct TraceConfig {
   /// empty = tracing disabled (the default — zero records, zero
   /// overhead beyond one thread-local null check per potential event).
   std::string sink;
-  /// Output path for the merged binary trace. Required by the file sink;
+  /// Output path for the binary trace. Required by the file sink;
   /// optional for ring (empty = in-memory only); ignored by null.
   std::string path;
-  /// Per-node record cap of the ring sink (drop-oldest beyond it).
-  size_t ring_capacity = 16384;
+  /// Per-trial record cap of the ring sink (drop-oldest beyond it), also
+  /// its name-dictionary cap. 2^20 records = 48 MiB, which holds a whole
+  /// quick fig9b trial.
+  size_t ring_capacity = 1048576;
 
   /// True when a sink is configured.
   bool enabled() const { return !sink.empty(); }

@@ -10,8 +10,8 @@ namespace dapes::trace {
 
 namespace {
 
-/// Bounded default: per-node rings of config.ring_capacity records,
-/// written to config.path at flush when a path is set.
+/// Bounded default: a ring of the trial's newest config.ring_capacity
+/// records, written to config.path at flush when a path is set.
 class RingSink : public TraceSink {
  public:
   size_t buffer_capacity(const TraceConfig& config) const override {
@@ -23,7 +23,7 @@ class RingSink : public TraceSink {
   }
 };
 
-/// Unbounded buffers, always written to config.path at flush.
+/// Unbounded buffer, always written to config.path at flush.
 class FileSink : public TraceSink {
  public:
   size_t buffer_capacity(const TraceConfig&) const override {

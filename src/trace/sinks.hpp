@@ -1,10 +1,10 @@
 /// @file
 /// Pluggable named trace sinks.
 ///
-/// A sink decides two things: how much each per-node emission buffer
+/// A sink decides two things: how much the trial's emission buffer
 /// retains while the trial runs (the ring sink's bounded-memory cap, the
 /// file sink's "keep everything", the null sink's "keep nothing"), and
-/// what happens to the canonically merged trace at flush time (write the
+/// what happens to the emission-order trace at flush time (write the
 /// DTRC file, or drop it). Sinks are resolved by well-known name
 /// (events.hpp `TraceSinkNames`) through a process-wide factory registry
 /// pre-populated with the built-ins — the Envoy named-extension idiom —
@@ -28,12 +28,13 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
-  /// Per-slot record retention cap: 0 = keep nothing (count only),
-  /// SIZE_MAX = unbounded. Beyond the cap the tracer drops the oldest
-  /// record of that slot (and counts the drop).
+  /// Record retention cap of the trial's buffer: 0 = keep nothing (count
+  /// only), SIZE_MAX = unbounded. Beyond the cap the tracer drops the
+  /// oldest record (and counts the drop). The same number caps the
+  /// trial's name dictionary.
   virtual size_t buffer_capacity(const TraceConfig& config) const = 0;
 
-  /// Consume the canonically merged trace at flush time. May throw
+  /// Consume the emission-order trace at flush time. May throw
   /// (e.g. on an unwritable path); the tracer propagates.
   virtual void write(const TraceConfig& config,
                      const TraceData& trace) const = 0;

@@ -1,7 +1,6 @@
 /// @file
-/// The per-trial Tracer: thread-local installation, per-node emission
-/// buffers, and the canonical merge that makes trace content bit-identical
-/// across `--jobs`.
+/// The per-trial Tracer: thread-local installation, the trial's one
+/// emission-order buffer, and the snapshot that hands it to a sink.
 ///
 /// Access pattern: a trial installs its Tracer into thread-local storage
 /// (`TrialScope`), and instrumented code — scheduler, medium, tables,
@@ -11,11 +10,9 @@
 /// below are that guarded fast path.
 ///
 /// Determinism discipline (DESIGN.md "Event trace architecture"):
-///  * Emissions land in per-slot buffers — slot 0 for unattributed
-///    events, slot n+1 for events emitted under `NodeScope(n)` — so the
-///    ring sink bounds memory per node.
-///  * The canonical merge orders records by (sim time, slot, per-slot
-///    emission index) — a total order over content.
+///  * A trial runs on one thread and its scheduler clock never runs
+///    backwards, so records land in one buffer in emission order, which
+///    is nondecreasing in time and the same for any `--jobs`.
 ///  * Records never contain scheduler event ids (internal handles, not
 ///    behaviour) and cancel records carry no success flag.
 #pragma once
@@ -35,8 +32,8 @@
 
 namespace dapes::trace {
 
-/// Collects one trial's events into per-slot buffers and hands the
-/// canonically merged trace to the configured sink at flush.
+/// Collects one trial's events, in emission order, into one buffer and
+/// hands it to the configured sink at flush.
 class Tracer {
  public:
   /// Builds the named sink from @p config (throws std::invalid_argument
@@ -48,22 +45,17 @@ class Tracer {
   Tracer(const Tracer&) = delete;             ///< not copyable
   Tracer& operator=(const Tracer&) = delete;  ///< not copyable
 
-  /// Pre-size the slot table for @p node (slot n+1). Call at node
-  /// registration time, before the run loop emits.
-  void ensure_node(uint32_t node);
-
   /// Emit one event. @p subject is the node the event is about (kNoNode
-  /// for none); the *buffer* the record lands in is chosen by the
-  /// thread's NodeScope context. At most 3 args are recorded.
+  /// for none). At most 3 args are recorded.
   void emit(EventType type, uint32_t subject,
             std::initializer_list<uint64_t> args) {
     append(make_record(type, subject, 0, args), nullptr);
   }
 
   /// Emit one event about a name. @p name needs `hash()` and `to_uri()`
-  /// (ndn::Name satisfies both); the URI is captured into the emitting
-  /// slot's dictionary on the hash's first appearance, so `trace dump`
-  /// can render and filter names without storing them per record.
+  /// (ndn::Name satisfies both); the URI is captured into the trial's
+  /// dictionary on the hash's first appearance, so `trace dump` can
+  /// render and filter names without storing them per record.
   template <typename NameT>
   void emit_named(EventType type, uint32_t subject, const NameT& name,
                   std::initializer_list<uint64_t> args) {
@@ -73,63 +65,53 @@ class Tracer {
     append(r, &uri);
   }
 
-  /// Merge every slot's records into canonical order (see file comment)
-  /// without consuming them. Also assembles the merged name dictionary,
-  /// the embedded type table and the per-slot drop counts.
+  /// The held records in emission order (a full ring starts at its
+  /// oldest survivor) without consuming them, plus the name dictionary
+  /// sorted by hash, the embedded type table and the drop count.
   TraceData snapshot() const;
 
-  /// Hand the canonical merge to the sink (idempotent: the first call
-  /// writes, later calls are no-ops). Propagates sink errors.
+  /// Hand the snapshot to the sink (idempotent: the first call writes,
+  /// later calls are no-ops). Propagates sink errors.
   void flush();
 
-  /// Records emitted so far (kept + dropped), summed over slots.
-  uint64_t emitted() const;
-  /// Records dropped to ring eviction so far, summed over slots.
-  uint64_t dropped() const;
-  /// Records currently held across all slots.
-  uint64_t held() const;
+  /// Records emitted so far (kept + dropped).
+  uint64_t emitted() const { return emitted_; }
+  /// Records dropped to ring eviction (or a zero cap) so far.
+  uint64_t dropped() const { return dropped_; }
+  /// Records currently held.
+  uint64_t held() const { return records_.size(); }
 
   /// The trial's trace configuration.
   const TraceConfig& config() const { return config_; }
 
  private:
-  /// One emission slot: an optionally ring-bounded record sequence plus
-  /// the slot-local name dictionary. Only the trial's thread appends, so
-  /// no synchronization is needed.
-  struct Slot {
-    std::vector<Record> records;
-    /// Ring start when bounded (records is used as a circular buffer
-    /// once full); 0 while filling or unbounded.
-    size_t head = 0;
-    uint64_t emitted = 0;
-    uint64_t dropped = 0;
-    std::unordered_map<uint64_t, std::string> dict;
-  };
-
   Record make_record(EventType type, uint32_t subject, uint64_t name_hash,
                      std::initializer_list<uint64_t> args) const;
   void append(const Record& r, const std::function<std::string()>* uri);
-  Slot& slot_for_context();
 
   TraceConfig config_;
   std::function<int64_t()> clock_;
   std::unique_ptr<TraceSink> sink_;
+  /// The sink's record cap (0 = count only, SIZE_MAX = unbounded). It
+  /// also caps the name dictionary, which stops learning new names past
+  /// it (records keep their hashes; dump renders them unresolved).
   size_t capacity_ = 0;
-  /// Slot 0 = unattributed; slot n+1 = node n. Sized by ensure_node,
-  /// never grown by an emission.
-  std::vector<Slot> slots_;
+  /// Emission-order records; a circular buffer once a bounded cap fills.
+  /// Only the trial's thread appends, so no synchronization is needed.
+  std::vector<Record> records_;
+  /// Oldest record's index once the ring has wrapped; 0 before.
+  size_t head_ = 0;
+  uint64_t emitted_ = 0;
+  uint64_t dropped_ = 0;
+  /// Name hash -> URI of its first emission.
+  std::unordered_map<uint64_t, std::string> names_;
   bool flushed_ = false;
-
-  /// Per-slot dictionary cap: the slot stops learning new names past it
-  /// (records keep their hashes; dump renders them unresolved). Purely a
-  /// memory bound — deterministic, since per-slot emission order is.
-  static constexpr size_t kDictCap = 65536;
 };
 
 namespace detail {
 /// The installed tracer of the calling thread (null = tracing off).
 inline thread_local Tracer* t_tracer = nullptr;
-/// The calling thread's node context (selects the emission slot).
+/// The calling thread's node context (the default event subject).
 inline thread_local uint32_t t_node = kNoNode;
 }  // namespace detail
 
@@ -162,10 +144,11 @@ class TrialScope {
   uint32_t prev_node_;
 };
 
-/// RAII node context: emissions inside the scope land in @p node's slot
-/// (and default their subject to it). A no-op when tracing is off, and
-/// entering kNoNode keeps the current context (so an unbound forwarder's
-/// pipeline scope cannot clobber the medium's receiver scope).
+/// RAII node context: emissions inside the scope through DAPES_TRACE_HERE
+/// and DAPES_TRACE_NAMED take @p node as their subject. A no-op when
+/// tracing is off, and entering kNoNode keeps the current context (so an
+/// unbound forwarder's pipeline scope cannot clobber the medium's
+/// receiver scope).
 class NodeScope {
  public:
   /// Enter @p node's context (if a tracer is installed).

@@ -17,7 +17,7 @@
 //   * Graceful degradation — adversarial bitmap liars never stall the
 //     honest swarm, and seeder departure after seeding still completes.
 //   * Lifecycle tracing — node.join / node.leave / fault.inject /
-//     peer.lied records land in the merged trace with the right shape.
+//     peer.lied records land in the trial trace with the right shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>

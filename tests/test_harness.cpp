@@ -2,9 +2,11 @@
 // trials (DAPES, Bithoc, Ekta, real-world scenarios) at a tiny scale.
 #include <gtest/gtest.h>
 
+#include "harness/driver.hpp"
 #include "harness/metrics.hpp"
 #include "harness/realworld.hpp"
 #include "harness/scenario.hpp"
+#include "harness/trial_runner.hpp"
 
 namespace dapes::harness {
 namespace {
@@ -119,53 +121,59 @@ TEST(Scenario, ChannelDefaultsAreInert) {
   EXPECT_DOUBLE_EQ(spelled.download_time_s, r.download_time_s);
 }
 
+// The scripted Fig. 8 knobs (50 m MacBook WiFi range, 1500 s cap) at a
+// reduced collection size.
+ScenarioParams realworld_params() {
+  ScenarioParams p;
+  p.wifi_range_m = 50.0;
+  p.sim_limit_s = 1500.0;
+  p.files = 2;
+  p.file_size_bytes = 8 * 1024;
+  p.seed = 5;
+  return p;
+}
+
 TEST(RealWorld, DefaultKnobsMatchSeedTreeGoldens) {
   // Table I's scenario runner under default knobs, same pin as above.
-  RealWorldParams params;
-  params.files = 2;
-  params.file_size_bytes = 8 * 1024;
-  params.seed = 5;
-  RealWorldResult r = run_realworld_scenario(1, params);
+  TrialResult r =
+      run_trial(ProtocolNames::kRealWorldCarrier, realworld_params());
   EXPECT_EQ(r.transmissions, 1101u);
   EXPECT_DOUBLE_EQ(r.download_time_s, 335.49570699999998);
   EXPECT_EQ(r.system_calls, 5160u);
 }
 
 TEST(Scenario, MultiTrialSeedsVary) {
-  auto results = run_dapes_trials(tiny_params(), 2);
+  auto results = TrialRunner(1).run(ProtocolNames::kDapes, tiny_params(), 2);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_NE(results[0].transmissions, results[1].transmissions);
 }
 
 TEST(RealWorld, AllScenariosComplete) {
-  for (int s = 1; s <= 3; ++s) {
-    RealWorldParams params;
-    params.files = 2;
-    params.file_size_bytes = 8 * 1024;
-    params.seed = 5;
-    RealWorldResult r = run_realworld_scenario(s, params);
-    EXPECT_DOUBLE_EQ(r.completion_fraction, 1.0) << "scenario " << s;
+  for (const char* name :
+       {ProtocolNames::kRealWorldCarrier, ProtocolNames::kRealWorldRepository,
+        ProtocolNames::kRealWorldMoving}) {
+    TrialResult r = run_trial(name, realworld_params());
+    EXPECT_DOUBLE_EQ(r.completion_fraction, 1.0) << name;
     EXPECT_GT(r.transmissions, 0u);
-    EXPECT_GT(r.memory_overhead_mb, 0.0);
+    EXPECT_GT(r.peak_state_bytes, 0u);
     EXPECT_GT(r.system_calls, 0u);
   }
 }
 
 TEST(RealWorld, CarrierSlowerThanMovingNodes) {
   // Table I's qualitative claim at reduced scale.
-  RealWorldParams params;
-  params.files = 2;
-  params.file_size_bytes = 8 * 1024;
-  params.seed = 5;
-  RealWorldResult s1 = run_realworld_scenario(1, params);
-  RealWorldResult s3 = run_realworld_scenario(3, params);
+  TrialResult s1 =
+      run_trial(ProtocolNames::kRealWorldCarrier, realworld_params());
+  TrialResult s3 =
+      run_trial(ProtocolNames::kRealWorldMoving, realworld_params());
   EXPECT_GT(s1.download_time_s, s3.download_time_s);
 }
 
 TEST(RealWorld, RejectsBadScenario) {
-  RealWorldParams params;
-  EXPECT_THROW(run_realworld_scenario(0, params), std::invalid_argument);
-  EXPECT_THROW(run_realworld_scenario(4, params), std::invalid_argument);
+  EXPECT_THROW(run_realworld_trial(0, realworld_params()),
+               std::invalid_argument);
+  EXPECT_THROW(run_realworld_trial(4, realworld_params()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -246,6 +246,14 @@ TEST(Scheduler, OwnerScopeRestoresPreviousOwner) {
   EXPECT_EQ(sched.current_owner(), Scheduler::kNoOwner);
 }
 
+TEST(Scheduler, OwnerScopeIsPerScheduler) {
+  // A scope stamps only its own scheduler's events.
+  Scheduler a, b;
+  Scheduler::OwnerScope own(a, 4);
+  EXPECT_EQ(a.current_owner(), 4u);
+  EXPECT_EQ(b.current_owner(), Scheduler::kNoOwner);
+}
+
 TEST(Scheduler, CancelForNodeRejectsBadArgs) {
   Scheduler sched;
   EXPECT_THROW(sched.cancel_for_node(Scheduler::kNoOwner),

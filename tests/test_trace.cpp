@@ -3,16 +3,18 @@
 //
 //   * Binary round-trip — varints and whole DTRC traces encode/decode
 //     losslessly, on randomized inputs.
-//   * Bounded memory — the ring sink holds at most ring_capacity records
-//     per slot, drops oldest-first, and counts every drop.
+//   * Bounded memory — the ring sink holds the trial's newest
+//     ring_capacity records in emission order, drops oldest-first, and
+//     counts every drop.
 //   * Disabled guard — with no sink configured nothing is emitted, no
 //     tracer is installed, and a traced trial's deterministic TrialResult
 //     is bit-identical to the untraced one.
-//   * Trace identity — the merged trace file is byte-identical across
+//   * Trace identity — the trace file is byte-identical across
 //     --jobs 1 vs 8, multi-seed (the contract the CI smoke also
 //     byte-diffs at bench scale).
 //   * Trace invariants — every executed event, frame deliveries
-//     included, leaves exactly one sched.fire record.
+//     included, leaves exactly one sched.fire record, and every name
+//     hash a record carries resolves through the dictionary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -106,11 +108,8 @@ TraceData random_trace(uint64_t seed) {
     for (uint16_t a = 0; a < r.narg; ++a) r.args[a] = rng.next();
     t.records.push_back(r);
   }
-  const size_t n_slots = 1 + static_cast<size_t>(rng.next_below(8));
-  for (size_t i = 0; i < n_slots; ++i) {
-    t.dropped_per_slot.push_back(rng.next_below(100));
-  }
-  t.total_emitted = t.records.size() + t.total_dropped();
+  t.dropped = rng.next_below(100);
+  t.total_emitted = t.records.size() + t.dropped;
   return t;
 }
 
@@ -125,7 +124,7 @@ TEST(TraceFormat, RoundTripRandomTraces) {
     }
     EXPECT_EQ(back.names, t.names) << "seed " << seed;
     EXPECT_EQ(back.types, t.types) << "seed " << seed;
-    EXPECT_EQ(back.dropped_per_slot, t.dropped_per_slot) << "seed " << seed;
+    EXPECT_EQ(back.dropped, t.dropped) << "seed " << seed;
     EXPECT_EQ(back.total_emitted, t.total_emitted) << "seed " << seed;
     // Determinism: re-encoding the decoded trace is byte-identical.
     EXPECT_EQ(encode_trace(back), bytes) << "seed " << seed;
@@ -142,6 +141,14 @@ TEST(TraceFormat, RejectsCorruptInput) {
   EXPECT_THROW(decode_trace(std::string()), std::runtime_error);
 }
 
+TEST(TraceFormat, RejectsVersionOneHeader) {
+  // Version 1 carried a slot count and per-slot drop counts.
+  std::string bytes = encode_trace(random_trace(4));
+  ASSERT_EQ(bytes[4], 2);
+  bytes[4] = 1;
+  EXPECT_THROW(decode_trace(bytes), std::runtime_error);
+}
+
 // -------------------------------------------------------- tracer + sinks
 
 TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
@@ -152,7 +159,6 @@ TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
   Tracer tracer(config, [&now] { return now; });
   TrialScope scope(&tracer);
 
-  tracer.ensure_node(0);
   const uint64_t total = 100;
   for (uint64_t i = 0; i < total; ++i) {
     now = static_cast<int64_t>(i);
@@ -171,48 +177,48 @@ TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
     EXPECT_EQ(t.records[i].args[0], total - 16 + i);
   }
   EXPECT_EQ(t.total_emitted, total);
-  EXPECT_EQ(t.total_dropped(), total - 16);
+  EXPECT_EQ(t.dropped, total - 16);
 }
 
-TEST(Tracer, PerSlotRingsAreIndependent) {
+TEST(Tracer, RingKeepsNewestRecordsOfTheTrial) {
   TraceConfig config;
   config.sink = "ring";
   config.ring_capacity = 8;
-  int64_t now = 0;
-  Tracer tracer(config, [&now] { return now; });
+  Tracer tracer(config, [] { return int64_t{0}; });
   TrialScope scope(&tracer);
-  tracer.ensure_node(0);
-  tracer.ensure_node(1);
 
   for (uint64_t i = 0; i < 50; ++i) {
     NodeScope node(0);
-    DAPES_TRACE_HERE(EventType::kSchedFire);
+    DAPES_TRACE_HERE(EventType::kSchedFire, i);
   }
   {
     NodeScope node(1);
     DAPES_TRACE_HERE(EventType::kSchedCancel);
   }
-  // Node 0 overflowed its ring; node 1's single record must survive.
+  // One ring for the whole trial: node 0's newest 7 records, then node
+  // 1's record, in emission order.
   const TraceData t = tracer.snapshot();
-  size_t node1 = 0;
-  for (const Record& r : t.records) node1 += r.node == 1 ? 1 : 0;
-  EXPECT_EQ(node1, 1u);
-  EXPECT_EQ(tracer.held(), 9u);
-  EXPECT_EQ(tracer.dropped(), 42u);
+  ASSERT_EQ(t.records.size(), 8u);
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(t.records[i].node, 0u);
+    EXPECT_EQ(t.records[i].args[0], 43 + i);
+  }
+  EXPECT_EQ(t.records[7].node, 1u);
+  EXPECT_EQ(t.records[7].type,
+            static_cast<uint16_t>(EventType::kSchedCancel));
+  EXPECT_EQ(tracer.held(), 8u);
+  EXPECT_EQ(tracer.dropped(), 43u);
+  EXPECT_EQ(t.dropped, 43u);
 }
 
-TEST(Tracer, CanonicalMergeOrdersByTimeThenSlot) {
+TEST(Tracer, SameTimestampRecordsKeepEmissionOrder) {
   TraceConfig config;
   config.sink = "ring";
-  int64_t now = 0;
-  Tracer tracer(config, [&now] { return now; });
+  Tracer tracer(config, [] { return int64_t{5}; });
   TrialScope scope(&tracer);
-  tracer.ensure_node(0);
-  tracer.ensure_node(1);
 
-  // Same-instant emissions from node 1, node 0, then unattributed: the
-  // merge must order them (slot 0, slot 1, slot 2) = (none, n0, n1).
-  now = 5;
+  // Same-instant emissions from node 1, node 0, then no node: the
+  // snapshot keeps them exactly as emitted.
   {
     NodeScope node(1);
     DAPES_TRACE_HERE(EventType::kSchedFire);
@@ -221,21 +227,14 @@ TEST(Tracer, CanonicalMergeOrdersByTimeThenSlot) {
     NodeScope node(0);
     DAPES_TRACE_HERE(EventType::kSchedFire);
   }
-  DAPES_TRACE_HERE(EventType::kSchedFire);  // no scope -> slot 0
-  now = 2;  // an earlier timestamp emitted later still sorts first
-  {
-    NodeScope node(1);
-    DAPES_TRACE_HERE(EventType::kSchedCancel);
-  }
+  DAPES_TRACE_HERE(EventType::kSchedFire);
 
   const TraceData t = tracer.snapshot();
-  ASSERT_EQ(t.records.size(), 4u);
-  EXPECT_EQ(t.records[0].t_us, 2);
+  ASSERT_EQ(t.records.size(), 3u);
   EXPECT_EQ(t.records[0].node, 1u);
-  EXPECT_EQ(t.records[1].t_us, 5);
-  EXPECT_EQ(t.records[1].node, kNoNode);
-  EXPECT_EQ(t.records[2].node, 0u);
-  EXPECT_EQ(t.records[3].node, 1u);
+  EXPECT_EQ(t.records[1].node, 0u);
+  EXPECT_EQ(t.records[2].node, kNoNode);
+  for (const Record& r : t.records) EXPECT_EQ(r.t_us, 5);
 }
 
 TEST(Tracer, NamedEmissionsBuildTheDictionary) {
@@ -243,7 +242,6 @@ TEST(Tracer, NamedEmissionsBuildTheDictionary) {
   config.sink = "ring";
   Tracer tracer(config, [] { return int64_t{0}; });
   TrialScope scope(&tracer);
-  tracer.ensure_node(0);
 
   const ndn::Name name("/dapes/discovery");
   {
@@ -259,6 +257,26 @@ TEST(Tracer, NamedEmissionsBuildTheDictionary) {
   EXPECT_EQ(t.records[0].name_hash, name.hash());
   ASSERT_NE(t.name_of(name.hash()), nullptr);
   EXPECT_EQ(*t.name_of(name.hash()), name.to_uri());
+}
+
+TEST(Tracer, DictionaryCappedBySinkCapacity) {
+  const ndn::Name names[3] = {ndn::Name("/a"), ndn::Name("/b"),
+                              ndn::Name("/c")};
+  TraceConfig config;
+  config.sink = "ring";
+  config.ring_capacity = 2;
+  Tracer ring(config, [] { return int64_t{0}; });
+  config.sink = "null";
+  Tracer null(config, [] { return int64_t{0}; });
+  for (const ndn::Name& name : names) {
+    ring.emit_named(EventType::kPitInsert, kNoNode, name, {});
+    null.emit_named(EventType::kPitInsert, kNoNode, name, {});
+  }
+  // The ring learns names up to its record cap; the null sink keeps none.
+  EXPECT_EQ(ring.snapshot().names.size(), 2u);
+  EXPECT_TRUE(null.snapshot().names.empty());
+  EXPECT_EQ(null.emitted(), 3u);
+  EXPECT_EQ(null.dropped(), 3u);
 }
 
 TEST(Tracer, UnknownSinkNameThrows) {
@@ -409,7 +427,7 @@ TEST(TraceTrial, SchedFireCountsEveryExecutedEvent) {
   const TrialResult result = run_trial(ProtocolNames::kScaleField, p);
 
   const TraceData t = trace::read_trace_file(p.trace.path);
-  ASSERT_EQ(t.total_dropped(), 0u);
+  ASSERT_EQ(t.dropped, 0u);
   uint64_t fires = 0, deliveries = 0;
   for (const trace::Record& r : t.records) {
     if (r.type == static_cast<uint16_t>(trace::EventType::kSchedFire)) {
@@ -421,6 +439,24 @@ TEST(TraceTrial, SchedFireCountsEveryExecutedEvent) {
   }
   ASSERT_GT(deliveries, 0u);
   EXPECT_EQ(fires, result.events_executed);
+}
+
+TEST(TraceTrial, EveryNameHashResolves) {
+  TempDir dir("names");
+  ScenarioParams p = tiny_field(7);
+  p.trace.sink = "file";
+  p.trace.path = (dir.path / "tr").string();
+  run_trial(ProtocolNames::kScaleField, p);
+
+  const TraceData t = trace::read_trace_file(p.trace.path);
+  size_t named = 0, unresolved = 0;
+  for (const trace::Record& r : t.records) {
+    if (r.name_hash == 0) continue;
+    ++named;
+    if (t.name_of(r.name_hash) == nullptr) ++unresolved;
+  }
+  EXPECT_GT(named, 0u);
+  EXPECT_EQ(unresolved, 0u);
 }
 
 TEST(TraceTrial, QueryToolsReadTrialTraces) {

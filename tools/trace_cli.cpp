@@ -2,7 +2,7 @@
 //
 //   trace dump <file> [--node N] [--type NAME|ID] [--name PREFIX]
 //                     [--from SECONDS] [--to SECONDS]
-//       Print matching records, one per line, in canonical merged order.
+//       Print matching records, one per line, in emission order.
 //       --type accepts a dotted well-known name ("medium.rx") resolved
 //       through the file's embedded type table, or a raw numeric id.
 //       --name matches URI prefixes on component boundaries. The time
@@ -12,7 +12,7 @@
 //       Whole-trace aggregates plus per-type counts and rates.
 //
 //   trace diff <a> <b>
-//       Record-by-record comparison in canonical order. Prints the first
+//       Record-by-record comparison in emission order. Prints the first
 //       divergence (or "identical"). Exit 0 when identical, 1 when the
 //       traces differ.
 //
