@@ -4,10 +4,18 @@
 
 namespace dapes::core {
 
-Name discovery_prefix() {
-  Name n;
-  n.append(kAppPrefix).append(kDiscoveryComponent);
-  return n;
+namespace {
+
+/// True if component @p i of @p name is exactly @p text.
+bool component_is(const Name& name, size_t i, std::string_view text) {
+  return name[i] == ndn::Component(text);
+}
+
+}  // namespace
+
+const Name& discovery_prefix() {
+  static const Name prefix{kAppPrefix, kDiscoveryComponent};
+  return prefix;
 }
 
 Name discovery_query_name(uint64_t query_id) {
@@ -24,17 +32,26 @@ Name discovery_response_name(const Name& query, const std::string& peer_id) {
 bool is_discovery_query(const Name& name) {
   if (name.size() != 3) return false;
   if (!discovery_prefix().is_prefix_of(name)) return false;
-  std::string last = name[2].to_string();
+  const common::BytesView last = name[2].value();
   return last.size() > 2 && last[0] == 'q' && last[1] == '-';
 }
 
 Name bitmap_prefix(const Name& collection) {
-  Name n;
-  n.append(kAppPrefix).append(kBitmapComponent);
-  for (const auto& c : collection.components()) {
-    n.append(c);
-  }
+  Name n{kAppPrefix, kBitmapComponent};
+  for (size_t i = 0; i < collection.size(); ++i) n.append(collection[i]);
   return n;
+}
+
+bool is_bitmap_name_for(const Name& name, const Name& collection) {
+  if (name.size() < 2 + collection.size() ||
+      !component_is(name, 0, kAppPrefix) ||
+      !component_is(name, 1, kBitmapComponent)) {
+    return false;
+  }
+  for (size_t i = 0; i < collection.size(); ++i) {
+    if (name[2 + i] != collection[i]) return false;
+  }
+  return true;
 }
 
 Name bitmap_data_name(const Name& collection, const std::string& peer_id,
@@ -68,19 +85,19 @@ std::optional<PacketNameParts> parse_packet_name(const Name& name,
 }
 
 bool is_control_name(const Name& name) {
-  return !name.empty() && name[0].to_string() == kAppPrefix;
+  return !name.empty() && component_is(name, 0, kAppPrefix);
 }
 
 bool is_metadata_name(const Name& name) {
   for (size_t i = 0; i < name.size(); ++i) {
-    if (name[i].to_string() == kMetadataComponent) return i > 0;
+    if (component_is(name, i, kMetadataComponent)) return i > 0;
   }
   return false;
 }
 
 std::optional<Name> collection_of_metadata_name(const Name& name) {
   for (size_t i = 1; i < name.size(); ++i) {
-    if (name[i].to_string() == kMetadataComponent) {
+    if (component_is(name, i, kMetadataComponent)) {
       return name.prefix(i);
     }
   }

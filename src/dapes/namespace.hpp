@@ -31,8 +31,9 @@ inline constexpr std::string_view kBitmapComponent = "bitmap";
 /// Metadata marker component ("<collection>/metadata-file/...").
 inline constexpr std::string_view kMetadataComponent = "metadata-file";
 
-/// "/dapes/discovery"
-Name discovery_prefix();
+/// "/dapes/discovery" — built once and shared (safe to use from any
+/// thread).
+const Name& discovery_prefix();
 
 /// "/dapes/discovery/q-<id>" — one peer's discovery query. Queries carry
 /// a unique component so that concurrent queries from different peers
@@ -49,6 +50,10 @@ bool is_discovery_query(const Name& name);
 /// "/dapes/bitmap/<collection components...>" — bitmap exchange prefix for
 /// one collection.
 Name bitmap_prefix(const Name& collection);
+
+/// True if @p name lies under bitmap_prefix(@p collection), without
+/// building that prefix.
+bool is_bitmap_name_for(const Name& name, const Name& collection);
 
 /// "/dapes/bitmap/<collection...>/<peer>/<round>" — a specific peer's
 /// bitmap data under a collection.

@@ -778,8 +778,8 @@ void Peer::serve_interest(const ndn::Interest& interest) {
 
 void Peer::on_overheard_interest(const ndn::Interest& interest) {
   const Name& name = interest.name();
-  if (name.size() >= 2 && name[0].to_string() == kAppPrefix &&
-      name[1].to_string() == kBitmapComponent &&
+  if (name.size() >= 2 && name[0] == ndn::Component(kAppPrefix) &&
+      name[1] == ndn::Component(kBitmapComponent) &&
       interest.has_app_parameters()) {
     auto msg = BitmapMessage::decode(interest.app_parameters());
     if (msg) handle_bitmap_message(*msg);

@@ -172,8 +172,8 @@ void DapesIntermediateStrategy::on_overhear_interest(Forwarder& /*fw*/,
   // Bitmap announcements carry the sender's bitmap in the parameters.
   if (!interest.has_app_parameters()) return;
   const Name& name = interest.name();
-  if (name.size() < 2 || name[0].to_string() != kAppPrefix ||
-      name[1].to_string() != kBitmapComponent) {
+  if (name.size() < 2 || name[0] != ndn::Component(kAppPrefix) ||
+      name[1] != ndn::Component(kBitmapComponent)) {
     return;
   }
   auto msg = BitmapMessage::decode(interest.app_parameters());
@@ -265,12 +265,12 @@ void DapesIntermediateStrategy::after_receive_interest(Forwarder& fw,
     // that are interested in the same collection (it is beneficial for
     // the requester to learn their bitmaps); fall back to probabilistic.
     Name collection;
-    if (name.size() > 2 && name[1].to_string() == kBitmapComponent) {
+    if (name.size() > 2 && name[1] == ndn::Component(kBitmapComponent)) {
       // Bitmap name shape: /dapes/bitmap/<collection...>[/<peer>/<round>];
       // match against the collections we have knowledge about.
       for (const auto& [known, k] : knowledge_) {
         (void)k;
-        if (bitmap_prefix(known).is_prefix_of(name)) {
+        if (is_bitmap_name_for(name, known)) {
           collection = known;
           break;
         }

@@ -174,7 +174,7 @@ class WifiFace final : public Face {
   /// Pending delayed Data sends, cancellable by overheard duplicates.
   /// Shared DataPtr handles (like the CS): queueing a retransmission
   /// never deep-copies the packet — the cached wire slice rides along.
-  /// Keyed by the Name's cached hash; nothing iterates this map.
+  /// Keyed by the Name's stored hash; nothing iterates this map.
   std::unordered_map<Name, std::pair<DataPtr, sim::EventId>> pending_data_;
   uint64_t interests_sent_ = 0;
   uint64_t data_sent_ = 0;

@@ -6,71 +6,122 @@
 /// hierarchy: collection prefix -> file name -> packet sequence number, so
 /// prefix tests and numeric final components get first-class helpers.
 ///
-/// Names carry a lazily computed *incremental* hash cache: one FNV-1a pass
-/// over the component bytes yields the hash of every prefix depth
-/// (`prefix_hash(n)`), with the full-name hash as the last step. The data
-/// plane (src/ndn/name_tree.hpp) is keyed on these hashes, so a forwarder
-/// hop probes its tables without re-reading name bytes, and longest-prefix
-/// match never materializes prefix Names. The cache is extended in place by
-/// append (the next prefix hash derives from the previous one), inherited
-/// by prefix(), seeded by the wire decoder, and recomputed on demand
-/// otherwise. Hash values are identical to the historic std::hash<Name>
-/// FNV-1a scheme, so fingerprints derived from them are stable.
+/// A Name is a handle to one immutable, reference-counted buffer built
+/// once, in one allocation, by a Name::Builder. The buffer holds, in order,
+/// the FNV-1a hash of every prefix depth, the end offset of every
+/// component and the concatenated component bytes. So:
 ///
-/// The cache is `mutable` and filled on first use: a const Name is safe to
-/// share within one simulation trial (single-threaded), not across trial
-/// threads.
+///   * copying a Name and `prefix(n)` allocate nothing: both share the
+///     buffer, and a prefix handle just exposes fewer components;
+///   * `append` builds a new buffer (one allocation, whatever the
+///     component count);
+///   * `hash()` and `prefix_hash(n)` are loads — every prefix hash was
+///     computed when the buffer was built. The data plane
+///     (src/ndn/name_tree.hpp) is keyed on them, so a forwarder hop probes
+///     its tables without re-reading name bytes;
+///   * equality is a hash check plus flat compares of the offsets and the
+///     bytes; ordering walks components in place.
+///
+/// Hash values are the historic std::hash<Name> FNV-1a scheme (0xff before
+/// each component), so fingerprints derived from them are stable.
+///
+/// The buffer never changes after construction and its count is atomic,
+/// so a const Name may be shared across threads. A Component is a view
+/// into its Name's buffer and must not outlive that Name.
 #pragma once
 
+#include <atomic>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "common/bytes.hpp"
 
 namespace dapes::ndn {
 
-/// One name component (opaque bytes; printable ASCII in practice).
+/// One name component: a non-owning view of opaque bytes (printable ASCII
+/// in practice). Views taken from a Name are valid while that Name (or any
+/// copy sharing its buffer) lives.
 class Component {
  public:
   /// Empty component.
   Component() = default;
-  /// Component from owned bytes.
-  explicit Component(common::Bytes value) : value_(std::move(value)) {}
-  /// Component from a string (bytes copied).
+  /// View of @p value (not copied).
+  explicit Component(common::BytesView value) : value_(value) {}
+  /// View of the bytes of @p str (not copied).
   explicit Component(std::string_view str)
-      : value_(str.begin(), str.end()) {}
-
-  /// Component carrying a decimal sequence number.
-  static Component from_number(uint64_t number);
+      : value_(reinterpret_cast<const uint8_t*>(str.data()), str.size()) {}
 
   /// Parse as a decimal number if the component is all digits.
   std::optional<uint64_t> to_number() const;
 
   /// The raw component bytes.
-  const common::Bytes& value() const { return value_; }
-  /// The bytes as a std::string (components are ASCII in practice).
+  common::BytesView value() const { return value_; }
+  /// The bytes copied into a std::string (components are ASCII in
+  /// practice).
   std::string to_string() const {
-    return std::string(value_.begin(), value_.end());
+    return std::string(reinterpret_cast<const char*>(value_.data()),
+                       value_.size());
   }
 
   /// Byte-wise equality.
-  bool operator==(const Component&) const = default;
-  /// Byte-wise lexicographic order.
-  auto operator<=>(const Component&) const = default;
+  bool operator==(const Component& other) const;
+  /// Lexicographic order over unsigned bytes; a proper prefix sorts first.
+  std::strong_ordering operator<=>(const Component& other) const;
 
  private:
-  common::Bytes value_;
+  common::BytesView value_;
 };
 
-/// Hierarchical NDN name with the cached incremental prefix hashes the
-/// data plane is keyed on (see file comment).
+/// Hierarchical NDN name: a handle to one shared immutable buffer of
+/// component bytes, component end offsets and prefix hashes (see file
+/// comment).
 class Name {
+  struct Rep;
+
  public:
-  /// The empty name "/".
+  /// Builds one Name buffer in a single allocation. The component count
+  /// and the total component bytes are reserved up front; add() up to
+  /// that many components, then build().
+  class Builder {
+   public:
+    /// Reserve room for @p count components totalling @p bytes bytes.
+    /// @throws std::length_error if either exceeds the 32-bit offsets.
+    Builder(size_t count, size_t bytes);
+    /// Frees the buffer if build() was never called.
+    ~Builder();
+    Builder(const Builder&) = delete;             ///< not copyable
+    Builder& operator=(const Builder&) = delete;  ///< not copyable
+
+    /// Append one component's bytes and its prefix hash.
+    /// @throws std::length_error past the reserved count or bytes.
+    Builder& add(common::BytesView component);
+    /// Append one component given as text.
+    Builder& add(std::string_view component) {
+      return add(Component(component).value());
+    }
+    /// Append every component of @p name. Into an empty builder this
+    /// copies @p name's hashes instead of recomputing them.
+    Builder& add(const Name& name);
+
+    /// The finished Name holding the components added so far; the
+    /// builder is left empty.
+    Name build();
+
+   private:
+    Rep* rep_ = nullptr;
+    size_t count_ = 0;  // reserved components
+    size_t bytes_ = 0;  // reserved component bytes
+    size_t added_ = 0;
+    size_t used_ = 0;  // component bytes written so far
+  };
+
+  /// The empty name "/" (no buffer, no allocation).
   Name() = default;
 
   /// Parse a URI like "/a/b/c". Empty string or "/" yields the empty name.
@@ -81,11 +132,34 @@ class Name {
   /// Name from a component list: Name{"a", "b", "c"} == "/a/b/c".
   Name(std::initializer_list<std::string_view> components);
 
-  /// Builder-style append; returns *this for chaining. A warm hash cache
-  /// is extended incrementally (one component's bytes), never recomputed.
+  /// Shares @p other's buffer (an atomic increment, no allocation).
+  Name(const Name& other) noexcept : rep_(other.rep_), size_(other.size_) {
+    retain();
+  }
+  /// Takes @p other's buffer; @p other becomes empty.
+  Name(Name&& other) noexcept : rep_(other.rep_), size_(other.size_) {
+    other.rep_ = nullptr;
+    other.size_ = 0;
+  }
+  /// Shares @p other's buffer.
+  Name& operator=(const Name& other) noexcept {
+    Name(other).swap(*this);
+    return *this;
+  }
+  /// Takes @p other's buffer.
+  Name& operator=(Name&& other) noexcept {
+    Name(std::move(other)).swap(*this);
+    return *this;
+  }
+  /// Drops this handle's reference; the last one frees the buffer.
+  ~Name() { release(); }
+
+  /// Builder-style append; returns *this for chaining. Builds a new
+  /// buffer holding one more component (the old one is left to its other
+  /// holders).
   Name& append(Component c);
-  /// Append a string component; same cache-extension contract.
-  Name& append(std::string_view str);
+  /// Append a string component.
+  Name& append(std::string_view str) { return append(Component(str)); }
   /// Append a decimal sequence-number component.
   Name& append_number(uint64_t number);
 
@@ -95,16 +169,20 @@ class Name {
   Name appended_number(uint64_t number) const;
 
   /// Number of components.
-  size_t size() const { return components_.size(); }
+  size_t size() const { return size_; }
   /// True for the empty name.
-  bool empty() const { return components_.empty(); }
-  /// Bounds-checked component access.
-  const Component& at(size_t i) const { return components_.at(i); }
-  /// Unchecked component access.
-  const Component& operator[](size_t i) const { return components_[i]; }
+  bool empty() const { return size_ == 0; }
+  /// Bounds-checked component view. @throws std::out_of_range.
+  Component at(size_t i) const;
+  /// Unchecked component view.
+  Component operator[](size_t i) const {
+    const uint32_t* ends = rep_->ends();
+    const uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return Component(
+        common::BytesView(rep_->bytes() + begin, ends[i] - begin));
+  }
 
-  /// First @p n components. Inherits the matching slice of a warm hash
-  /// cache.
+  /// First @p n components (clamped). Shares this name's buffer.
   Name prefix(size_t n) const;
 
   /// Drop the last @p n components (default 1).
@@ -116,51 +194,76 @@ class Name {
   /// The "/a/b/c" URI form.
   std::string to_uri() const;
 
-  /// FNV-1a hash of the whole name (cached; one pass on first use).
-  size_t hash() const {
-    ensure_hashes();
-    return hashes_.back();
-  }
+  /// FNV-1a hash of the whole name (computed when the buffer was built).
+  size_t hash() const { return prefix_hash(size_); }
 
-  /// Hash of the first @p n components (clamped), from the same cached
-  /// pass — prefix probes cost no extra hashing.
+  /// Hash of the first @p n components (clamped) — a load, no hashing.
   size_t prefix_hash(size_t n) const {
-    ensure_hashes();
-    return hashes_[n < components_.size() ? n : components_.size()];
+    if (rep_ == nullptr) return kFnvOffset;
+    return rep_->hashes()[n < size_ ? n : size_];
   }
 
-  /// Whether the hash cache is populated (tests and instrumentation).
-  bool has_hash_cache() const {
-    return hashes_.size() == components_.size() + 1;
-  }
-
-  /// Equality and ordering are component-wise; the hash cache is ignored.
-  bool operator==(const Name& other) const {
-    return components_ == other.components_;
-  }
-  auto operator<=>(const Name& other) const {
-    return components_ <=> other.components_;
-  }
-
-  /// All components in order.
-  const std::vector<Component>& components() const { return components_; }
+  /// Component-wise equality.
+  bool operator==(const Name& other) const;
+  /// Component-by-component order (unsigned bytes; a proper prefix sorts
+  /// first) — the order std::map<Name> iterates in.
+  std::strong_ordering operator<=>(const Name& other) const;
 
  private:
-  void ensure_hashes() const;
+  /// FNV-1a offset basis: the hash of the empty name.
+  static constexpr size_t kFnvOffset = 1469598103934665603ULL;
 
-  std::vector<Component> components_;
-  /// hashes_[i] = FNV-1a over the first i components; valid iff
-  /// size() + 1 entries are present (empty = not computed yet).
-  mutable std::vector<size_t> hashes_;
+  /// Buffer header; the trailing storage holds `size_t hashes[count + 1]`
+  /// (hashes[i] covers the first i components), `uint32_t ends[count]`
+  /// (component i spans bytes [ends[i-1], ends[i])) and the bytes.
+  struct alignas(alignof(size_t)) Rep {
+    mutable std::atomic<uint32_t> refs;  // the only mutable field
+    uint32_t count;
+
+    const size_t* hashes() const {
+      return reinterpret_cast<const size_t*>(this + 1);
+    }
+    const uint32_t* ends() const {
+      return reinterpret_cast<const uint32_t*>(hashes() + count + 1);
+    }
+    const uint8_t* bytes() const {
+      return reinterpret_cast<const uint8_t*>(ends() + count);
+    }
+  };
+
+  /// Adopts one reference to @p rep.
+  Name(const Rep* rep, size_t size) : rep_(rep), size_(size) {}
+
+  void retain() const {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void release() {
+    if (rep_ != nullptr &&
+        rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      destroy(rep_);
+    }
+  }
+  static void destroy(const Rep* rep);
+  void swap(Name& other) noexcept {
+    std::swap(rep_, other.rep_);
+    std::swap(size_, other.size_);
+  }
+  /// Byte length of the first @p n components (n <= size_).
+  size_t byte_length(size_t n) const {
+    return n == 0 ? 0 : rep_->ends()[n - 1];
+  }
+
+  const Rep* rep_ = nullptr;  // null iff the name is empty
+  size_t size_ = 0;           // components visible through this handle
 };
 
 }  // namespace dapes::ndn
 
-/// std::hash support: delegates to the Name's cached FNV-1a hash.
+/// std::hash support: the Name's precomputed FNV-1a hash.
 template <>
 struct std::hash<dapes::ndn::Name> {
-  /// Not noexcept: filling a cold hash cache allocates.
-  size_t operator()(const dapes::ndn::Name& name) const {
+  /// The whole-name hash.
+  size_t operator()(const dapes::ndn::Name& name) const noexcept {
     return name.hash();
   }
 };

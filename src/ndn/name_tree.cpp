@@ -6,15 +6,20 @@ namespace dapes::ndn {
 
 namespace {
 
-/// True iff @p candidate equals the first @p depth components of @p name.
+/// True iff @p candidate equals the first @p depth components of @p name:
+/// a hash check, then flat compares of the two names' buffers.
 bool equals_prefix_of(const NameTree::Entry& candidate, const Name& name,
                       size_t depth) {
-  if (candidate.name.size() != depth) return false;
-  for (size_t i = 0; i < depth; ++i) {
-    if (candidate.name[i] != name[i]) return false;
-  }
-  return true;
+  return candidate.name.size() == depth && candidate.name.is_prefix_of(name);
 }
+
+/// Orders sibling entries by their last (depth-th) component.
+struct LastComponentLess {
+  size_t depth;
+  bool operator()(const NameTree::Entry* a, const Component& key) const {
+    return a->name[depth - 1] < key;
+  }
+};
 
 }  // namespace
 
@@ -69,7 +74,7 @@ NameTree::Entry* NameTree::lookup(const Name& name) {
   if (Entry* e = find_exact(name)) return e;
 
   // Deepest existing ancestor, then create the chain below it. Every
-  // prefix hash comes from name's single cached pass.
+  // prefix hash is a load from name's buffer.
   size_t have = name.size();  // name itself is known absent
   Entry* parent = nullptr;
   while (have > 0) {
@@ -81,18 +86,14 @@ NameTree::Entry* NameTree::lookup(const Name& name) {
   for (size_t d = have; d <= name.size(); ++d) {
     grow_if_needed();
     Entry* child = new Entry();
-    child->name = name.prefix(d);  // inherits the hash-cache slice
+    child->name = name.prefix(d);  // shares name's buffer
     child->hash = name.prefix_hash(d);
     child->parent = e;
     if (e != nullptr) {
       // Keep children sorted by last component so trie walks enumerate
       // names in std::map order.
-      const Component& key = child->name[d - 1];
-      auto pos = std::lower_bound(
-          e->children.begin(), e->children.end(), key,
-          [d](const Entry* a, const Component& c) {
-            return a->name[d - 1] < c;
-          });
+      auto pos = std::lower_bound(e->children.begin(), e->children.end(),
+                                  name[d - 1], LastComponentLess{d});
       e->children.insert(pos, child);
     }
     size_t b = bucket_of(child->hash);
@@ -116,12 +117,9 @@ void NameTree::cleanup(Entry* entry) {
     // exactly on this entry.
     if (parent != nullptr) {
       const size_t d = entry->name.size();
-      const Component& key = entry->name[d - 1];
-      auto it = std::lower_bound(
-          parent->children.begin(), parent->children.end(), key,
-          [d](const Entry* a, const Component& c) {
-            return a->name[d - 1] < c;
-          });
+      auto it = std::lower_bound(parent->children.begin(),
+                                 parent->children.end(), entry->name[d - 1],
+                                 LastComponentLess{d});
       parent->children.erase(it);
     }
     delete entry;

@@ -2,9 +2,12 @@
 /// Shared name-tree data plane (NFD's NameTree, sized for DAPES).
 ///
 /// One hash table holds every name the forwarder's tables care about. Each
-/// entry is keyed by the Name's cached FNV-1a hash (which encodes the
+/// entry is keyed by the Name's precomputed FNV-1a hash (which encodes the
 /// component count via separators, so (depth, hash) collisions across
-/// depths are already rare; candidates are verified component-wise). The
+/// depths are already rare; candidates are verified by flat compares of
+/// the two names' buffers). An entry's name is a prefix handle that
+/// shares the buffer of the name it was inserted for, so the entries
+/// created for one insert cost no name copies. The
 /// entries double as a component trie: every entry points at its parent
 /// (the one-component-shorter prefix) and keeps its children sorted by
 /// last component, so the trie enumerates names in exactly the order a
@@ -13,11 +16,11 @@
 /// CS, PIT and FIB state hang off the *same* entry (pointer-sized slots,
 /// allocated on demand), which is what makes the data plane cheap:
 ///
-///   * exact match            — one hash probe (Name::hash is cached);
+///   * exact match            — one hash probe (Name::hash is a load);
 ///   * prefix probe at depth d — one probe with Name::prefix_hash(d),
 ///     no prefix Name is ever materialized;
 ///   * all-prefixes walks (PIT matches_for_data, FIB longest-prefix
-///     match) — O(depth) probes off one cached hash pass;
+///     match) — O(depth) probes off the name's stored prefix hashes;
 ///   * CS LRU — an intrusive entry-pointer list, no Name copies;
 ///   * ordered prefix scans (CanBePrefix lookups) — pre-order trie
 ///     descent, identical visit order to the std::map reference.
@@ -85,7 +88,7 @@ class NameTree {
 
   /// One name's node in the shared trie/hash table.
   struct Entry {
-    Name name;    ///< full name of this node; hash cache warm
+    Name name;    ///< full name of this node (shares the inserted name's buffer)
     size_t hash;  ///< == name.hash(), stored for cheap rehash/probe
     Entry* parent = nullptr;       ///< one-component-shorter prefix
     std::vector<Entry*> children;  ///< sorted by last component
@@ -121,7 +124,7 @@ class NameTree {
   /// Exact-match probe; nullptr when absent.
   Entry* find_exact(const Name& name) const;
 
-  /// Probe for the @p depth-component prefix of @p name using its cached
+  /// Probe for the @p depth-component prefix of @p name using its stored
   /// per-prefix hash — no prefix Name is materialized.
   Entry* find_prefix(const Name& name, size_t depth) const;
 

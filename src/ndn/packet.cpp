@@ -19,27 +19,29 @@ CodecCounters& codec_counters() {
 
 void append_name(tlv::Writer& w, const Name& name) {
   auto nested = w.begin(tlv::kName);
-  for (const auto& c : name.components()) {
-    w.tlv(tlv::kGenericNameComponent,
-          BytesView(c.value().data(), c.value().size()));
+  for (size_t i = 0; i < name.size(); ++i) {
+    w.tlv(tlv::kGenericNameComponent, name[i].value());
   }
   w.end(nested);
 }
 
 Name parse_name(BytesView value) {
-  Name name;
-  tlv::Reader reader(value);
-  while (!reader.at_end()) {
+  // Validate and size the components first, so the Name's buffer is
+  // allocated once at its exact size and filled by the second walk.
+  size_t count = 0;
+  size_t bytes = 0;
+  for (tlv::Reader reader(value); !reader.at_end(); ++count) {
     auto e = reader.read_element();
     if (e.type != tlv::kGenericNameComponent) {
       throw tlv::ParseError("name: unexpected component type");
     }
-    name.append(Component(Bytes(e.value.begin(), e.value.end())));
+    bytes += e.value.size();
   }
-  // Seed the incremental hash cache while the component bytes are hot:
-  // every decoded packet arrives at the data plane ready for hash probes.
-  name.hash();
-  return name;
+  Name::Builder builder(count, bytes);
+  for (tlv::Reader reader(value); !reader.at_end();) {
+    builder.add(reader.read_element().value.view());
+  }
+  return builder.build();
 }
 
 const BufferSlice& Interest::wire() const {

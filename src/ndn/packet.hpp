@@ -267,9 +267,11 @@ using DataPtr = std::shared_ptr<const Data>;
 /// Append @p name as a Name TLV element — the helper every codec that
 /// embeds names shares.
 void append_name(tlv::Writer& w, const Name& name);
-/// Parse a Name TLV value, seeding the Name's incremental hash cache
-/// while the component bytes are hot, so table probes on the forwarding
-/// path never re-read them.
+/// Parse a Name TLV value into a Name whose one buffer (bytes, offsets and
+/// every prefix hash) is built while the component bytes are hot, so
+/// table probes on the forwarding path never re-read them.
+/// @throws tlv::ParseError on a malformed value or a non-generic
+/// component type.
 Name parse_name(BytesView value);
 
 }  // namespace dapes::ndn

@@ -162,7 +162,7 @@ std::vector<Name> Pit::matches_for_data(const Name& data_name) const {
     out.push_back(data_name);
   }
   // CanBePrefix entries: every proper prefix of data_name, probed off its
-  // cached per-prefix hashes — O(depth), no prefix Name materialized
+  // stored per-prefix hashes — O(depth), no prefix Name materialized
   // unless it matches.
   for (size_t n = data_name.size(); n-- > 0;) {
     NameTree::Entry* e = tree_->find_prefix(data_name, n);
@@ -194,7 +194,7 @@ void Pit::erase(const Name& name) {
 
 namespace {
 uint64_t nonce_fingerprint(const Name& name, uint32_t nonce) {
-  // name.hash() is cached — recording a dead nonce costs no re-hash.
+  // name.hash() is a load — recording a dead nonce costs no re-hash.
   return name.hash() ^ (0x9e3779b97f4a7c15ULL * nonce);
 }
 }  // namespace
@@ -245,7 +245,7 @@ void Fib::remove_route(const Name& prefix, FaceId face) {
 
 std::vector<FaceId> Fib::lookup(const Name& name) const {
   // Longest prefix match: probe progressively shorter prefixes, each one
-  // a hash probe on the name's cached prefix hashes.
+  // a hash probe on the name's stored prefix hashes.
   for (size_t n = name.size() + 1; n-- > 0;) {
     NameTree::Entry* e = tree_->find_prefix(name, n);
     if (e != nullptr && e->fib != nullptr && !e->fib->faces.empty()) {

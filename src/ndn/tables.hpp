@@ -3,8 +3,8 @@
 /// Forwarding Information Base (paper Fig. 1).
 ///
 /// All three are views over one shared NameTree (src/ndn/name_tree.hpp):
-/// exact lookups are a single hash probe on the Name's cached hash, prefix
-/// queries and longest-prefix match walk cached per-prefix hashes, and the
+/// exact lookups are a single hash probe on the Name's stored hash, prefix
+/// queries and longest-prefix match walk stored per-prefix hashes, and the
 /// CS LRU is an intrusive list of tree-entry pointers — no Name is copied
 /// or compared byte-by-byte on the forwarding path. Semantics are
 /// bit-identical to the retained std::map reference implementation
@@ -112,7 +112,7 @@ class Pit {
 
   /// All entries satisfied by data with @p data_name (exact match, plus
   /// CanBePrefix entries whose name prefixes it). O(depth) hash probes on
-  /// the data name's cached prefix hashes.
+  /// the data name's stored prefix hashes.
   std::vector<Name> matches_for_data(const Name& data_name) const;
 
   /// Insert a new entry; returns a stable reference.

@@ -37,7 +37,7 @@ Name random_name(Rng& rng) {
   for (size_t i = 0; i < components; ++i) {
     Bytes value = random_bytes(rng, 12);
     if (value.empty()) value.push_back('x');
-    name.append(Component(std::move(value)));
+    name.append(Component(value));
   }
   return name;
 }

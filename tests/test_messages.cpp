@@ -27,6 +27,21 @@ TEST(Namespace, BitmapNames) {
             "/dapes/bitmap/damaged-bridge-1533783192");
   EXPECT_EQ(bitmap_data_name(coll, "A", 4).to_uri(),
             "/dapes/bitmap/damaged-bridge-1533783192/A/4");
+  // is_bitmap_name_for answers bitmap_prefix(coll).is_prefix_of(name).
+  Name multi("/region/site");
+  for (const Name& name :
+       {bitmap_prefix(coll), bitmap_data_name(coll, "A", 4),
+        bitmap_data_name(multi, "B", 1), Name("/dapes/bitmap"),
+        Name("/dapes/discovery/damaged-bridge-1533783192"),
+        Name("/dapes/bitmap/region"), Name("/dapes/bitmap/region/other")}) {
+    for (const Name& collection : {coll, multi}) {
+      EXPECT_EQ(is_bitmap_name_for(name, collection),
+                bitmap_prefix(collection).is_prefix_of(name))
+          << name.to_uri() << " under " << collection.to_uri();
+    }
+  }
+  EXPECT_TRUE(is_bitmap_name_for(bitmap_data_name(multi, "B", 1), multi));
+  EXPECT_FALSE(is_bitmap_name_for(bitmap_data_name(multi, "B", 1), coll));
 }
 
 TEST(Namespace, MetadataNames) {
