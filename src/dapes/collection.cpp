@@ -50,55 +50,29 @@ common::Bytes Collection::synthetic_payload(const Name& packet_name,
   return out;
 }
 
-std::shared_ptr<Collection> Collection::create(
-    Name collection_name, std::vector<FileInput> files, size_t packet_size,
-    MetadataFormat format, const crypto::PrivateKey& producer_key) {
+Collection::Collection(size_t packet_size, bool synthetic,
+                       const crypto::PrivateKey& producer_key)
+    : packet_size_(packet_size),
+      synthetic_(synthetic),
+      producer_key_(producer_key),
+      producer_id_(producer_key.id()) {
   if (packet_size == 0) {
     throw std::invalid_argument("Collection: packet_size must be > 0");
   }
-  auto col = std::shared_ptr<Collection>(new Collection());
-  col->packet_size_ = packet_size;
-  col->synthetic_ = false;
-  col->producer_key_ = producer_key;
-  col->producer_id_ = producer_key.id();
+}
 
-  std::vector<FileMetadata> file_meta;
+std::shared_ptr<Collection> Collection::create(
+    Name collection_name, std::vector<FileInput> files, size_t packet_size,
+    MetadataFormat format, const crypto::PrivateKey& producer_key) {
+  auto col = std::shared_ptr<Collection>(
+      new Collection(packet_size, /*synthetic=*/false, producer_key));
+  std::vector<std::string> names;
   for (auto& f : files) {
-    size_t count = packets_for(f.content.size(), packet_size);
+    names.push_back(std::move(f.name));
     col->file_sizes_.push_back(f.content.size());
     col->explicit_files_.push_back(std::move(f.content));
-
-    FileMetadata fm;
-    fm.name = f.name;
-    fm.packet_count = count;
-    file_meta.push_back(std::move(fm));
   }
-  col->metadata_ = Metadata(std::move(collection_name), format,
-                            std::move(file_meta));
-  col->layout_ = col->metadata_.layout();
-
-  // Fill digests / Merkle roots now that names are fixed.
-  std::vector<FileMetadata> enriched = col->metadata_.files();
-  for (size_t fi = 0; fi < enriched.size(); ++fi) {
-    std::vector<crypto::Digest> digests;
-    digests.reserve(enriched[fi].packet_count);
-    for (uint64_t seq = 0; seq < enriched[fi].packet_count; ++seq) {
-      size_t idx = *col->layout_.index_of(enriched[fi].name, seq);
-      common::Bytes payload = col->payload(idx);
-      digests.push_back(
-          crypto::Sha256::hash(common::BytesView(payload.data(), payload.size())));
-    }
-    if (format == MetadataFormat::kPacketDigest) {
-      enriched[fi].packet_digests = std::move(digests);
-    } else {
-      enriched[fi].merkle_root = crypto::MerkleTree::compute_root(digests);
-    }
-  }
-  col->metadata_ = Metadata(col->metadata_.collection(), format,
-                            std::move(enriched));
-  col->metadata_packets_ =
-      col->metadata_.to_packets(producer_key, kMetadataSegmentSize);
-  warm_packet_caches(col->metadata_packets_);
+  col->publish(std::move(collection_name), names, format);
   return col;
 }
 
@@ -106,39 +80,41 @@ std::shared_ptr<Collection> Collection::create_synthetic(
     Name collection_name, std::vector<SyntheticFileInput> files,
     size_t packet_size, MetadataFormat format,
     const crypto::PrivateKey& producer_key) {
-  std::vector<FileInput> inputs;
-  inputs.reserve(files.size());
-  // Reuse the explicit path for metadata bookkeeping but with empty
-  // buffers; mark synthetic afterwards so payloads are generated on
-  // demand. Packet counts must come from the nominal sizes.
-  auto col = std::shared_ptr<Collection>(new Collection());
-  if (packet_size == 0) {
-    throw std::invalid_argument("Collection: packet_size must be > 0");
-  }
-  col->packet_size_ = packet_size;
-  col->synthetic_ = true;
-  col->producer_key_ = producer_key;
-  col->producer_id_ = producer_key.id();
-
-  std::vector<FileMetadata> file_meta;
-  for (const auto& f : files) {
+  // Packet counts come from the nominal sizes; payloads are generated on
+  // demand from the packet names.
+  auto col = std::shared_ptr<Collection>(
+      new Collection(packet_size, /*synthetic=*/true, producer_key));
+  std::vector<std::string> names;
+  for (auto& f : files) {
+    names.push_back(std::move(f.name));
     col->file_sizes_.push_back(f.size_bytes);
+  }
+  col->publish(std::move(collection_name), names, format);
+  return col;
+}
+
+void Collection::publish(Name collection_name,
+                         const std::vector<std::string>& file_names,
+                         MetadataFormat format) {
+  std::vector<FileMetadata> file_meta;
+  for (size_t fi = 0; fi < file_names.size(); ++fi) {
     FileMetadata fm;
-    fm.name = f.name;
-    fm.packet_count = packets_for(f.size_bytes, packet_size);
+    fm.name = file_names[fi];
+    fm.packet_count = packets_for(file_sizes_[fi], packet_size_);
     file_meta.push_back(std::move(fm));
   }
-  col->metadata_ = Metadata(std::move(collection_name), format,
-                            std::move(file_meta));
-  col->layout_ = col->metadata_.layout();
+  metadata_ =
+      Metadata(std::move(collection_name), format, std::move(file_meta));
+  layout_ = metadata_.layout();
 
-  std::vector<FileMetadata> enriched = col->metadata_.files();
+  // Fill digests / Merkle roots now that names are fixed.
+  std::vector<FileMetadata> enriched = metadata_.files();
   for (size_t fi = 0; fi < enriched.size(); ++fi) {
     std::vector<crypto::Digest> digests;
     digests.reserve(enriched[fi].packet_count);
     for (uint64_t seq = 0; seq < enriched[fi].packet_count; ++seq) {
-      size_t idx = *col->layout_.index_of(enriched[fi].name, seq);
-      common::Bytes payload = col->payload(idx);
+      size_t idx = *layout_.index_of(enriched[fi].name, seq);
+      common::Bytes payload = this->payload(idx);
       digests.push_back(crypto::Sha256::hash(
           common::BytesView(payload.data(), payload.size())));
     }
@@ -148,12 +124,9 @@ std::shared_ptr<Collection> Collection::create_synthetic(
       enriched[fi].merkle_root = crypto::MerkleTree::compute_root(digests);
     }
   }
-  col->metadata_ = Metadata(col->metadata_.collection(), format,
-                            std::move(enriched));
-  col->metadata_packets_ =
-      col->metadata_.to_packets(producer_key, kMetadataSegmentSize);
-  warm_packet_caches(col->metadata_packets_);
-  return col;
+  metadata_ = Metadata(metadata_.collection(), format, std::move(enriched));
+  metadata_packets_ = metadata_.to_packets(producer_key_, kMetadataSegmentSize);
+  warm_packet_caches(metadata_packets_);
 }
 
 common::Bytes Collection::payload(size_t global_index) const {

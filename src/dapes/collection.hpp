@@ -84,7 +84,16 @@ class Collection {
                                          size_t size);
 
  private:
-  Collection() = default;
+  /// Shared prologue of the factories: throws std::invalid_argument on a
+  /// zero packet size.
+  Collection(size_t packet_size, bool synthetic,
+             const crypto::PrivateKey& producer_key);
+
+  /// Shared epilogue of the factories: builds the metadata from the file
+  /// names and `file_sizes_`, fills each file's packet digests or Merkle
+  /// root from `payload()`, and signs the metadata segments.
+  void publish(Name collection_name, const std::vector<std::string>& file_names,
+               MetadataFormat format);
 
   Metadata metadata_;
   CollectionLayout layout_;

@@ -11,7 +11,7 @@ ForwarderNode::ForwarderNode(sim::Scheduler& sched, sim::Medium& medium,
   });
   radio_ = std::make_unique<sim::Radio>(sched, medium, node_, rng.fork());
   forwarder_ = std::make_unique<ndn::Forwarder>(
-      sched, ndn::Forwarder::Options{options.cs_capacity, true});
+      sched, ndn::Forwarder::Options{options.cs_capacity});
   forwarder_->set_trace_node(node_);
   wifi_face_ = std::make_shared<ndn::WifiFace>(sched, *radio_, node_,
                                                rng.fork(), options.tx_window);

@@ -62,7 +62,7 @@ Peer::Peer(sim::Scheduler& sched, sim::Medium& medium,
       /*alive=*/!options_.latent);
   radio_ = std::make_unique<sim::Radio>(sched_, medium_, node_, rng_.fork());
   forwarder_ = std::make_unique<ndn::Forwarder>(
-      sched_, ndn::Forwarder::Options{options_.cs_capacity, true});
+      sched_, ndn::Forwarder::Options{options_.cs_capacity});
   forwarder_->set_trace_node(node_);
 
   wifi_face_ = std::make_shared<ndn::WifiFace>(sched_, *radio_, node_,

@@ -140,9 +140,7 @@ void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
     return;
   }
 
-  if (options_.cache_solicited) {
-    cs_.insert(data, sched_.now());
-  }
+  cs_.insert(data, sched_.now());
 
   // Collect the union of downstream faces across all satisfied entries so
   // a broadcast face transmits the Data at most once. A broadcast face

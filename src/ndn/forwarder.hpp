@@ -74,8 +74,6 @@ class Forwarder {
   /// Forwarder configuration.
   struct Options {
     size_t cs_capacity = 4096;  ///< Content Store entry cap (LRU beyond)
-    /// Cache data that satisfied a PIT entry (standard NDN behaviour).
-    bool cache_solicited = true;
   };
 
   /// Pipeline counters (Fig. 1 arcs).
@@ -92,7 +90,7 @@ class Forwarder {
     uint64_t pit_timeouts = 0;         ///< PIT entries expired unsatisfied
   };
 
-  /// Forwarder with explicit options (CS capacity, caching policy).
+  /// Forwarder with explicit options (CS capacity).
   Forwarder(sim::Scheduler& sched, Options options);
   /// Forwarder with default options.
   Forwarder(sim::Scheduler& sched) : Forwarder(sched, Options{}) {}

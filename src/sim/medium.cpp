@@ -10,27 +10,11 @@
 
 namespace dapes::sim {
 
-namespace {
-
-/// Two senders can only corrupt each other at a common receiver if that
-/// receiver hears both, i.e. they are within the sum of their coverage
-/// radii of each other (triangle inequality); the slack absorbs
-/// floating-point rounding in the squared-distance predicate so the
-/// pruned index can never drop a pair the reference would mark.
-constexpr double kCollisionSlack = 1e-6;
-
-/// Mirror of SpatialHashGrid's cell-size clamp, for staleness checks.
-double cell_for(double range_m) { return range_m > 1e-9 ? range_m : 1e-9; }
-
-}  // namespace
-
 Medium::Medium(Scheduler& sched, Params params, common::Rng rng)
     : sched_(sched),
       params_(params),
       channel_(make_channel_model(params.channel)),
-      rng_(rng) {
-  tx_grid_.set_cell_size(cell_for(params_.range_m));
-}
+      rng_(rng) {}
 
 NodeId Medium::add_node(MobilityModel* mobility, ReceiveCallback on_receive,
                         bool alive) {
@@ -78,12 +62,6 @@ void Medium::set_node_range_factor(NodeId node, double factor) {
     throw std::invalid_argument("Medium::set_node_range_factor: factor <= 0");
   }
   nodes_.at(node).range_factor = factor;
-  max_range_factor_ = 1.0;
-  hetero_ranges_ = false;
-  for (const NodeEntry& entry : nodes_) {
-    max_range_factor_ = std::max(max_range_factor_, entry.range_factor);
-    if (entry.range_factor != 1.0) hetero_ranges_ = true;
-  }
 }
 
 Duration Medium::frame_duration(size_t payload_bytes) const {
@@ -99,30 +77,15 @@ double Medium::range_of(NodeId node) const {
   return params_.range_m * nodes_.at(node).range_factor;
 }
 
-double Medium::max_coverage_m() const {
-  return channel_->coverage_m(params_.range_m * max_range_factor_);
-}
-
 bool Medium::in_range(NodeId a, NodeId b) const {
   return within_range(position_of(a), position_of(b), range_of(a));
 }
 
-void Medium::set_range(double range_m) {
-  params_.range_m = range_m;
-  node_grid_valid_ = false;
-  if (!params_.brute_force) rebuild_tx_grid();
-}
-
-void Medium::rebuild_tx_grid() {
-  tx_grid_.set_cell_size(cell_for(params_.range_m));
-  for (const auto& [id, tx] : active_) tx_grid_.insert(id, tx.sender_pos);
-}
-
 void Medium::ensure_node_grid() const {
   const TimePoint now = sched_.now();
-  bool fresh = node_grid_valid_ &&
-               node_grid_hint_ == cell_for(params_.range_m) &&
-               node_grid_.size() == nodes_.size();
+  // Nodes are only ever appended, so a size match means no node joined
+  // since the last build.
+  bool fresh = node_grid_.size() == nodes_.size();
   if (fresh) {
     // Rebuild once nodes may have drifted more than a quarter cell:
     // queries inflate their radius by that drift, and keeping it small
@@ -143,10 +106,8 @@ void Medium::ensure_node_grid() const {
     node_grid_max_speed_ =
         std::max(node_grid_max_speed_, node.mobility->max_speed());
   }
-  node_grid_hint_ = cell_for(params_.range_m);
-  node_grid_.build(positions, node_grid_hint_);
+  node_grid_.build(positions, params_.range_m);
   node_grid_time_ = now;
-  node_grid_valid_ = true;
 }
 
 double Medium::node_grid_slack() const {
@@ -254,42 +215,25 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
 
   // Mutual collision marking with every transmission currently in flight.
   // Overlap is decided at start time: a new frame overlaps exactly the
-  // set of frames still active now.
-  if (params_.brute_force) {
-    for (auto& [other_id, other] : active_) {
-      other.colliders.push_back({tx.sender_pos, tx.coverage_m, tx.range_m});
-      tx.colliders.push_back(
-          {other.sender_pos, other.coverage_m, other.range_m});
-    }
-  } else {
-    // Coverage-pruned marking: senders farther apart than the sum of the
-    // two largest possible coverage radii share no audible receiver, so
-    // skipping them cannot change any delivery outcome.
-    const double prune = tx.coverage_m + max_coverage_m() + kCollisionSlack;
-    tx_grid_.for_each_candidate(
-        tx.sender_pos, prune, [&](uint64_t other_id, Vec2 other_pos) {
-          if (!within_range(tx.sender_pos, other_pos, prune)) return;
-          auto it = active_.find(other_id);
-          it->second.colliders.push_back(
-              {tx.sender_pos, tx.coverage_m, tx.range_m});
-          tx.colliders.push_back(
-              {other_pos, it->second.coverage_m, it->second.range_m});
-        });
-
-    // Capture the exact in-coverage receiver set now (start == now).
-    // position_at is a pure function of t, so delivery reads the same
-    // positions the reference recomputes at end time, in the same
-    // ascending order.
-    for_each_in_range(tx.sender_pos, tx.coverage_m, sender,
-                      [&](NodeId receiver, Vec2 rp) {
-                        tx.receivers.push_back({receiver, rp});
-                      });
-    std::sort(tx.receivers.begin(), tx.receivers.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+  // set of frames still active now. A collider out of earshot of every
+  // receiver is skipped by deliver_one's audibility check, so no pruning
+  // radius is needed.
+  for (auto& [other_id, other] : active_) {
+    other.colliders.push_back({tx.sender_pos, tx.coverage_m, tx.range_m});
+    tx.colliders.push_back({other.sender_pos, other.coverage_m, other.range_m});
   }
 
+  // Capture the exact in-coverage receiver set now (start == now), in
+  // ascending id order so the per-receiver draws consume the medium RNG
+  // in a fixed sequence.
+  for_each_in_range(tx.sender_pos, tx.coverage_m, sender,
+                    [&](NodeId receiver, Vec2 rp) {
+                      tx.receivers.push_back({receiver, rp});
+                    });
+  std::sort(tx.receivers.begin(), tx.receivers.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
   active_.emplace(id, std::move(tx));
-  if (!params_.brute_force) tx_grid_.insert(id, sender_pos);
   // Deliveries are unowned: a frame already on the air must still reach
   // its receivers when cancel_for_node sweeps a sender that died
   // mid-flight (the dead sender's completion callback is skipped in
@@ -299,45 +243,21 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
 }
 
 bool Medium::busy_for(NodeId node) const {
-  Vec2 p = position_of(node);
-  // Uniform radios: every active transmission has the same audibility
-  // radius, so the per-transmission lookup can be skipped.
-  const double uniform = channel_->coverage_m(params_.range_m);
-  if (params_.brute_force) {
-    for (const auto& [id, tx] : active_) {
-      const double cov = hetero_ranges_ ? tx.coverage_m : uniform;
-      if (within_range(p, tx.sender_pos, cov)) return true;
-    }
-    return false;
+  const Vec2 p = position_of(node);
+  for (const auto& [id, tx] : active_) {
+    if (within_range(p, tx.sender_pos, tx.coverage_m)) return true;
   }
-  const double query = hetero_ranges_ ? max_coverage_m() : uniform;
-  return tx_grid_.any_candidate(p, query, [&](uint64_t id, Vec2 pos) {
-    const double cov =
-        hetero_ranges_ ? active_.find(id)->second.coverage_m : uniform;
-    return within_range(p, pos, cov);
-  });
+  return false;
 }
 
 TimePoint Medium::busy_until(NodeId node) const {
-  Vec2 p = position_of(node);
+  const Vec2 p = position_of(node);
   TimePoint latest = sched_.now();
-  const double uniform = channel_->coverage_m(params_.range_m);
-  if (params_.brute_force) {
-    for (const auto& [id, tx] : active_) {
-      const double cov = hetero_ranges_ ? tx.coverage_m : uniform;
-      if (within_range(p, tx.sender_pos, cov) && tx.end > latest) {
-        latest = tx.end;
-      }
+  for (const auto& [id, tx] : active_) {
+    if (within_range(p, tx.sender_pos, tx.coverage_m) && tx.end > latest) {
+      latest = tx.end;
     }
-    return latest;
   }
-  const double query = hetero_ranges_ ? max_coverage_m() : uniform;
-  tx_grid_.for_each_candidate(p, query, [&](uint64_t id, Vec2 pos) {
-    const ActiveTx& tx = active_.find(id)->second;
-    const double cov = hetero_ranges_ ? tx.coverage_m : uniform;
-    if (!within_range(p, pos, cov)) return;
-    if (tx.end > latest) latest = tx.end;
-  });
   return latest;
 }
 
@@ -346,29 +266,16 @@ void Medium::deliver(uint64_t tx_id) {
   if (it == active_.end()) return;
   ActiveTx tx = std::move(it->second);
   active_.erase(it);
-  if (!params_.brute_force) tx_grid_.erase(tx.id, tx.sender_pos);
 
   DAPES_TRACE_EVENT(trace::EventType::kMediumDeliver, tx.frame->sender,
                     tx.id);
   if (prewarm_) prewarm_->prewarm(*tx.frame);
   TxReport report;
-  if (params_.brute_force) {
-    const NodeId sender = tx.frame->sender;
-    for (NodeId receiver = 0; receiver < nodes_.size(); ++receiver) {
-      if (receiver == sender) continue;
-      if (!delivery_eligible(receiver, tx.start)) continue;
-      Vec2 rp = nodes_[receiver].mobility->position_at(tx.start);
-      if (!within_range(rp, tx.sender_pos, tx.coverage_m)) continue;
-      deliver_one(tx, receiver, rp, report);
-    }
-  } else {
-    // The captured set only holds nodes alive at start; eligibility
-    // re-checks against membership changes since (see delivery_eligible
-    // for why the two paths agree).
-    for (const auto& [receiver, rp] : tx.receivers) {
-      if (!delivery_eligible(receiver, tx.start)) continue;
-      deliver_one(tx, receiver, rp, report);
-    }
+  // The captured set only holds nodes alive at start; eligibility
+  // re-checks against membership changes since.
+  for (const auto& [receiver, rp] : tx.receivers) {
+    if (!delivery_eligible(receiver, tx.start)) continue;
+    deliver_one(tx, receiver, rp, report);
   }
 
   if (report.collided_anywhere()) ++stats_.collided_frames;

@@ -18,13 +18,14 @@
 /// of the expected response (the paper's peers detect collisions and then
 /// run PEBA). See DESIGN.md "Substitutions".
 ///
-/// Connectivity queries (delivery, neighbor sets, carrier sense, collision
-/// marking) go through a uniform spatial hash grid rebuilt lazily against
-/// the mobility positions, so they touch only the cells around a node
-/// instead of every node. The grid is a pure candidate index — every
-/// candidate is re-checked with the exact distance predicate — so outcomes
-/// are *identical* to the retained all-pairs reference
-/// (Params::brute_force), which the equivalence test suites assert. See
+/// Node queries (receiver capture, neighbor sets, degree) go through a
+/// uniform cell grid over the node positions, rebuilt lazily against the
+/// mobility models, so they touch only the cells around a point instead
+/// of every node. The grid is a pure candidate index — every candidate is
+/// re-checked with the exact distance predicate — so outcomes are
+/// *identical* to the retained all-node scan (Params::brute_force), which
+/// the equivalence test suites assert. The few frames in flight at any
+/// instant (carrier sense, collision marking) are scanned directly. See
 /// DESIGN.md "Spatial medium" and "Channel & PHY models".
 #pragma once
 
@@ -97,7 +98,7 @@ struct MediumStats {
 /// The shared broadcast medium every node of a trial transmits on.
 class Medium {
  public:
-  /// Radio/channel configuration, fixed per trial (except `set_range`).
+  /// Radio/channel configuration, fixed per trial.
   struct Params {
     /// Nominal radio range (paper sweeps WiFi range 20-100 m). Per-node
     /// radios scale it via `set_node_range_factor` (hetero.radio).
@@ -114,12 +115,10 @@ class Medium {
     /// parameters, including the legacy capture ratio. See
     /// sim/channel.hpp.
     ChannelParams channel;
-    /// Use the retained all-pairs reference implementation instead of
-    /// the spatial grid. Outcomes are identical either way (the
-    /// equivalence tests assert it) as long as the node set, range and
-    /// range factors stay fixed while frames are in flight — see the
-    /// set_range() and DESIGN.md "Spatial medium" notes on those pins.
-    /// The reference exists for the equivalence tests and for
+    /// Enumerate node candidates by scanning every node instead of the
+    /// node grid. That enumeration is the only thing it switches, and
+    /// outcomes are identical either way (the equivalence tests assert
+    /// it). The reference exists for the equivalence tests and for
     /// bench_scale's speedup baseline.
     bool brute_force = false;
   };
@@ -169,9 +168,9 @@ class Medium {
   void retire_node(NodeId node);
 
   /// (Re-)admit a latent or retired node. Frames already in flight at
-  /// admission time are *not* delivered to it (it was not listening when
-  /// they were sent — and the rule keeps grid and brute delivery
-  /// identical, see DESIGN.md "Fault injection & open membership").
+  /// admission time — including one transmitted earlier in the same
+  /// instant — are *not* delivered to it: it was not listening when they
+  /// were sent (see DESIGN.md "Fault injection & open membership").
   /// Idempotent.
   void revive_node(NodeId node);
 
@@ -221,12 +220,6 @@ class Medium {
   const Params& params() const { return params_; }
   /// The installed channel/PHY model.
   const ChannelModel& channel() const { return *channel_; }
-
-  /// Change the nominal radio range. In grid mode this re-indexes; it
-  /// applies to subsequent transmissions (frames already in flight keep
-  /// the receiver set captured at their start, matching their start-time
-  /// range).
-  void set_range(double range_m);
 
   /// Scale one node's radio range to `range_m * factor` (> 0) —
   /// mixed-range radios (hetero.radio). Call during setup, before
@@ -279,9 +272,9 @@ class Medium {
     TimePoint end;
     /// Transmissions that overlapped this one.
     std::vector<Collider> colliders;
-    /// Grid mode: the exact in-coverage receiver set (id, position)
-    /// captured at start time — identical to what the reference recomputes
-    /// at delivery time because position_at is a pure function of t.
+    /// The exact in-coverage receiver set (id, position) among the nodes
+    /// alive at start time, in ascending id order. Nodes that join later
+    /// are never added.
     std::vector<std::pair<NodeId, Vec2>> receivers;
     SendCompleteCallback on_complete;
   };
@@ -294,67 +287,53 @@ class Medium {
   void deliver_one(const ActiveTx& tx, NodeId receiver, Vec2 receiver_pos,
                    TxReport& report);
 
-  /// Membership half of the delivery predicate, evaluated identically by
-  /// the grid and brute paths at delivery time: the receiver must be
-  /// alive *now* and must have joined no later than the frame's start.
-  /// (Eligible implies alive-at-start: a node dead at start and alive
-  /// now must have revived after start, i.e. joined > start.) Checked
-  /// before any stats or RNG draw, so with a fixed population it is
-  /// vacuously true and draw streams are untouched.
+  /// Membership half of the delivery predicate, checked at delivery time
+  /// for each captured receiver: it must be alive *now* and must have
+  /// joined no later than the frame's start (a receiver that retired and
+  /// revived mid-flight was not listening throughout). Checked before any
+  /// stats or RNG draw, so with a fixed population it is vacuously true
+  /// and draw streams are untouched.
   bool delivery_eligible(NodeId receiver, TimePoint tx_start) const {
     const NodeEntry& e = nodes_[receiver];
     return e.alive && e.joined <= tx_start;
   }
 
-  /// Channel-model coverage of the largest radio in the trial: the upper
-  /// bound used for carrier-sense queries and collision pruning.
-  double max_coverage_m() const;
-
-  /// Visit every node (except @p exclude) within @p radius_m of
+  /// Visit every live node (except @p exclude) within @p radius_m of
   /// @p center right now, as fn(id, position), in ascending id order in
   /// brute mode and unspecified order in grid mode. The single home of
   /// the "ensure grid, inflate by drift slack, re-check exactly" idiom
   /// that neighbors_of, degree_of and the transmit receiver capture
-  /// share.
+  /// share, and the only place Params::brute_force is read.
   template <typename Fn>
   void for_each_in_range(Vec2 center, double radius_m, NodeId exclude,
                          Fn&& fn) const;
 
-  /// Rebuild the lazy node grid if the cell size changed or nodes may
-  /// have drifted more than one cell since the last build; afterwards
+  /// Rebuild the lazy node grid if a node joined or nodes may have
+  /// drifted more than a quarter cell since the last build; afterwards
   /// `node_grid_slack()` bounds the residual drift.
   void ensure_node_grid() const;
   double node_grid_slack() const;
-  void rebuild_tx_grid();
 
   Scheduler& sched_;
   Params params_;
   ChannelModelPtr channel_;
   common::Rng rng_;
   std::vector<NodeEntry> nodes_;
-  /// Largest range factor across nodes (1.0 until hetero radios appear).
-  double max_range_factor_ = 1.0;
-  /// True once any node's range factor differs from 1.0; enables the
-  /// per-transmission coverage lookups the uniform case can skip.
-  bool hetero_ranges_ = false;
+  /// Frames on the air, scanned directly by carrier sense and collision
+  /// marking (a handful at any instant, even at thousands of nodes).
   std::unordered_map<uint64_t, ActiveTx> active_;
   uint64_t next_tx_id_ = 1;
   MediumStats stats_;
   /// Delivery prewarm hook (verify-cache layer); null when disabled.
   DeliveryPrewarm* prewarm_ = nullptr;
 
-  /// Lazy spatial index of node positions (grid mode). Entries hold the
-  /// position at build time; queries inflate their radius by the drift
-  /// bound max_speed * (now - build time) and re-check exactly.
+  /// Lazy spatial index of node positions (grid mode), the medium's only
+  /// spatial index. Entries hold the position at build time; queries
+  /// inflate their radius by the drift bound max_speed * (now - build
+  /// time) and re-check exactly.
   mutable DenseCellGrid node_grid_;
   mutable TimePoint node_grid_time_ = TimePoint::zero();
   mutable double node_grid_max_speed_ = 0.0;
-  mutable double node_grid_hint_ = -1.0;
-  mutable bool node_grid_valid_ = false;
-
-  /// Spatial index of in-flight transmissions keyed by their (fixed)
-  /// sender positions; maintained incrementally by transmit/deliver.
-  SpatialHashGrid tx_grid_;
 };
 
 }  // namespace dapes::sim

@@ -92,26 +92,27 @@ void Scheduler::compact() {
   std::make_heap(heap_.begin(), heap_.end(), EntryCompare{});
 }
 
+bool Scheduler::step() {
+  std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
+  if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
+    cancelled_.erase(it);
+    return false;
+  }
+  now_ = e.at;
+  ++executed_;
+  DAPES_TRACE_HERE(trace::EventType::kSchedFire);
+  // Re-install the entry's owner for the callback so events it
+  // schedules inherit attribution (see OwnerScope).
+  OwnerScope own(*this, e.owner);
+  e.fn();
+  return true;
+}
+
 size_t Scheduler::run_until(TimePoint until) {
   size_t count = 0;
-  while (!heap_.empty()) {
-    if (heap_.front().at > until) break;
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    now_ = e.at;
-    ++executed_;
-    ++count;
-    DAPES_TRACE_HERE(trace::EventType::kSchedFire);
-    // Re-install the entry's owner for the callback so events it
-    // schedules inherit attribution (see OwnerScope).
-    OwnerScope own(*this, e.owner);
-    e.fn();
-  }
+  while (!heap_.empty() && heap_.front().at <= until) count += step();
   // The clock always reaches the requested horizon, whether or not
   // events remain beyond it.
   if (now_ < until) now_ = until;
@@ -120,22 +121,7 @@ size_t Scheduler::run_until(TimePoint until) {
 
 size_t Scheduler::run() {
   size_t count = 0;
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    now_ = e.at;
-    ++executed_;
-    ++count;
-    DAPES_TRACE_HERE(trace::EventType::kSchedFire);
-    // Same owner inheritance as run_until.
-    OwnerScope own(*this, e.owner);
-    e.fn();
-  }
+  while (!heap_.empty()) count += step();
   return count;
 }
 

@@ -138,6 +138,11 @@ class Scheduler {
   /// Cancel bookkeeping shared by cancel and cancel_for_node.
   bool apply_cancel(uint64_t id);
 
+  /// Pop the earliest entry (the heap must be non-empty): drop it if it
+  /// was cancelled, else advance the clock to it and fire it. Returns
+  /// whether it fired. The one loop body run and run_until share.
+  bool step();
+
   TimePoint now_ = TimePoint::zero();
   uint64_t next_seq_ = 1;
   uint64_t next_id_ = 1;

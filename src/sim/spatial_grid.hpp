@@ -1,27 +1,23 @@
 /// @file
-/// Uniform spatial indexes (cell size = radio range) so the wireless
+/// Uniform spatial index (cell size = radio range) so the wireless
 /// medium can answer "who is near this point?" by visiting the handful of
-/// cells a query disc overlaps instead of scanning every node. Both
-/// structures are *candidate* indexes: callers always re-check candidates
-/// with the exact `within_range` predicate, so pruning never changes
-/// outcomes — it only skips pairs that provably cannot satisfy the
-/// predicate (see DESIGN.md "Spatial medium").
+/// cells a query disc overlaps instead of scanning every node. It is a
+/// *candidate* index: callers always re-check candidates with the exact
+/// `within_range` predicate, so pruning never changes outcomes — it only
+/// skips nodes that provably cannot satisfy the predicate (see DESIGN.md
+/// "Spatial medium").
 ///
-/// Two variants for the medium's two populations:
-///   * DenseCellGrid — rebuilt in bulk from all node positions; CSR layout
-///     over the positions' bounding box, so a cell probe is pure array
-///     arithmetic. This sits on the hottest path (per-tick density and
-///     neighbor queries).
-///   * SpatialHashGrid — incremental insert/erase keyed by packed cell
-///     coordinates in a hash map; used for the small, churning set of
-///     in-flight transmissions, where positions arrive one at a time and
-///     can lie anywhere.
+/// DenseCellGrid indexes the medium's nodes. It is rebuilt in bulk from
+/// all node positions, with a CSR layout over the positions' bounding
+/// box, so a cell probe is pure array arithmetic. It sits on the hottest
+/// path (per-tick density and neighbor queries, receiver capture). The
+/// in-flight frames need no index: there are only a handful at any
+/// instant, so the medium scans them.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -126,104 +122,6 @@ class DenseCellGrid {
   size_t size_ = 0;
   std::vector<uint32_t> cell_start_;                 // CSR offsets
   std::vector<std::pair<uint32_t, Vec2>> entries_;   // (id, position)
-};
-
-/// Incremental hash-map cell grid for churning entry sets (see file
-/// comment).
-class SpatialHashGrid {
- public:
-  /// An empty grid with the given cell size (clamped to >= 1e-9).
-  explicit SpatialHashGrid(double cell_size = 1.0) {
-    set_cell_size(cell_size);
-  }
-
-  /// Current cell size.
-  double cell_size() const { return cell_; }
-
-  /// Changing the cell size clears the grid; re-insert afterwards.
-  void set_cell_size(double cell_size) {
-    cell_ = cell_size > 1e-9 ? cell_size : 1e-9;
-    clear();
-  }
-
-  /// Drop every entry.
-  void clear() {
-    cells_.clear();
-    size_ = 0;
-  }
-
-  /// Entries currently stored.
-  size_t size() const { return size_; }
-
-  /// Add an entry at @p pos (ids need not be unique across positions).
-  void insert(uint64_t id, Vec2 pos) {
-    cells_[key_of(pos)].push_back({id, pos});
-    ++size_;
-  }
-
-  /// Remove one entry previously inserted with exactly this (id, pos).
-  void erase(uint64_t id, Vec2 pos) {
-    auto it = cells_.find(key_of(pos));
-    if (it == cells_.end()) return;
-    auto& bucket = it->second;
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].first == id) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        --size_;
-        if (bucket.empty()) cells_.erase(it);
-        return;
-      }
-    }
-  }
-
-  /// Visit every entry in the cells the disc (center, radius) overlaps.
-  /// Candidates, not matches: the caller applies the exact predicate.
-  template <typename Fn>
-  void for_each_candidate(Vec2 center, double radius, Fn&& fn) const {
-    any_candidate(center, radius, [&fn](uint64_t id, Vec2 pos) {
-      fn(id, pos);
-      return false;
-    });
-  }
-
-  /// Like for_each_candidate, but stops as soon as fn returns true —
-  /// for existence queries (carrier sense) where the first match
-  /// decides the answer. Returns whether any fn call returned true.
-  template <typename Fn>
-  bool any_candidate(Vec2 center, double radius, Fn&& fn) const {
-    if (cells_.empty() || radius < 0) return false;
-    const int64_t cx0 = coord(center.x - radius);
-    const int64_t cx1 = coord(center.x + radius);
-    const int64_t cy0 = coord(center.y - radius);
-    const int64_t cy1 = coord(center.y + radius);
-    for (int64_t cy = cy0; cy <= cy1; ++cy) {
-      for (int64_t cx = cx0; cx <= cx1; ++cx) {
-        auto it = cells_.find(pack(cx, cy));
-        if (it == cells_.end()) continue;
-        for (const auto& [id, pos] : it->second) {
-          if (fn(id, pos)) return true;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  int64_t coord(double v) const {
-    return static_cast<int64_t>(std::floor(v / cell_));
-  }
-
-  static uint64_t pack(int64_t cx, int64_t cy) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(cx)) << 32) |
-           static_cast<uint64_t>(static_cast<uint32_t>(cy));
-  }
-
-  uint64_t key_of(Vec2 pos) const { return pack(coord(pos.x), coord(pos.y)); }
-
-  double cell_ = 1.0;
-  std::unordered_map<uint64_t, std::vector<std::pair<uint64_t, Vec2>>> cells_;
-  size_t size_ = 0;
 };
 
 }  // namespace dapes::sim

@@ -39,10 +39,14 @@ struct World {
 /// `seed`; `brute` flips the medium implementation only. `channel`
 /// (optional) overrides the channel model while preserving the drawn
 /// capture ratio; `hetero_radios` puts every third node on a half-range
-/// radio (index arithmetic, no draws).
+/// radio (index arithmetic, no draws). Transmissions and queries land
+/// uniformly in [0, `traffic_window`); the 20 s default is the window
+/// the pinned worlds were captured with, and a few milliseconds packs
+/// dozens of frames onto the air at once.
 inline void build_world(World& w, uint64_t seed, bool brute,
                         const ChannelParams* channel = nullptr,
-                        bool hetero_radios = false) {
+                        bool hetero_radios = false,
+                        Duration traffic_window = Duration::seconds(20)) {
   common::Rng cfg(seed);  // consumed identically by both worlds
 
   Medium::Params mp;
@@ -116,9 +120,10 @@ inline void build_world(World& w, uint64_t seed, bool brute,
   // Scripted traffic: bursts of transmissions, many deliberately
   // overlapping (several frames inside the same microsecond-scale
   // window) so collision marking and capture get exercised.
+  const auto window_us = static_cast<uint64_t>(traffic_window.us);
   const int transmissions = 80;
   for (int t = 0; t < transmissions; ++t) {
-    const int64_t at_us = static_cast<int64_t>(cfg.next_below(20'000'000));
+    const int64_t at_us = static_cast<int64_t>(cfg.next_below(window_us));
     const NodeId sender = static_cast<NodeId>(cfg.next_below(n));
     const size_t size = 50 + cfg.next_below(1500);
     w.sched.schedule_at(TimePoint{at_us}, [&w, sender, size, t] {
@@ -139,7 +144,7 @@ inline void build_world(World& w, uint64_t seed, bool brute,
   // Interleaved connectivity and carrier-sense queries.
   const int queries = 120;
   for (int q = 0; q < queries; ++q) {
-    const int64_t at_us = static_cast<int64_t>(cfg.next_below(20'000'000));
+    const int64_t at_us = static_cast<int64_t>(cfg.next_below(window_us));
     const NodeId node = static_cast<NodeId>(cfg.next_below(n));
     w.sched.schedule_at(TimePoint{at_us}, [&w, node] {
       std::string line = "nbr node=" + std::to_string(node) + " [";

@@ -16,9 +16,9 @@
 //     model charges its fixed PHY preamble).
 // Plus the engine-level guarantees the new scenario families lean on:
 // grid-vs-brute identity under the log-distance channel (keyed draws)
-// and under mixed-range radios (the hetero-only carrier-sense/pruning
-// paths), quasi-static per-link shadowing, and bit-identical loss.sweep
-// results for any --jobs.
+// and under mixed-range radios (per-frame coverage, directional
+// neighbor queries), dense in-flight goldens, quasi-static per-link
+// shadowing, and bit-identical loss.sweep results for any --jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,6 +76,65 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UnitDiskGolden,
                          ::testing::Range<uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------
+// 1a. Dense in-flight goldens: all 80 frames inside a 2 ms window.
+// ---------------------------------------------------------------------
+
+/// Golden log hashes of the 12 worlds with hetero radios and the traffic
+/// squeezed into 2 ms, so dozens of frames share the air and every
+/// collision, capture and carrier-sense answer involves many in-flight
+/// frames. Captured from the tree that still indexed in-flight frames
+/// spatially and pruned collision pairs by distance (grid and brute
+/// agreed on every one); the direct scan must reproduce them. Row 0 is
+/// the unit-disk channel, row 1 the plain log-distance configuration of
+/// LogDistanceGolden.
+constexpr uint64_t kDenseInFlightHashes[2][12] = {
+    {
+        0xac690c7d404f8223ULL, 0xfc7d7f66b8e99d7eULL, 0xb68b9c2f3d769a27ULL,
+        0x64b5a01fe73a3eb3ULL, 0xfa9c763a5ec95312ULL, 0x00cb910426fb020cULL,
+        0x647fbda2371ce3beULL, 0xed4bd659a5c4c142ULL, 0x2f595777c3746f1aULL,
+        0x38e8bd53a221040eULL, 0xccbce1270a995e43ULL, 0xbd6d4f153e58ea70ULL,
+    },
+    {
+        0x36829443911274e5ULL, 0xec9734d08be92762ULL, 0x950f9c076613c309ULL,
+        0xefb621cd64e8a322ULL, 0x5df430f69b43603eULL, 0xdd6c188709d59f31ULL,
+        0xd2a8cac171441ba9ULL, 0x2292089592a9e7ecULL, 0x3d3ad9c436b41fa5ULL,
+        0xe0f86d96e96bfd7eULL, 0xc7ac6528501a6a6bULL, 0x3a432dde0c07107eULL,
+    },
+};
+
+/// The plain log-distance configuration both log-distance golden sets
+/// pin (alpha 3, sigma 6 dB, softness 2 dB, per-seed link seed).
+ChannelParams plain_log_distance(uint64_t seed) {
+  ChannelParams cp;
+  cp.model = "log-distance";
+  cp.path_loss_exponent = 3.0;
+  cp.shadowing_sigma_db = 6.0;
+  cp.softness_db = 2.0;
+  cp.link_seed = common::derive_seed(seed, 78);
+  return cp;
+}
+
+class DenseInFlightGolden : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DenseInFlightGolden, HeteroRadiosUnderHeavyOverlap) {
+  const uint64_t seed = GetParam();
+  const ChannelParams log_distance = plain_log_distance(seed);
+  for (int row : {0, 1}) {
+    for (bool brute : {false, true}) {
+      World w;
+      build_world(w, seed, brute, row == 1 ? &log_distance : nullptr,
+                  /*hetero_radios=*/true, Duration::milliseconds(2));
+      w.sched.run();
+      EXPECT_EQ(world_hash(w), kDenseInFlightHashes[row][seed - 1])
+          << "seed=" << seed << " log_distance=" << row << " brute=" << brute;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DenseInFlightGolden,
+                         ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------
 // 1b. Plain log-distance: zero drift for existing configs.
 // ---------------------------------------------------------------------
 
@@ -98,12 +157,7 @@ class LogDistanceGolden : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LogDistanceGolden, PlainLogDistanceConfigHasZeroDrift) {
   const uint64_t seed = GetParam();
-  ChannelParams cp;
-  cp.model = "log-distance";
-  cp.path_loss_exponent = 3.0;
-  cp.shadowing_sigma_db = 6.0;
-  cp.softness_db = 2.0;
-  cp.link_seed = common::derive_seed(seed, 78);
+  const ChannelParams cp = plain_log_distance(seed);
   for (bool brute : {false, true}) {
     World w;
     build_world(w, seed, brute, &cp);
@@ -309,10 +363,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LogDistanceEquivalence,
                          ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------
-// Grid vs brute force with mixed-range radios: the hetero-only code
-// paths (per-transmission coverage in carrier sense, coverage-sum
-// collision pruning, directional neighbor queries) against the all-pairs
-// oracle, under both channel models.
+// Grid vs brute force with mixed-range radios: per-transmission coverage
+// in carrier sense and collisions, and directional neighbor queries,
+// against the all-node oracle, under both channel models.
 // ---------------------------------------------------------------------
 
 class HeteroEquivalence : public ::testing::TestWithParam<uint64_t> {};

@@ -13,7 +13,9 @@
 //     crowd, liars) the trial is bit-identical between grid and brute
 //     media, and between --jobs 1 and 8.
 //   * In-flight frames outlive their sender — retiring a sender and
-//     sweeping its events cannot recall a frame already on the air.
+//     sweeping its events cannot recall a frame already on the air —
+//     and never reach a node admitted after they were sent, even in
+//     the same instant, on either medium.
 //   * Graceful degradation — adversarial bitmap liars never stall the
 //     honest swarm, and seeder departure after seeding still completes.
 //   * Lifecycle tracing — node.join / node.leave / fault.inject /
@@ -427,6 +429,57 @@ TEST(Faults, InFlightFrameOutlivesSweptSender) {
   EXPECT_FALSE(timer_fired);
   // A dead sender gets no completion report.
   EXPECT_FALSE(completed);
+}
+
+// A node admitted in the same event as a transmit, but after the call,
+// was not listening when the frame was sent: neither medium delivers it.
+// Node 0 transmits at t = 1 ms; node 1, registered latent (@p revive) or
+// not registered yet, is admitted right after the transmit call. Returns
+// the number of frames node 1 received.
+int frames_to_same_instant_admission(bool brute, bool revive) {
+  sim::Scheduler sched;
+  sim::Medium::Params mp;
+  mp.range_m = 50.0;
+  mp.loss_rate = 0.0;
+  mp.brute_force = brute;
+  sim::Medium medium(sched, mp, common::Rng(7));
+  sim::StationaryMobility sender_spot(sim::Vec2{0, 0});
+  sim::StationaryMobility peer_spot(sim::Vec2{10, 0});
+  int received = 0;
+  auto count = [&](const sim::FramePtr&, sim::NodeId receiver) {
+    if (receiver == 1) ++received;
+  };
+  const sim::NodeId sender = medium.add_node(&sender_spot, count);
+  if (revive) medium.add_node(&peer_spot, count, /*alive=*/false);
+  sched.schedule_at(common::TimePoint{1000}, [&] {
+    auto frame = std::make_shared<sim::Frame>();
+    frame->sender = sender;
+    frame->payload = common::Bytes(200, 0x5a);
+    medium.transmit(frame);
+    if (revive) {
+      medium.revive_node(1);
+    } else {
+      EXPECT_EQ(medium.add_node(&peer_spot, count), 1u);
+    }
+  });
+  sched.run();
+  EXPECT_EQ(medium.stats().transmissions, 1u);
+  EXPECT_TRUE(medium.node_alive(1));
+  return received;
+}
+
+TEST(Faults, SameInstantReviveMissesFrameInFlight) {
+  for (bool brute : {false, true}) {
+    EXPECT_EQ(frames_to_same_instant_admission(brute, /*revive=*/true), 0)
+        << "brute=" << brute;
+  }
+}
+
+TEST(Faults, SameInstantJoinMissesFrameInFlight) {
+  for (bool brute : {false, true}) {
+    EXPECT_EQ(frames_to_same_instant_admission(brute, /*revive=*/false), 0)
+        << "brute=" << brute;
+  }
 }
 
 }  // namespace
