@@ -39,6 +39,15 @@ std::optional<HelloFields> decode_hello(common::BytesView payload) {
 constexpr uint8_t kMsgRequest = 1;
 constexpr uint8_t kMsgPiece = 2;
 
+constexpr common::Duration kHelloPeriod = common::Duration::seconds(2.0);
+/// Initial HELLO TTL: 1 means one relay hop, so HELLOs reach the paper's
+/// "close" neighborhood of at most two hops.
+constexpr uint8_t kHelloTtl = 1;
+constexpr size_t kParallelRequests = 4;
+constexpr common::Duration kRequestTimeout = common::Duration::seconds(3.0);
+/// Remembered far-peer bitmaps (from HELLOs heard long ago).
+constexpr common::Duration kCloseTtl = common::Duration::seconds(6.0);
+
 }  // namespace
 
 HelloRelay::HelloRelay(ip::Node& node) : node_(node) {
@@ -59,11 +68,9 @@ void HelloRelay::on_hello(const ip::Packet& packet) {
 
 BithocPeer::BithocPeer(sim::Scheduler& sched, sim::Medium& medium,
                        sim::MobilityModel* mobility, common::Rng rng,
-                       Options options, std::shared_ptr<Collection> collection,
-                       bool seed)
+                       std::shared_ptr<Collection> collection, bool seed)
     : sched_(sched),
       rng_(rng),
-      options_(options),
       node_(sched, medium, mobility, rng_.fork()),
       tcp_(node_),
       collection_(std::move(collection)),
@@ -93,7 +100,7 @@ BithocPeer::BithocPeer(sim::Scheduler& sched, sim::Medium& medium,
 void BithocPeer::start() {
   common::Duration initial =
       common::Duration::microseconds(static_cast<int64_t>(rng_.next_below(
-          static_cast<uint64_t>(options_.hello_period.us))));
+          static_cast<uint64_t>(kHelloPeriod.us))));
   sched_.schedule(initial, [this] { hello_tick(); });
 }
 
@@ -103,8 +110,8 @@ void BithocPeer::hello_tick() {
   hello.dst = ip::kBroadcast;
   hello.next_hop = ip::kBroadcast;
   hello.proto = ip::Proto::kHello;
-  hello.ttl = options_.hello_ttl;
-  hello.payload = encode_hello(hello_seq_++, options_.hello_ttl, have_);
+  hello.ttl = kHelloTtl;
+  hello.payload = encode_hello(hello_seq_++, kHelloTtl, have_);
   ++stats_.hellos_sent;
   node_.send_link(std::move(hello), "bithoc-hello");
 
@@ -112,8 +119,8 @@ void BithocPeer::hello_tick() {
 
   common::Duration jitter =
       common::Duration::microseconds(static_cast<int64_t>(rng_.next_below(
-          static_cast<uint64_t>(options_.hello_period.us / 4) + 1)));
-  sched_.schedule(options_.hello_period + jitter, [this] { hello_tick(); });
+          static_cast<uint64_t>(kHelloPeriod.us / 4) + 1)));
+  sched_.schedule(kHelloPeriod + jitter, [this] { hello_tick(); });
 }
 
 void BithocPeer::on_hello(const ip::Packet& packet) {
@@ -145,7 +152,7 @@ std::optional<std::pair<size_t, Address>> BithocPeer::pick_close_piece()
   std::vector<const KnownPeer*> close;
   std::vector<Address> close_addr;
   for (const auto& [addr, kp] : known_peers_) {
-    if (now - kp.heard <= options_.close_ttl && kp.hops <= 2) {
+    if (now - kp.heard <= kCloseTtl && kp.hops <= 2) {
       close.push_back(&kp);
       close_addr.push_back(addr);
     }
@@ -192,7 +199,7 @@ std::optional<std::pair<size_t, Address>> BithocPeer::pick_far_piece() const {
 
 void BithocPeer::pump() {
   if (completed_at_ && have_.full()) return;
-  while (in_flight_.size() < static_cast<size_t>(options_.parallel_requests)) {
+  while (in_flight_.size() < kParallelRequests) {
     auto pick = pick_close_piece();
     if (!pick) pick = pick_far_piece();
     if (!pick) return;
@@ -208,7 +215,7 @@ void BithocPeer::request_piece(size_t piece, Address holder) {
   common::append_be(msg, piece, 4);
   tcp_.send(holder, std::move(msg));
 
-  sched_.schedule(options_.request_timeout, [this, piece] {
+  sched_.schedule(kRequestTimeout, [this, piece] {
     auto it = in_flight_.find(piece);
     if (it == in_flight_.end()) return;
     in_flight_.erase(it);

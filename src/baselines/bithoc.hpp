@@ -43,19 +43,8 @@ class HelloRelay {
 
 class BithocPeer {
  public:
-  struct Options {
-    common::Duration hello_period = common::Duration::seconds(2.0);
-    /// Initial TTL: 1 means one relay hop, so HELLOs reach the paper's
-    /// "close" neighborhood of at most two hops.
-    uint8_t hello_ttl = 1;
-    int parallel_requests = 4;
-    common::Duration request_timeout = common::Duration::seconds(3.0);
-    /// Remembered far-peer bitmaps (from HELLOs heard long ago).
-    common::Duration close_ttl = common::Duration::seconds(6.0);
-  };
-
   BithocPeer(sim::Scheduler& sched, sim::Medium& medium,
-             sim::MobilityModel* mobility, common::Rng rng, Options options,
+             sim::MobilityModel* mobility, common::Rng rng,
              std::shared_ptr<Collection> collection, bool seed);
 
   void start();
@@ -105,7 +94,6 @@ class BithocPeer {
 
   sim::Scheduler& sched_;
   common::Rng rng_;
-  Options options_;
   ip::Node node_;
   manet::Dsdv* dsdv_ = nullptr;  // owned by node_
   ip::TcpLite tcp_;

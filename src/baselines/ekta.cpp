@@ -22,6 +22,19 @@ constexpr uint8_t kReq = 4;
 constexpr uint8_t kPiece = 5;
 constexpr uint32_t kNoPiece = 0xffffffff;
 
+constexpr size_t kParallelRequests = 4;
+constexpr common::Duration kRequestTimeout = common::Duration::seconds(2.0);
+constexpr common::Duration kGetTimeout = common::Duration::seconds(2.0);
+/// Holder lists this old are re-queried.
+constexpr common::Duration kHolderTtl = common::Duration::seconds(30.0);
+/// Per-file spacing between repeated GETs for the same key.
+constexpr common::Duration kGetBackoff = common::Duration::seconds(5.0);
+/// Scheduler cadence for publishing and fetch pumping.
+constexpr common::Duration kPublishPeriod = common::Duration::seconds(2.0);
+/// Full re-announcement period (PUTs are unreliable datagrams).
+constexpr common::Duration kRepublishPeriod = common::Duration::seconds(30.0);
+constexpr int kMaxRequestRetries = 3;
+
 }  // namespace
 
 uint64_t EktaPeer::dht_id(Address address) {
@@ -39,11 +52,9 @@ uint64_t EktaPeer::file_key(size_t file_index) const {
 
 EktaPeer::EktaPeer(sim::Scheduler& sched, sim::Medium& medium,
                    sim::MobilityModel* mobility, common::Rng rng,
-                   Options options, std::shared_ptr<Collection> collection,
-                   bool seed)
+                   std::shared_ptr<Collection> collection, bool seed)
     : sched_(sched),
       rng_(rng),
-      options_(options),
       node_(sched, medium, mobility, rng_.fork()),
       udp_(node_),
       collection_(std::move(collection)),
@@ -75,7 +86,7 @@ void EktaPeer::add_member(Address member) {
 void EktaPeer::start() {
   common::Duration initial =
       common::Duration::microseconds(static_cast<int64_t>(rng_.next_below(
-          static_cast<uint64_t>(options_.publish_period.us))));
+          static_cast<uint64_t>(kPublishPeriod.us))));
   sched_.schedule(initial, [this] { publish_tick(); });
 }
 
@@ -134,7 +145,7 @@ Bitmap EktaPeer::want_bitmap(size_t file_index) const {
 void EktaPeer::publish_tick() {
   common::TimePoint now = sched_.now();
   if (publish_dirty_ ||
-      now - last_full_publish_ >= options_.republish_period) {
+      now - last_full_publish_ >= kRepublishPeriod) {
     publish_dirty_ = false;
     last_full_publish_ = now;
     std::map<Address, std::vector<size_t>> by_home;
@@ -160,8 +171,8 @@ void EktaPeer::publish_tick() {
 
   common::Duration jitter =
       common::Duration::microseconds(static_cast<int64_t>(rng_.next_below(
-          static_cast<uint64_t>(options_.publish_period.us / 4) + 1)));
-  sched_.schedule(options_.publish_period + jitter, [this] { publish_tick(); });
+          static_cast<uint64_t>(kPublishPeriod.us / 4) + 1)));
+  sched_.schedule(kPublishPeriod + jitter, [this] { publish_tick(); });
 }
 
 void EktaPeer::pump() {
@@ -182,7 +193,7 @@ void EktaPeer::pump() {
   for (size_t f : incomplete) {
     auto hit = holder_cache_.find(f);
     bool fresh = hit != holder_cache_.end() &&
-                 now - hit->second.fetched <= options_.holder_ttl &&
+                 now - hit->second.fetched <= kHolderTtl &&
                  !hit->second.holders.empty();
     if (!fresh && !gets_pending_.contains(f)) {
       auto bit = get_backoff_until_.find(f);
@@ -198,7 +209,7 @@ void EktaPeer::pump() {
           }
         } else {
           gets_pending_.insert(f);
-          get_backoff_until_[f] = now + options_.get_backoff;
+          get_backoff_until_[f] = now + kGetBackoff;
           gets_by_home[home].push_back(f);
         }
       }
@@ -212,7 +223,7 @@ void EktaPeer::pump() {
     ++stats_.gets_sent;
     udp_.send(home, kDhtPort, kDhtPort, std::move(msg));
     auto pending = files;
-    sched_.schedule(options_.get_timeout, [this, pending] {
+    sched_.schedule(kGetTimeout, [this, pending] {
       bool any = false;
       for (size_t f : pending) any |= gets_pending_.erase(f) > 0;
       if (any) ++stats_.timeouts;
@@ -225,12 +236,12 @@ void EktaPeer::pump() {
   size_t start = rng_.next_below(incomplete.size());
   for (size_t k = 0;
        k < incomplete.size() &&
-       in_flight_.size() < static_cast<size_t>(options_.parallel_requests);
+       in_flight_.size() < kParallelRequests;
        ++k) {
     size_t f = incomplete[(start + k) % incomplete.size()];
     auto hit = holder_cache_.find(f);
     if (hit == holder_cache_.end() || hit->second.holders.empty()) continue;
-    if (now - hit->second.fetched > options_.holder_ttl) continue;
+    if (now - hit->second.fetched > kHolderTtl) continue;
     Address holder = pick_holder(hit->second.holders);
     if (holder == ip::kInvalid || holder == node_.address()) continue;
     request_from(f, holder);
@@ -262,13 +273,13 @@ void EktaPeer::request_from(size_t file_index, Address holder) {
 }
 
 void EktaPeer::schedule_request_timeout(uint32_t req_id) {
-  sched_.schedule(options_.request_timeout, [this, req_id] {
+  sched_.schedule(kRequestTimeout, [this, req_id] {
     auto it = in_flight_.find(req_id);
     if (it == in_flight_.end()) return;
     PendingRequest req = it->second;
     in_flight_.erase(it);
     ++stats_.timeouts;
-    if (req.tries + 1 <= options_.max_request_retries) {
+    if (req.tries + 1 <= kMaxRequestRetries) {
       // Rotate to another holder if any (route-aware).
       auto hit = holder_cache_.find(req.file_index);
       Address holder = req.holder;

@@ -39,23 +39,8 @@ using ip::Address;
 
 class EktaPeer {
  public:
-  struct Options {
-    int parallel_requests = 4;
-    common::Duration request_timeout = common::Duration::seconds(2.0);
-    common::Duration get_timeout = common::Duration::seconds(2.0);
-    /// Holder lists this old are re-queried.
-    common::Duration holder_ttl = common::Duration::seconds(30.0);
-    /// Per-file spacing between repeated GETs for the same key.
-    common::Duration get_backoff = common::Duration::seconds(5.0);
-    /// Scheduler cadence for publishing and fetch pumping.
-    common::Duration publish_period = common::Duration::seconds(2.0);
-    /// Full re-announcement period (PUTs are unreliable datagrams).
-    common::Duration republish_period = common::Duration::seconds(30.0);
-    int max_request_retries = 3;
-  };
-
   EktaPeer(sim::Scheduler& sched, sim::Medium& medium,
-           sim::MobilityModel* mobility, common::Rng rng, Options options,
+           sim::MobilityModel* mobility, common::Rng rng,
            std::shared_ptr<Collection> collection, bool seed);
 
   /// All peers must be registered with each other before start() (the
@@ -114,7 +99,6 @@ class EktaPeer {
 
   sim::Scheduler& sched_;
   common::Rng rng_;
-  Options options_;
   ip::Node node_;
   manet::Dsr* dsr_ = nullptr;  // owned by node_
   ip::UdpLite udp_;

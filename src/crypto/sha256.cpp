@@ -230,12 +230,12 @@ Sha256::Sha256() { reset(); }
 
 void Sha256::reset() {
   std::memcpy(state_.data(), kernels::kSha256Init, sizeof(kernels::kSha256Init));
-  bit_count_ = 0;
+  length_ = 0;
   buffer_len_ = 0;
 }
 
 void Sha256::update(common::BytesView data) {
-  bit_count_ += static_cast<uint64_t>(data.size()) * 8;
+  length_ += data.size();
   size_t offset = 0;
   if (buffer_len_ > 0) {
     size_t take = std::min(data.size(), buffer_.size() - buffer_len_);
@@ -264,26 +264,10 @@ void Sha256::update(std::string_view str) {
 }
 
 Digest Sha256::final_digest() {
-  uint64_t length_bits = bit_count_;
-  // Padding: 0x80 then zeros until 56 mod 64, then 8-byte length.
-  uint8_t pad = 0x80;
-  update(common::BytesView(&pad, 1));
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    update(common::BytesView(&zero, 1));
-  }
-  // The length field uses length_bits captured before padding; the bits
-  // update() added for the padding itself must not count.
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(length_bits >> (56 - 8 * i));
-  }
-  std::memcpy(buffer_.data() + buffer_len_, len_bytes, 8);
-  buffer_len_ += 8;
-  if (buffer_len_ == 64) {
-    engine().compress(state_.data(), buffer_.data(), 1);
-    buffer_len_ = 0;
-  }
+  // buffer_ holds the message's last length_ % 64 bytes.
+  uint8_t tail[128];
+  const size_t blocks = build_tail(buffer_.data(), length_, tail);
+  engine().compress(state_.data(), tail, blocks);
   return serialize_state(state_.data());
 }
 

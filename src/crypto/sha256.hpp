@@ -115,7 +115,7 @@ class Sha256 {
 
  private:
   std::array<uint32_t, 8> state_;
-  uint64_t bit_count_ = 0;
+  uint64_t length_ = 0;  ///< message bytes absorbed so far
   std::array<uint8_t, 64> buffer_{};
   size_t buffer_len_ = 0;
 };

@@ -2,6 +2,15 @@
 
 namespace dapes::core {
 
+namespace {
+
+/// Content-store entry cap.
+constexpr size_t kCsCapacity = 4096;
+/// Suppression window for randomized relay delays.
+constexpr common::Duration kTxWindow = common::Duration::milliseconds(20);
+
+}  // namespace
+
 ForwarderNode::ForwarderNode(sim::Scheduler& sched, sim::Medium& medium,
                              sim::MobilityModel* mobility, common::Rng rng,
                              Options options) {
@@ -11,10 +20,9 @@ ForwarderNode::ForwarderNode(sim::Scheduler& sched, sim::Medium& medium,
   });
   radio_ = std::make_unique<sim::Radio>(sched, medium, node_, rng.fork());
   forwarder_ = std::make_unique<ndn::Forwarder>(
-      sched, ndn::Forwarder::Options{options.cs_capacity});
-  forwarder_->set_trace_node(node_);
+      sched, ndn::Forwarder::Options{kCsCapacity});
   wifi_face_ = std::make_shared<ndn::WifiFace>(sched, *radio_, node_,
-                                               rng.fork(), options.tx_window);
+                                               rng.fork(), kTxWindow);
   forwarder_->add_face(wifi_face_);
 
   if (options.kind == ForwarderKind::kDapesIntermediate) {

@@ -31,9 +31,6 @@ class ForwarderNode {
   struct Options {
     ForwarderKind kind = ForwarderKind::kPureForwarder;  ///< strategy choice
     double forward_probability = 0.2;  ///< §V-A probabilistic relay p
-    size_t cs_capacity = 4096;         ///< content-store entry cap
-    /// Suppression window for randomized relay delays.
-    common::Duration tx_window = common::Duration::milliseconds(20);
   };
 
   /// Wire a radio, face and forwarder onto @p medium under @p sched.

@@ -63,7 +63,6 @@ Peer::Peer(sim::Scheduler& sched, sim::Medium& medium,
   radio_ = std::make_unique<sim::Radio>(sched_, medium_, node_, rng_.fork());
   forwarder_ = std::make_unique<ndn::Forwarder>(
       sched_, ndn::Forwarder::Options{options_.cs_capacity});
-  forwarder_->set_trace_node(node_);
 
   wifi_face_ = std::make_shared<ndn::WifiFace>(sched_, *radio_, node_,
                                                rng_.fork(), options_.tx_window);

@@ -145,12 +145,6 @@ void PureForwarderStrategy::on_interest_timeout(Forwarder& /*fw*/,
                /*inclusive=*/true);
 }
 
-bool PureForwarderStrategy::cache_unsolicited(Forwarder& /*fw*/,
-                                              FaceId /*in_face*/,
-                                              const ndn::Data& /*data*/) {
-  return params_.cache_overheard;
-}
-
 DapesIntermediateStrategy::DapesIntermediateStrategy(
     sim::Scheduler& sched, common::Rng rng, IntermediateParams params)
     : PureForwarderStrategy(sched, rng, params.base), iparams_(params) {}

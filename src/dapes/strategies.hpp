@@ -51,9 +51,6 @@ class PureForwarderStrategy : public ndn::ForwardingStrategy {
     Duration forward_delay_window = Duration::milliseconds(50);
     /// How long a name stays suppressed after a fruitless forward.
     Duration suppression = Duration::seconds(2.0);
-    /// Overheard Data is cached in the CS (that is the point of a pure
-    /// forwarder); disable only for ablation.
-    bool cache_overheard = true;
     /// Soft-state bound: when a per-name table (suppression timers, relay
     /// bookkeeping) outgrows this, entries whose time is up are swept.
     /// Sweeps are throttled to one full scan per expiry interval, so the
@@ -83,8 +80,10 @@ class PureForwarderStrategy : public ndn::ForwardingStrategy {
   /// Start the per-name suppression timer after a fruitless relay.
   void on_interest_timeout(Forwarder& fw, const Name& name) override;
   /// Cache overheard Data (the point of a pure forwarder).
-  bool cache_unsolicited(Forwarder& fw, FaceId in_face,
-                         const ndn::Data& data) override;
+  bool cache_unsolicited(Forwarder& /*fw*/, FaceId /*in_face*/,
+                         const ndn::Data& /*data*/) override {
+    return true;
+  }
 
   /// Interests relayed so far.
   uint64_t forwards() const { return forwards_; }

@@ -72,9 +72,8 @@ TrialResult run_bithoc_trial(const ScenarioParams& params) {
   auto peers = place_downloaders<BithocPeer>(
       params, topo, tracker, [&](sim::MobilityModel* mob, bool is_seed) {
         return std::make_unique<BithocPeer>(topo.sched, *topo.medium, mob,
-                                            topo.rng.fork(),
-                                            BithocPeer::Options{},
-                                            topo.collection, is_seed);
+                                            topo.rng.fork(), topo.collection,
+                                            is_seed);
       },
       /*start_each=*/true);
 
@@ -104,9 +103,8 @@ TrialResult run_ekta_trial(const ScenarioParams& params) {
   auto peers = place_downloaders<EktaPeer>(
       params, topo, tracker, [&](sim::MobilityModel* mob, bool is_seed) {
         return std::make_unique<EktaPeer>(topo.sched, *topo.medium, mob,
-                                          topo.rng.fork(),
-                                          EktaPeer::Options{},
-                                          topo.collection, is_seed);
+                                          topo.rng.fork(), topo.collection,
+                                          is_seed);
       },
       /*start_each=*/false);
   // Bootstrap member lists (Ekta nodes know the swarm membership).

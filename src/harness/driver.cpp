@@ -12,29 +12,6 @@
 
 namespace dapes::harness {
 
-namespace {
-
-/// Adapts a stateless trial function to the ProtocolDriver interface; all
-/// built-in drivers are instances of this.
-class FunctionDriver : public ProtocolDriver {
- public:
-  FunctionDriver(std::string name,
-                 std::function<TrialResult(const ScenarioParams&)> run)
-      : name_(std::move(name)), run_(std::move(run)) {}
-
-  const std::string& name() const override { return name_; }
-
-  TrialResult run_trial(const ScenarioParams& params) const override {
-    return run_(params);
-  }
-
- private:
-  std::string name_;
-  std::function<TrialResult(const ScenarioParams&)> run_;
-};
-
-}  // namespace
-
 ProtocolDriverRegistry::ProtocolDriverRegistry() {
   add(ProtocolNames::kDapes, run_dapes_trial);
   add(ProtocolNames::kBithoc, run_bithoc_trial);
@@ -60,24 +37,18 @@ ProtocolDriverRegistry& ProtocolDriverRegistry::instance() {
   return registry;
 }
 
-void ProtocolDriverRegistry::add(std::shared_ptr<const ProtocolDriver> driver) {
-  if (find(driver->name()) != nullptr) {
-    throw std::invalid_argument("duplicate protocol driver: " +
-                                driver->name());
+void ProtocolDriverRegistry::add(const std::string& name,
+                                 ProtocolDriver::TrialFn run) {
+  if (find(name) != nullptr) {
+    throw std::invalid_argument("duplicate protocol driver: " + name);
   }
-  drivers_.push_back(std::move(driver));
-}
-
-void ProtocolDriverRegistry::add(
-    const std::string& name,
-    std::function<TrialResult(const ScenarioParams&)> run) {
-  add(std::make_shared<FunctionDriver>(name, std::move(run)));
+  drivers_.emplace_back(name, std::move(run));
 }
 
 const ProtocolDriver* ProtocolDriverRegistry::find(
     const std::string& name) const {
-  for (const auto& d : drivers_) {
-    if (d->name() == name) return d.get();
+  for (const ProtocolDriver& d : drivers_) {
+    if (d.name() == name) return &d;
   }
   return nullptr;
 }
@@ -97,7 +68,7 @@ const ProtocolDriver& ProtocolDriverRegistry::get(
 std::vector<std::string> ProtocolDriverRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(drivers_.size());
-  for (const auto& d : drivers_) out.push_back(d->name());
+  for (const ProtocolDriver& d : drivers_) out.push_back(d.name());
   std::sort(out.begin(), out.end());
   return out;
 }

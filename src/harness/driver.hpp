@@ -10,29 +10,42 @@
 ///
 /// Drivers must be stateless with respect to trials: run_trial is const and
 /// may be called concurrently from many threads (TrialRunner), so all trial
-/// state must live inside the call.
+/// state must live inside the trial function.
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
 
 namespace dapes::harness {
 
-/// One pluggable protocol stack. run_trial must be thread-safe: every
-/// trial builds its own Scheduler/Medium/Rng world from `params`.
+/// One pluggable protocol stack: a registry name and the function that
+/// runs one trial of it. The function must be thread-safe: every trial
+/// builds its own Scheduler/Medium/Rng world from `params`.
 class ProtocolDriver {
  public:
-  virtual ~ProtocolDriver() = default;
+  /// Runs one trial, fully determined by its params (including the seed).
+  using TrialFn = std::function<TrialResult(const ScenarioParams&)>;
+
+  /// A driver named @p name that runs trials through @p run.
+  ProtocolDriver(std::string name, TrialFn run)
+      : name_(std::move(name)), run_(std::move(run)) {}
 
   /// Well-known registry name ("dapes", "bithoc", ...).
-  virtual const std::string& name() const = 0;
+  const std::string& name() const { return name_; }
 
   /// Run one trial, fully determined by `params` (including params.seed).
-  virtual TrialResult run_trial(const ScenarioParams& params) const = 0;
+  TrialResult run_trial(const ScenarioParams& params) const {
+    return run_(params);
+  }
+
+ private:
+  std::string name_;
+  TrialFn run_;
 };
 
 /// Well-known driver names. New drivers should follow the dotted-suffix
@@ -70,13 +83,10 @@ class ProtocolDriverRegistry {
   /// The process-wide registry.
   static ProtocolDriverRegistry& instance();
 
-  /// Register a driver under its name(). Throws std::invalid_argument on a
-  /// duplicate name.
-  void add(std::shared_ptr<const ProtocolDriver> driver);
-
-  /// Convenience: register a stateless trial function under `name`.
-  void add(const std::string& name,
-           std::function<TrialResult(const ScenarioParams&)> run);
+  /// Register a stateless trial function under `name`. Throws
+  /// std::invalid_argument on a duplicate name. References returned by
+  /// get() and find() stay valid across later registrations.
+  void add(const std::string& name, ProtocolDriver::TrialFn run);
 
   /// Lookup; throws std::out_of_range naming the missing driver and
   /// listing the registered ones.
@@ -91,7 +101,8 @@ class ProtocolDriverRegistry {
  private:
   ProtocolDriverRegistry();
 
-  std::vector<std::shared_ptr<const ProtocolDriver>> drivers_;
+  /// A deque, so registering never moves an already-registered driver.
+  std::deque<ProtocolDriver> drivers_;
 };
 
 /// The engine's single-trial entry point: runs `driver` once with `params`.

@@ -120,7 +120,11 @@ TrialResult run_realworld_trial(int scenario, const ScenarioParams& params) {
         tracker.record(t.to_seconds());
       });
     }
-    peer->start();
+    {
+      // The peer owns its discovery chain, so its records name it.
+      sim::Scheduler::OwnerScope own(topo.sched, peer->node());
+      peer->start();
+    }
     peers.push_back(std::move(peer));
   }
 

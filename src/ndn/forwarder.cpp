@@ -62,7 +62,6 @@ void Forwarder::send_data_to(FaceId out_face, const Data& data) {
 }
 
 void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
-  trace::NodeScope trace_scope(trace_node_);
   ++stats_.interests_in;
   Face* in = face(in_face);
   const bool from_network = in != nullptr && !in->is_local();
@@ -123,7 +122,6 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
 }
 
 void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
-  trace::NodeScope trace_scope(trace_node_);
   ++stats_.data_in;
   Face* in = face(in_face);
   const bool from_network = in != nullptr && !in->is_local();
@@ -176,7 +174,6 @@ void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
 }
 
 void Forwarder::on_pit_expiry(Name name) {
-  trace::NodeScope trace_scope(trace_node_);
   PitEntry* entry = pit_.find(name);
   if (entry == nullptr) return;
   ++stats_.pit_timeouts;

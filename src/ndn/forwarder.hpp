@@ -20,7 +20,6 @@
 #include "ndn/face.hpp"
 #include "ndn/tables.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/record.hpp"
 
 namespace dapes::ndn {
 
@@ -129,15 +128,6 @@ class Forwarder {
   /// Strategy action: transmit a Data out of a specific face.
   void send_data_to(FaceId out_face, const Data& data);
 
-  /// Bind this forwarder to its simulated node for event tracing: every
-  /// pipeline entry point (incoming Interest/Data, PIT expiry) then runs
-  /// in that node's trace context, so table and strategy events are
-  /// attributed even when the pipeline is entered from a scheduler
-  /// callback rather than a medium delivery. Default: unattributed.
-  void set_trace_node(uint32_t node) { trace_node_ = node; }
-  /// The node this forwarder reports trace events as.
-  uint32_t trace_node() const { return trace_node_; }
-
  private:
   void on_incoming_interest(FaceId in_face, Interest interest);
   void on_incoming_data(FaceId in_face, const Data& data);
@@ -152,7 +142,6 @@ class Forwarder {
   std::vector<std::shared_ptr<Face>> faces_;  // index = FaceId - 1
   std::unique_ptr<ForwardingStrategy> strategy_;
   Stats stats_;
-  uint32_t trace_node_ = trace::kNoNode;
 };
 
 }  // namespace dapes::ndn

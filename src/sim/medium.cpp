@@ -283,9 +283,8 @@ void Medium::deliver(uint64_t tx_id) {
   // state was torn down, and resuming its CSMA chain would make a ghost
   // transmit (which the transmit guard turns into a throw).
   if (tx.on_complete && nodes_[tx.frame->sender].alive) {
-    // Node context for the sender's completion handler; owner context so
-    // the chain's follow-up timers are cancellable by node.
-    trace::NodeScope scope(tx.frame->sender);
+    // The sender owns its completion handler, so the chain's follow-up
+    // timers are cancellable by node and its records name it.
     Scheduler::OwnerScope own(sched_, tx.frame->sender);
     tx.on_complete(report);
   }
@@ -379,9 +378,8 @@ void Medium::deliver_one(const ActiveTx& tx, NodeId receiver,
   ++report.delivered;
   DAPES_TRACE_EVENT(trace::EventType::kMediumRx, receiver, tx.id);
   if (!nodes_[receiver].on_receive) return;
-  // Node context for the protocol callback; owner context so
-  // receive-path timers are cancellable by node.
-  trace::NodeScope scope(receiver);
+  // The receiver owns the protocol callback, so receive-path timers are
+  // cancellable by node and its records name it.
   Scheduler::OwnerScope own(sched_, receiver);
   nodes_[receiver].on_receive(tx.frame, receiver);
 }

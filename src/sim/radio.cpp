@@ -4,17 +4,25 @@
 
 namespace dapes::sim {
 
-Radio::Radio(Scheduler& sched, Medium& medium, NodeId node, common::Rng rng)
-    : Radio(sched, medium, node, rng, Params{}) {}
+namespace {
 
-Radio::Radio(Scheduler& sched, Medium& medium, NodeId node, common::Rng rng,
-             Params params)
-    : sched_(sched),
-      medium_(medium),
-      node_(node),
-      rng_(rng),
-      params_(params),
-      cw_(params.cw_min) {}
+/// 802.11b-ish DCF slot time.
+constexpr Duration kSlot = Duration::microseconds(20);
+/// Inter-frame space waited after the channel goes idle.
+constexpr Duration kIfs = Duration::microseconds(50);
+/// Minimum contention window (slots) used while deferring. 802.11b DCF
+/// uses CWmin=31; we keep a power of two and a deep CWmax because scaled
+/// frames occupy the air longer than real 802.11b frames.
+constexpr int kCwMin = 32;
+/// Contention-window cap reached after repeated busy-deferrals.
+constexpr int kCwMax = 1024;
+/// Give up after this many busy-deferrals (frame dropped).
+constexpr int kMaxDefers = 200;
+
+}  // namespace
+
+Radio::Radio(Scheduler& sched, Medium& medium, NodeId node, common::Rng rng)
+    : sched_(sched), medium_(medium), node_(node), rng_(rng), cw_(kCwMin) {}
 
 void Radio::send(FramePtr frame, SendCompleteCallback on_complete) {
   queue_.push_back(Pending{std::move(frame), std::move(on_complete), 0});
@@ -24,7 +32,7 @@ void Radio::send(FramePtr frame, SendCompleteCallback on_complete) {
     // event don't probe the channel at the identical instant.
     Duration dither =
         Duration::microseconds(static_cast<int64_t>(rng_.next_below(
-            static_cast<uint64_t>(params_.slot.us) + 1)));
+            static_cast<uint64_t>(kSlot.us) + 1)));
     sched_.schedule(dither, [this] { try_send(); });
   }
 }
@@ -35,7 +43,7 @@ void Radio::try_send() {
 
   if (medium_.busy_for(node_)) {
     Pending& head = queue_.front();
-    if (++head.defers > params_.max_defers) {
+    if (++head.defers > kMaxDefers) {
       ++drops_;
       auto cb = std::move(head.on_complete);
       queue_.pop_front();
@@ -44,12 +52,12 @@ void Radio::try_send() {
       if (!queue_.empty()) schedule_retry();
       return;
     }
-    cw_ = std::min(cw_ * 2, params_.cw_max);
+    cw_ = std::min(cw_ * 2, kCwMax);
     schedule_retry();
     return;
   }
 
-  cw_ = params_.cw_min;
+  cw_ = kCwMin;
   Pending head = std::move(queue_.front());
   queue_.pop_front();
   transmitting_ = true;
@@ -59,7 +67,7 @@ void Radio::try_send() {
     if (cb) cb(report);
     if (!queue_.empty() && !attempt_scheduled_) {
       attempt_scheduled_ = true;
-      sched_.schedule(params_.ifs, [this] { try_send(); });
+      sched_.schedule(kIfs, [this] { try_send(); });
     }
   });
 }
@@ -68,13 +76,13 @@ void Radio::reset() {
   queue_.clear();
   attempt_scheduled_ = false;
   transmitting_ = false;
-  cw_ = params_.cw_min;
+  cw_ = kCwMin;
 }
 
 void Radio::schedule_retry() {
   TimePoint idle_at = medium_.busy_until(node_);
   int slots = static_cast<int>(rng_.next_below(static_cast<uint64_t>(cw_)));
-  TimePoint at = idle_at + params_.ifs + params_.slot * slots;
+  TimePoint at = idle_at + kIfs + kSlot * slots;
   attempt_scheduled_ = true;
   sched_.schedule_at(at, [this] { try_send(); });
 }

@@ -21,31 +21,11 @@ namespace dapes::sim {
 /// One node's CSMA/CA transmitter in front of the shared Medium.
 class Radio {
  public:
-  /// DCF timing/backoff parameters.
-  struct Params {
-    /// 802.11b-ish DCF slot time.
-    Duration slot = Duration::microseconds(20);
-    /// Inter-frame space waited after the channel goes idle.
-    Duration ifs = Duration::microseconds(50);
-    /// Minimum contention window (slots) used while deferring. 802.11b
-    /// DCF uses CWmin=31; we keep a power of two and a deep CWmax
-    /// because scaled frames occupy the air longer than real 802.11b
-    /// frames.
-    int cw_min = 32;
-    /// Contention-window cap reached after repeated busy-deferrals.
-    int cw_max = 1024;
-    /// Give up after this many busy-deferrals (frame dropped).
-    int max_defers = 200;
-  };
-
   /// Re-exported Medium callback type (the radio forwards the TxReport).
   using SendCompleteCallback = Medium::SendCompleteCallback;
 
-  /// Radio with default Params.
+  /// The transmitter @p node sends through onto @p medium.
   Radio(Scheduler& sched, Medium& medium, NodeId node, common::Rng rng);
-  /// Radio with explicit DCF parameters.
-  Radio(Scheduler& sched, Medium& medium, NodeId node, common::Rng rng,
-        Params params);
 
   /// Queue a frame for transmission. Frames leave in FIFO order.
   void send(FramePtr frame, SendCompleteCallback on_complete = nullptr);
@@ -55,7 +35,7 @@ class Radio {
   /// Frames queued behind the current attempt.
   size_t queue_depth() const { return queue_.size(); }
 
-  /// Frames dropped after exhausting max_defers.
+  /// Frames dropped after exhausting the busy-deferral limit.
   uint64_t drops() const { return drops_; }
 
   /// Crash/restart teardown for the fault layer: drop every queued frame
@@ -80,11 +60,10 @@ class Radio {
   Medium& medium_;
   NodeId node_;
   common::Rng rng_;
-  Params params_;
   std::deque<Pending> queue_;
   bool attempt_scheduled_ = false;
   bool transmitting_ = false;
-  int cw_ = 4;
+  int cw_;
   uint64_t drops_ = 0;
 };
 

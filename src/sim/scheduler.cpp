@@ -102,10 +102,11 @@ bool Scheduler::step() {
   }
   now_ = e.at;
   ++executed_;
-  DAPES_TRACE_HERE(trace::EventType::kSchedFire);
   // Re-install the entry's owner for the callback so events it
-  // schedules inherit attribution (see OwnerScope).
+  // schedules and records it emits, this fire included, inherit
+  // attribution (see OwnerScope).
   OwnerScope own(*this, e.owner);
+  DAPES_TRACE_HERE(trace::EventType::kSchedFire);
   e.fn();
   return true;
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "trace/trace.hpp"
 
 namespace dapes::sim {
 
@@ -37,29 +38,43 @@ class Scheduler {
   /// node ids start at 0, so 0 must stay a usable owner.
   static constexpr uint64_t kNoOwner = std::numeric_limits<uint64_t>::max();
 
-  /// RAII owner attribution for the fault-injection teardown sweep
-  /// (`cancel_for_node`): while a scope is alive, every event scheduled
-  /// into @p sched is stamped with @p owner. Events fired by the run loop
-  /// re-install their own owner around the callback, so transitively
-  /// scheduled events (retransmit timers rescheduling themselves, CSMA
-  /// backoff chains) inherit it without any per-call plumbing. Scopes
-  /// nest; the previous owner is restored on destruction.
+  /// RAII owner attribution, the one answer to "which node is running":
+  /// while a scope is alive, every event scheduled into @p sched is
+  /// stamped with @p owner (what the fault-injection teardown sweep,
+  /// `cancel_for_node`, keys on), and the thread's trace node context is
+  /// @p owner, so records emitted through DAPES_TRACE_HERE and
+  /// DAPES_TRACE_NAMED name it (kNoOwner clears the context). Events
+  /// fired by the run loop re-install their own owner around the
+  /// callback, so transitively scheduled events (retransmit timers
+  /// rescheduling themselves, CSMA backoff chains) and everything they
+  /// trace inherit it without any per-call plumbing. Scopes nest; the
+  /// previous owner and context are restored on destruction.
   class OwnerScope {
    public:
-    /// Make @p owner the current owner of @p sched.
+    /// Make @p owner the current owner of @p sched and the thread's
+    /// trace node context.
     OwnerScope(Scheduler& sched, uint64_t owner)
-        : sched_(sched), prev_owner_(sched.owner_) {
+        : sched_(sched),
+          prev_owner_(sched.owner_),
+          prev_node_(trace::detail::t_node) {
       sched.owner_ = owner;
+      // Owners are node ids; kNoOwner truncates to kNoNode.
+      trace::detail::t_node = static_cast<uint32_t>(owner);
     }
-    /// Restore the previous owner.
-    ~OwnerScope() { sched_.owner_ = prev_owner_; }
+    /// Restore the previous owner and trace node context.
+    ~OwnerScope() {
+      sched_.owner_ = prev_owner_;
+      trace::detail::t_node = prev_node_;
+    }
     OwnerScope(const OwnerScope&) = delete;             ///< not copyable
     OwnerScope& operator=(const OwnerScope&) = delete;  ///< not copyable
 
    private:
     Scheduler& sched_;
     uint64_t prev_owner_;
+    uint32_t prev_node_;
   };
+  static_assert(static_cast<uint32_t>(kNoOwner) == trace::kNoNode);
 
   /// An empty schedule at time zero.
   Scheduler() = default;

@@ -15,8 +15,9 @@
 
 namespace dapes::trace {
 
-/// `Record::node` value for events with no subject node (unattributed
-/// emissions such as scheduler fires).
+/// `Record::node` value for events with no subject node: work that runs
+/// unowned on purpose (frame deliveries, fault injections, setup-time
+/// routes), outside any `sim::Scheduler::OwnerScope`.
 inline constexpr uint32_t kNoNode = 0xffffffffu;
 
 /// One trace event. POD; compared field-wise by `trace diff`.

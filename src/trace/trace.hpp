@@ -111,7 +111,9 @@ class Tracer {
 namespace detail {
 /// The installed tracer of the calling thread (null = tracing off).
 inline thread_local Tracer* t_tracer = nullptr;
-/// The calling thread's node context (the default event subject).
+/// The calling thread's node context (the default event subject). Its
+/// one writer is `sim::Scheduler::OwnerScope`, so the node a record
+/// names is the scheduler owner of the code that emitted it.
 inline thread_local uint32_t t_node = kNoNode;
 }  // namespace detail
 
@@ -119,55 +121,25 @@ inline thread_local uint32_t t_node = kNoNode;
 /// branch every instrumentation site pays when off.
 inline Tracer* active() { return detail::t_tracer; }
 
-/// The calling thread's node context (kNoNode outside any NodeScope).
+/// The calling thread's node context: the owner of the innermost live
+/// `sim::Scheduler::OwnerScope`, kNoNode outside any or under kNoOwner.
 inline uint32_t context_node() { return detail::t_node; }
 
 /// RAII installation of a trial's tracer into this thread for the trial's
-/// whole run. Resets the node context; restores both on destruction. @p tracer may be null (an explicit "tracing off" scope).
+/// whole run; restores the previous tracer on destruction. @p tracer may
+/// be null (an explicit "tracing off" scope).
 class TrialScope {
  public:
   /// Install @p tracer on this thread.
-  explicit TrialScope(Tracer* tracer)
-      : prev_tracer_(detail::t_tracer), prev_node_(detail::t_node) {
+  explicit TrialScope(Tracer* tracer) : prev_tracer_(detail::t_tracer) {
     detail::t_tracer = tracer;
-    detail::t_node = kNoNode;
   }
-  ~TrialScope() {
-    detail::t_tracer = prev_tracer_;
-    detail::t_node = prev_node_;
-  }
+  ~TrialScope() { detail::t_tracer = prev_tracer_; }
   TrialScope(const TrialScope&) = delete;             ///< not copyable
   TrialScope& operator=(const TrialScope&) = delete;  ///< not copyable
 
  private:
   Tracer* prev_tracer_;
-  uint32_t prev_node_;
-};
-
-/// RAII node context: emissions inside the scope through DAPES_TRACE_HERE
-/// and DAPES_TRACE_NAMED take @p node as their subject. A no-op when
-/// tracing is off, and entering kNoNode keeps the current context (so an
-/// unbound forwarder's pipeline scope cannot clobber the medium's
-/// receiver scope).
-class NodeScope {
- public:
-  /// Enter @p node's context (if a tracer is installed).
-  explicit NodeScope(uint32_t node) {
-    if (detail::t_tracer != nullptr && node != kNoNode) {
-      armed_ = true;
-      prev_ = detail::t_node;
-      detail::t_node = node;
-    }
-  }
-  ~NodeScope() {
-    if (armed_) detail::t_node = prev_;
-  }
-  NodeScope(const NodeScope&) = delete;             ///< not copyable
-  NodeScope& operator=(const NodeScope&) = delete;  ///< not copyable
-
- private:
-  bool armed_ = false;
-  uint32_t prev_ = kNoNode;
 };
 
 }  // namespace dapes::trace
@@ -180,7 +152,7 @@ class NodeScope {
       dapes_tr_->emit((type_), (subject_), {__VA_ARGS__});            \
   } while (0)
 
-/// Emit an event about the current context node (NodeScope).
+/// Emit an event about the current context node (the scheduler owner).
 #define DAPES_TRACE_HERE(type_, ...)                                  \
   do {                                                                \
     if (::dapes::trace::Tracer* dapes_tr_ = ::dapes::trace::active()) \

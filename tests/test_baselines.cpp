@@ -35,8 +35,8 @@ struct BaselineTest : ::testing::Test {
 TEST_F(BaselineTest, BithocTwoPeersComplete) {
   sim::Medium medium(sched, medium_params(), rng.fork());
   auto col = collection();
-  BithocPeer seed(sched, medium, &pos_a, rng.fork(), {}, col, true);
-  BithocPeer leech(sched, medium, &pos_b, rng.fork(), {}, col, false);
+  BithocPeer seed(sched, medium, &pos_a, rng.fork(), col, true);
+  BithocPeer leech(sched, medium, &pos_b, rng.fork(), col, false);
   bool cb_fired = false;
   leech.set_completion_callback([&](common::TimePoint) { cb_fired = true; });
   seed.start();
@@ -52,7 +52,7 @@ TEST_F(BaselineTest, BithocTwoPeersComplete) {
 TEST_F(BaselineTest, BithocSeedIsCompleteFromStart) {
   sim::Medium medium(sched, medium_params(), rng.fork());
   auto col = collection();
-  BithocPeer seed(sched, medium, &pos_a, rng.fork(), {}, col, true);
+  BithocPeer seed(sched, medium, &pos_a, rng.fork(), col, true);
   EXPECT_TRUE(seed.complete());
   EXPECT_DOUBLE_EQ(seed.progress(), 1.0);
 }
@@ -60,8 +60,8 @@ TEST_F(BaselineTest, BithocSeedIsCompleteFromStart) {
 TEST_F(BaselineTest, BithocHellosCarryBitmaps) {
   sim::Medium medium(sched, medium_params(), rng.fork());
   auto col = collection();
-  BithocPeer seed(sched, medium, &pos_a, rng.fork(), {}, col, true);
-  BithocPeer leech(sched, medium, &pos_b, rng.fork(), {}, col, false);
+  BithocPeer seed(sched, medium, &pos_a, rng.fork(), col, true);
+  BithocPeer leech(sched, medium, &pos_b, rng.fork(), col, false);
   seed.start();
   leech.start();
   sched.run_until(common::TimePoint{10000000});
@@ -79,9 +79,9 @@ TEST_F(BaselineTest, BithocRelaySpreadsHellosTwoHops) {
   sim::StationaryMobility mid_b{{145, 100}};
   sim::Medium medium(sched, mp, rng.fork());
   auto col = collection();
-  BithocPeer a(sched, medium, &pos_a, rng.fork(), {}, col, true);
-  BithocPeer b(sched, medium, &mid_b, rng.fork(), {}, col, false);
-  BithocPeer c(sched, medium, &far_c, rng.fork(), {}, col, false);
+  BithocPeer a(sched, medium, &pos_a, rng.fork(), col, true);
+  BithocPeer b(sched, medium, &mid_b, rng.fork(), col, false);
+  BithocPeer c(sched, medium, &far_c, rng.fork(), col, false);
   a.start();
   b.start();
   c.start();
@@ -93,8 +93,8 @@ TEST_F(BaselineTest, BithocRelaySpreadsHellosTwoHops) {
 TEST_F(BaselineTest, EktaTwoPeersComplete) {
   sim::Medium medium(sched, medium_params(), rng.fork());
   auto col = collection();
-  EktaPeer seed(sched, medium, &pos_a, rng.fork(), {}, col, true);
-  EktaPeer leech(sched, medium, &pos_b, rng.fork(), {}, col, false);
+  EktaPeer seed(sched, medium, &pos_a, rng.fork(), col, true);
+  EktaPeer leech(sched, medium, &pos_b, rng.fork(), col, false);
   for (auto* x : {&seed, &leech}) {
     x->add_member(seed.address());
     x->add_member(leech.address());
@@ -109,9 +109,9 @@ TEST_F(BaselineTest, EktaTwoPeersComplete) {
 TEST_F(BaselineTest, EktaPublishesAndLooksUpThroughDht) {
   sim::Medium medium(sched, medium_params(), rng.fork());
   auto col = collection();
-  EktaPeer seed(sched, medium, &pos_a, rng.fork(), {}, col, true);
-  EktaPeer mid(sched, medium, &pos_b, rng.fork(), {}, col, false);
-  EktaPeer leech(sched, medium, &pos_c, rng.fork(), {}, col, false);
+  EktaPeer seed(sched, medium, &pos_a, rng.fork(), col, true);
+  EktaPeer mid(sched, medium, &pos_b, rng.fork(), col, false);
+  EktaPeer leech(sched, medium, &pos_c, rng.fork(), col, false);
   for (auto* x : {&seed, &mid, &leech}) {
     for (auto* y : {&seed, &mid, &leech}) x->add_member(y->address());
   }
@@ -135,8 +135,8 @@ TEST_F(BaselineTest, EktaDhtIdsAreStable) {
 TEST_F(BaselineTest, StateBytesNonzeroOnceRunning) {
   sim::Medium medium(sched, medium_params(), rng.fork());
   auto col = collection();
-  BithocPeer seed(sched, medium, &pos_a, rng.fork(), {}, col, true);
-  BithocPeer leech(sched, medium, &pos_b, rng.fork(), {}, col, false);
+  BithocPeer seed(sched, medium, &pos_a, rng.fork(), col, true);
+  BithocPeer leech(sched, medium, &pos_b, rng.fork(), col, false);
   seed.start();
   leech.start();
   sched.run_until(common::TimePoint{30000000});

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "harness/driver.hpp"
@@ -90,6 +91,20 @@ TEST(Registry, DuplicateRegistrationThrows) {
       reg.add(ProtocolNames::kDapes,
               [](const ScenarioParams& p) { return run_dapes_trial(p); }),
       std::invalid_argument);
+}
+
+TEST(Registry, LookupsStayValidAcrossRegistration) {
+  auto& reg = ProtocolDriverRegistry::instance();
+  const ProtocolDriver& dapes = reg.get(ProtocolNames::kDapes);
+  const ProtocolDriver* scale = reg.find(ProtocolNames::kScaleField);
+  for (int i = 0; i < 64; ++i) {
+    reg.add("test.registry-growth-" + std::to_string(i),
+            [](const ScenarioParams& p) { return run_dapes_trial(p); });
+  }
+  EXPECT_EQ(&dapes, &reg.get(ProtocolNames::kDapes));
+  EXPECT_EQ(scale, reg.find(ProtocolNames::kScaleField));
+  EXPECT_EQ(dapes.name(), ProtocolNames::kDapes);
+  EXPECT_EQ(scale->name(), ProtocolNames::kScaleField);
 }
 
 TEST(RunTrial, NamedEntryPointMatchesDirectCall) {

@@ -15,12 +15,17 @@
 //   * Trace invariants — every executed event, frame deliveries
 //     included, leaves exactly one sched.fire record, and every name
 //     hash a record carries resolves through the dictionary.
+//   * Node attribution — the scheduler's OwnerScope is the one node
+//     context: a record names the owner of the code that emitted it, so
+//     the only unattributed fires are frame deliveries and fault
+//     injections, which run unowned on purpose.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,6 +35,7 @@
 #include "harness/scale.hpp"
 #include "harness/trial_runner.hpp"
 #include "ndn/name.hpp"
+#include "sim/scheduler.hpp"
 #include "trace/format.hpp"
 #include "trace/query.hpp"
 #include "trace/trace.hpp"
@@ -158,11 +164,12 @@ TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
   int64_t now = 0;
   Tracer tracer(config, [&now] { return now; });
   TrialScope scope(&tracer);
+  sim::Scheduler sched;
 
   const uint64_t total = 100;
   for (uint64_t i = 0; i < total; ++i) {
     now = static_cast<int64_t>(i);
-    NodeScope node(0);
+    sim::Scheduler::OwnerScope own(sched, 0);
     DAPES_TRACE_HERE(EventType::kSchedFire, i);
   }
   EXPECT_EQ(tracer.emitted(), total);
@@ -186,13 +193,14 @@ TEST(Tracer, RingKeepsNewestRecordsOfTheTrial) {
   config.ring_capacity = 8;
   Tracer tracer(config, [] { return int64_t{0}; });
   TrialScope scope(&tracer);
+  sim::Scheduler sched;
 
   for (uint64_t i = 0; i < 50; ++i) {
-    NodeScope node(0);
+    sim::Scheduler::OwnerScope own(sched, 0);
     DAPES_TRACE_HERE(EventType::kSchedFire, i);
   }
   {
-    NodeScope node(1);
+    sim::Scheduler::OwnerScope own(sched, 1);
     DAPES_TRACE_HERE(EventType::kSchedCancel);
   }
   // One ring for the whole trial: node 0's newest 7 records, then node
@@ -216,15 +224,16 @@ TEST(Tracer, SameTimestampRecordsKeepEmissionOrder) {
   config.sink = "ring";
   Tracer tracer(config, [] { return int64_t{5}; });
   TrialScope scope(&tracer);
+  sim::Scheduler sched;
 
   // Same-instant emissions from node 1, node 0, then no node: the
   // snapshot keeps them exactly as emitted.
   {
-    NodeScope node(1);
+    sim::Scheduler::OwnerScope own(sched, 1);
     DAPES_TRACE_HERE(EventType::kSchedFire);
   }
   {
-    NodeScope node(0);
+    sim::Scheduler::OwnerScope own(sched, 0);
     DAPES_TRACE_HERE(EventType::kSchedFire);
   }
   DAPES_TRACE_HERE(EventType::kSchedFire);
@@ -243,9 +252,10 @@ TEST(Tracer, NamedEmissionsBuildTheDictionary) {
   Tracer tracer(config, [] { return int64_t{0}; });
   TrialScope scope(&tracer);
 
+  sim::Scheduler sched;
   const ndn::Name name("/dapes/discovery");
   {
-    NodeScope node(0);
+    sim::Scheduler::OwnerScope own(sched, 0);
     DAPES_TRACE_NAMED(EventType::kPitInsert, name);
     DAPES_TRACE_NAMED(EventType::kPitSatisfy, name);
   }
@@ -301,27 +311,64 @@ TEST(TraceGuard, NothingRunsWhenDisabled) {
   DAPES_TRACE_EVENT(EventType::kMediumTx, 1, 2, 3);
   DAPES_TRACE_HERE(EventType::kSchedFire);
   DAPES_TRACE_NAMED(EventType::kPitInsert, ndn::Name("/x"));
-  // NodeScope must not arm (and must not touch the context).
-  {
-    NodeScope node(4);
-    EXPECT_EQ(context_node(), kNoNode);
-  }
   SUCCEED();
 }
 
-TEST(TraceGuard, NoNodeScopeKeepsCurrentContext) {
-  TraceConfig config;
-  config.sink = "null";
-  Tracer tracer(config, [] { return int64_t{0}; });
-  TrialScope scope(&tracer);
-  NodeScope outer(7);
-  EXPECT_EQ(context_node(), 7u);
+TEST(TraceGuard, OwnerScopeNestsTheNodeContext) {
+  sim::Scheduler sched;
+  ASSERT_EQ(context_node(), kNoNode);
   {
-    // An unbound forwarder's scope must not clobber the receiver scope.
-    NodeScope inner(kNoNode);
+    sim::Scheduler::OwnerScope outer(sched, 7);
     EXPECT_EQ(context_node(), 7u);
+    {
+      // A frame delivery is scheduled unowned inside its sender's scope:
+      // kNoOwner clears the context rather than keeping the sender's.
+      sim::Scheduler::OwnerScope unowned(sched, sim::Scheduler::kNoOwner);
+      EXPECT_EQ(context_node(), kNoNode);
+      {
+        sim::Scheduler::OwnerScope inner(sched, 3);
+        EXPECT_EQ(context_node(), 3u);
+        EXPECT_EQ(sched.current_owner(), 3u);
+      }
+      EXPECT_EQ(context_node(), kNoNode);
+      EXPECT_EQ(sched.current_owner(), sim::Scheduler::kNoOwner);
+    }
+    // The outer context and owner come back on exit.
+    EXPECT_EQ(context_node(), 7u);
+    EXPECT_EQ(sched.current_owner(), 7u);
   }
-  EXPECT_EQ(context_node(), 7u);
+  EXPECT_EQ(context_node(), kNoNode);
+}
+
+TEST(Tracer, SchedulerRecordsNameTheEventOwner) {
+  TraceConfig config;
+  config.sink = "ring";
+  sim::Scheduler sched;
+  Tracer tracer(config, [&sched] { return sched.now().us; });
+  TrialScope scope(&tracer);
+  {
+    sim::Scheduler::OwnerScope own(sched, 5);
+    // The owned event reschedules itself once: the follow-up inherits 5.
+    sched.schedule(sim::Duration::microseconds(10), [&sched] {
+      sched.schedule(sim::Duration::microseconds(10), [] {});
+    });
+  }
+  sched.schedule(sim::Duration::microseconds(15), [] {});
+  sched.run();
+
+  // schedule(5) schedule(-) fire(5) schedule(5) fire(-) fire(5)
+  const TraceData t = tracer.snapshot();
+  const std::vector<std::pair<EventType, uint32_t>> expected = {
+      {EventType::kSchedSchedule, 5u}, {EventType::kSchedSchedule, kNoNode},
+      {EventType::kSchedFire, 5u},     {EventType::kSchedSchedule, 5u},
+      {EventType::kSchedFire, kNoNode}, {EventType::kSchedFire, 5u}};
+  ASSERT_EQ(t.records.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(t.records[i].type, static_cast<uint16_t>(expected[i].first))
+        << i;
+    EXPECT_EQ(t.records[i].node, expected[i].second) << i;
+  }
+  EXPECT_EQ(context_node(), kNoNode);
 }
 
 }  // namespace
@@ -439,6 +486,66 @@ TEST(TraceTrial, SchedFireCountsEveryExecutedEvent) {
   }
   ASSERT_GT(deliveries, 0u);
   EXPECT_EQ(fires, result.events_executed);
+}
+
+// Frame deliveries (`Medium::transmit`) and fault injections
+// (`FaultPlan::install`) are the only events scheduled unowned, on
+// purpose; every other event belongs to a node, so its sched.fire names
+// one the trial registered.
+void expect_unowned_fires_are_deliveries_and_faults(const std::string& driver,
+                                                    ScenarioParams p,
+                                                    const std::string& tag) {
+  TempDir dir(tag);
+  p.trace.sink = "file";
+  p.trace.path = (dir.path / "tr").string();
+  run_trial(driver, p);
+
+  const TraceData t = trace::read_trace_file(p.trace.path);
+  ASSERT_EQ(t.dropped, 0u);
+  auto is = [](const trace::Record& r, trace::EventType type) {
+    return r.type == static_cast<uint16_t>(type);
+  };
+  std::set<uint32_t> joined;
+  uint64_t unowned_fires = 0, deliveries = 0, faults = 0, owned_fires = 0;
+  for (const trace::Record& r : t.records) {
+    if (is(r, trace::EventType::kNodeJoin)) joined.insert(r.node);
+    if (is(r, trace::EventType::kMediumDeliver)) ++deliveries;
+    if (is(r, trace::EventType::kFaultInject)) ++faults;
+  }
+  // Node ids are dense, and every registered node joins the medium.
+  ASSERT_FALSE(joined.empty());
+  const uint32_t node_count = *joined.rbegin() + 1;
+  EXPECT_EQ(joined.size(), node_count);
+  for (const trace::Record& r : t.records) {
+    if (!is(r, trace::EventType::kSchedFire)) continue;
+    if (r.node == trace::kNoNode) {
+      ++unowned_fires;
+    } else {
+      ++owned_fires;
+      EXPECT_LT(r.node, node_count);
+    }
+  }
+  ASSERT_GT(deliveries, 0u);
+  EXPECT_GT(owned_fires, 0u);
+  EXPECT_EQ(unowned_fires, deliveries + faults)
+      << deliveries << " deliveries, " << faults << " faults";
+  if (driver == ProtocolNames::kChurnSwarm) {
+    EXPECT_GT(faults, 0u);
+  }
+}
+
+TEST(TraceTrial, UnownedFiresAreDeliveriesAndFaults) {
+  expect_unowned_fires_are_deliveries_and_faults(ProtocolNames::kScaleField,
+                                                 tiny_field(6), "owned_fixed");
+  ScenarioParams churn = tiny_field(3);
+  churn.faults.leave_rate_hz = 1.0 / 120.0;
+  churn.faults.crash_fraction = 0.5;
+  churn.faults.restart_delay_s = 20.0;
+  churn.faults.flash_crowd_size = 3;
+  churn.faults.flash_crowd_at_s = 40.0;
+  churn.faults.join_rate_hz = 1.0 / 120.0;
+  expect_unowned_fires_are_deliveries_and_faults(ProtocolNames::kChurnSwarm,
+                                                 churn, "owned_churn");
 }
 
 TEST(TraceTrial, EveryNameHashResolves) {
