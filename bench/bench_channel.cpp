@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
          [](ScenarioParams& p) {
            p.channel.model = "log-distance";
            p.hetero_range_fraction = 0.5;
-           p.hetero_range_factor = 0.5;
          }});
     spec.series.push_back(
         {"unit-disk", ProtocolNames::kDapes, [](ScenarioParams&) {}});

@@ -2,15 +2,18 @@
 // DESIGN.md "Fault injection & open membership"), swept along the
 // per-node departure-rate axis.
 //
+// Every series runs churn.swarm: the DAPES stack with open-membership
+// peer hygiene, under the fault knobs the series sets.
+//
 // Series:
-//   leave-only     — churn.swarm with every departure permanent: the
-//                    swarm thins out and never recovers capacity.
+//   leave-only     — every departure permanent: the swarm thins out and
+//                    never recovers capacity.
 //   crash+restart  — half the departures are 30 s outages; crashed nodes
 //                    come back with their packets (durable state), so
 //                    the swarm degrades more gracefully.
-//   flash-crowd    — churn.flash on top of the churn: 10 latent
-//                    downloaders arrive in a wave at t=60 s and must
-//                    catch up against the departures.
+//   flash-crowd    — crash+restart plus 10 latent downloaders arriving
+//                    in a wave over t=60-70 s, who must catch up against
+//                    the departures.
 //   adversarial    — crash+restart plus 25 % of the initial downloaders
 //                    lying in their bitmaps (advertise everything, serve
 //                    nothing); honest peers rely on stale-claim demotion
@@ -59,25 +62,20 @@ int main(int argc, char** argv) {
   spec.series.push_back({"leave-only", harness::ProtocolNames::kChurnSwarm,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.0;
-                           p.faults.force_wiring = true;
                          }});
   spec.series.push_back({"crash+restart", harness::ProtocolNames::kChurnSwarm,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.5;
-                           p.faults.restart_delay_s = 30.0;
-                           p.faults.force_wiring = true;
                          }});
-  spec.series.push_back({"flash-crowd", harness::ProtocolNames::kChurnFlash,
+  spec.series.push_back({"flash-crowd", harness::ProtocolNames::kChurnSwarm,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.5;
                            p.faults.flash_crowd_size = 10;
-                           p.faults.flash_crowd_at_s = 60.0;
                          }});
   spec.series.push_back({"adversarial", harness::ProtocolNames::kChurnSwarm,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.5;
                            p.faults.adversarial_fraction = 0.25;
-                           p.faults.force_wiring = true;
                          }});
 
   spec.metrics = {harness::download_time_metric(),

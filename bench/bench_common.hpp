@@ -9,10 +9,6 @@
 //                        hardware threads; results are identical for any N)
 //   --no-wall            omit wall-clock metrics from the output, leaving
 //                        only deterministic ones (for byte-for-byte diffs)
-//   --no-verify-cache    disable the per-trial verify-result cache and
-//                        delivery prewarm, retaining the per-receiver
-//                        scalar verify path (results are identical either
-//                        way; this is the equivalence/baseline knob)
 //   --trace SINK[:PATH]  structured event tracing: SINK is ring, file or
 //                        null; PATH is where the binary trace goes
 //                        (required for file, optional for ring). Runners
@@ -60,7 +56,6 @@ struct BenchArgs {
   uint64_t seed = 1;
   int jobs = 0;           // 0 = all hardware threads
   bool no_wall = false;   // drop wall-clock metrics (determinism diffs)
-  bool verify_cache = true;  // --no-verify-cache clears it
   trace::TraceConfig trace;  // --trace; empty sink = tracing off
   harness::OutputFormat format = harness::OutputFormat::kText;
   std::string out;  // empty = stdout
@@ -69,11 +64,9 @@ struct BenchArgs {
     std::fprintf(to,
                  "usage: %s [--trials N] [--quick] [--paper-scale] [--seed S]\n"
                  "       %*s [--jobs N] [--no-wall]\n"
-                 "       %*s [--no-verify-cache]\n"
                  "       %*s [--trace SINK[:PATH]] [--log-level LEVEL]\n"
                  "       %*s [--format text|csv|json] [--out FILE]\n",
                  prog, static_cast<int>(std::strlen(prog)), "",
-                 static_cast<int>(std::strlen(prog)), "",
                  static_cast<int>(std::strlen(prog)), "",
                  static_cast<int>(std::strlen(prog)), "");
   }
@@ -139,8 +132,6 @@ struct BenchArgs {
             parse_int("--jobs", value_of("--jobs", inline_value), 1));
       } else if (flag == "--no-wall") {
         args.no_wall = true;
-      } else if (flag == "--no-verify-cache") {
-        args.verify_cache = false;
       } else if (flag == "--trace") {
         std::string v = value_of("--trace", inline_value);
         size_t colon = v.find(':');
@@ -190,7 +181,6 @@ struct BenchArgs {
   harness::ScenarioParams scenario() const {
     harness::ScenarioParams p;
     p.seed = seed;
-    p.verify_cache = verify_cache;
     p.trace = trace;
     if (paper_scale) {
       p.file_size_bytes = 1024 * 1024;

@@ -103,7 +103,7 @@ static void BM_RpfRank(benchmark::State& state) {
   }
   rng.shuffle(order);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::rank_packets(counts, 8, order));
+    benchmark::DoNotOptimize(core::rank_packets(counts, order));
   }
 }
 BENCHMARK(BM_RpfRank)->Arg(1280)->Arg(10240);

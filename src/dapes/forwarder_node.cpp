@@ -26,18 +26,14 @@ ForwarderNode::ForwarderNode(sim::Scheduler& sched, sim::Medium& medium,
   forwarder_->add_face(wifi_face_);
 
   if (options.kind == ForwarderKind::kDapesIntermediate) {
-    DapesIntermediateStrategy::IntermediateParams params;
-    params.base.forward_probability = options.forward_probability;
     auto strategy = std::make_unique<DapesIntermediateStrategy>(
-        sched, rng.fork(), params);
+        sched, rng.fork(), options.forward_probability);
     intermediate_ = strategy.get();
     strategy_ = strategy.get();
     forwarder_->set_strategy(std::move(strategy));
   } else {
-    PureForwarderStrategy::Params params;
-    params.forward_probability = options.forward_probability;
-    auto strategy =
-        std::make_unique<PureForwarderStrategy>(sched, rng.fork(), params);
+    auto strategy = std::make_unique<PureForwarderStrategy>(
+        sched, rng.fork(), options.forward_probability);
     strategy_ = strategy.get();
     forwarder_->set_strategy(std::move(strategy));
   }

@@ -23,28 +23,18 @@ namespace dapes::core {
 using common::Duration;
 
 /// Computes PEBA transmission delays: linear prioritization first, then
-/// priority-grouped exponential backoff after detected collisions.
+/// priority-grouped exponential backoff after detected collisions. Pure
+/// functions of the paper's parameters below.
 class PebaScheduler {
  public:
-  /// Tuning knobs (paper defaults).
-  struct Params {
-    /// Default transmission window W (paper evaluation: 20 ms).
-    Duration window = Duration::milliseconds(20);
-    /// Duration of one backoff slot (tau in the paper's analysis).
-    Duration slot = Duration::milliseconds(5);
-    /// Number of priority groups (the paper's example uses 2).
-    int groups = 2;
-    /// Cap on the doubling (slots never exceed 2^max_rounds).
-    int max_rounds = 6;
-  };
-
-  /// Scheduler with the paper-default parameters.
-  PebaScheduler() : PebaScheduler(Params{}) {}
-  /// Scheduler with explicit parameters.
-  explicit PebaScheduler(Params params) : params_(params) {}
-
-  /// The active parameters.
-  const Params& params() const { return params_; }
+  /// Default transmission window W (paper evaluation: 20 ms).
+  static constexpr Duration kWindow = Duration::milliseconds(20);
+  /// Duration of one backoff slot (tau in the paper's analysis).
+  static constexpr Duration kSlot = Duration::milliseconds(5);
+  /// Number of priority groups (the paper's example uses 2).
+  static constexpr int kGroups = 2;
+  /// Cap on the doubling (slots never exceed 2^kMaxRounds).
+  static constexpr int kMaxRounds = 6;
 
   /// Linear prioritization delay before any collision: the transmission
   /// window divided by the fraction of still-missing packets this peer
@@ -53,27 +43,24 @@ class PebaScheduler {
   /// transmitted bitmaps"). fraction=1 -> W; fraction->0 -> capped at
   /// max_delay(). For the first bitmap of an encounter the fraction is
   /// the peer's completeness (most data goes first).
-  Duration priority_delay(double fraction) const;
+  static Duration priority_delay(double fraction);
 
   /// Ceiling for priority_delay (keeps zero-fraction peers schedulable).
-  Duration max_delay() const;
+  static Duration max_delay();
 
   /// Slot-based delay after @p collision_round consecutive collisions
   /// (round 1 = first detected collision -> 2 slots, round 2 -> 4, ...).
   /// Peers providing at least 1/groups-quantile of the missing packets
   /// land in earlier groups; slot within the group is uniform.
-  Duration backoff_delay(int collision_round, double fraction,
-                         common::Rng& rng) const;
+  static Duration backoff_delay(int collision_round, double fraction,
+                                common::Rng& rng);
 
   /// Total slots after @p collision_round collisions (2^round, capped).
-  int slots_for_round(int collision_round) const;
+  static int slots_for_round(int collision_round);
 
   /// Group index (0-based) a peer with @p fraction of the missing packets
   /// belongs to; fraction >= 0.5 with 2 groups -> group 0.
-  int group_for_fraction(double fraction) const;
-
- private:
-  Params params_;
+  static int group_for_fraction(double fraction);
 };
 
 }  // namespace dapes::core

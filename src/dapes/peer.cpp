@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "dapes/peba.hpp"
 #include "trace/trace.hpp"
 
 namespace dapes::core {
@@ -11,16 +12,23 @@ namespace {
 
 constexpr const char* kLog = "dapes-peer";
 
+/// Adaptive discovery period bounds (§IV-B): the floor while neighbors
+/// are around, and the ceiling the period doubles toward in isolation.
+constexpr Duration kDiscoveryPeriodMin = Duration::seconds(1.0);
+constexpr Duration kDiscoveryPeriodMax = Duration::seconds(6.0);
+/// Lifetime stamped on expressed Interests.
+constexpr Duration kInterestLifetime = Duration::seconds(1.5);
+
 /// Strategy subclass that tees overheard packets to the peer application
 /// (bitmap announcements, discovery responses, opportunistic data) on top
 /// of the intermediate node's own knowledge building.
 class PeerStrategy final : public DapesIntermediateStrategy {
  public:
   PeerStrategy(sim::Scheduler& sched, common::Rng rng,
-               IntermediateParams params,
+               double forward_probability,
                std::function<void(const ndn::Interest&)> on_interest,
                std::function<void(const ndn::Data&)> on_data)
-      : DapesIntermediateStrategy(sched, rng, params),
+      : DapesIntermediateStrategy(sched, rng, forward_probability),
         peer_on_interest_(std::move(on_interest)),
         peer_on_data_(std::move(on_data)) {}
 
@@ -49,8 +57,7 @@ Peer::Peer(sim::Scheduler& sched, sim::Medium& medium,
       medium_(medium),
       rng_(rng),
       options_(std::move(options)),
-      peba_(options_.peba),
-      discovery_period_(options_.discovery_period_min) {
+      discovery_period_(kDiscoveryPeriodMin) {
   key_ = keychain_.generate_key(options_.id);
 
   wifi_face_ = nullptr;  // created after node registration (needs radio)
@@ -69,18 +76,16 @@ Peer::Peer(sim::Scheduler& sched, sim::Medium& medium,
   app_face_ = std::make_shared<ndn::AppFace>();
   app_face_->set_app_handlers(
       [this](const ndn::Interest& i) { on_app_interest(i); },
-      [this](const ndn::Data& d) { on_app_data(d); });
+      [this](const ndn::Data& d) { on_data(d); });
 
   forwarder_->add_face(wifi_face_);
   forwarder_->add_face(app_face_);
 
-  DapesIntermediateStrategy::IntermediateParams sparams;
-  sparams.base.forward_probability =
-      options_.multihop ? options_.forward_probability : 0.0;
   auto strategy = std::make_unique<PeerStrategy>(
-      sched_, rng_.fork(), sparams,
+      sched_, rng_.fork(),
+      options_.multihop ? options_.forward_probability : 0.0,
       [this](const ndn::Interest& i) { on_overheard_interest(i); },
-      [this](const ndn::Data& d) { on_overheard_data(d); });
+      [this](const ndn::Data& d) { on_data(d); });
   strategy_ = strategy.get();
   forwarder_->set_strategy(std::move(strategy));
 
@@ -101,7 +106,7 @@ void Peer::crash() {
   radio_->reset();
   wifi_face_->reset();
   neighbors_.clear();
-  discovery_period_ = options_.discovery_period_min;
+  discovery_period_ = kDiscoveryPeriodMin;
   for (auto& [name, st] : downloads_) {
     st.in_flight.clear();
     st.adv_timer = sim::EventId{};
@@ -134,12 +139,7 @@ void Peer::publish(std::shared_ptr<Collection> collection) {
   for (size_t i = 0; i < st.have.size(); ++i) st.have.set(i);
   st.completed_at = sched_.now();
   st.metadata_name = collection->metadata().name_prefix();
-  RpfOptions ro;
-  ro.total_packets = collection->total_packets();
-  ro.random_start = options_.random_start;
-  ro.history_limit = options_.encounter_history;
-  ro.seed = rng_.next();
-  st.rpf = make_fetch_strategy(options_.rpf, ro);
+  st.rpf = make_rpf(collection->total_packets());
   keychain_.import_key(key_);
   forwarder_->fib().add_route(name, app_face_->id());
 }
@@ -186,9 +186,7 @@ Peer::DownloadDebug Peer::debug_download(const Name& collection) const {
   dbg.in_flight = st.in_flight.size();
   dbg.known_bitmaps = st.rpf ? st.rpf->known_bitmaps() : 0;
   for (const auto& [id, info] : neighbors_) {
-    if (sched_.now() - info.last_heard <= options_.neighbor_ttl) {
-      ++dbg.fresh_neighbors;
-    }
+    if (sched_.now() - info.last_heard <= kNeighborTtl) ++dbg.fresh_neighbors;
   }
   return dbg;
 }
@@ -219,7 +217,7 @@ size_t Peer::state_bytes() const {
 
 void Peer::express(ndn::Interest interest) {
   interest.set_nonce(static_cast<uint32_t>(rng_.next()));
-  interest.set_lifetime(options_.interest_lifetime);
+  interest.set_lifetime(kInterestLifetime);
   ++interests_expressed_;
   app_face_->express(interest);
 }
@@ -236,7 +234,7 @@ void Peer::on_app_interest(const ndn::Interest& interest) {
   serve_interest(interest);
 }
 
-void Peer::on_app_data(const ndn::Data& data) {
+void Peer::on_data(const ndn::Data& data) {
   const Name& name = data.name();
   if (discovery_prefix().is_prefix_of(name)) {
     handle_discovery_data(data);
@@ -250,6 +248,9 @@ void Peer::on_app_data(const ndn::Data& data) {
     }
     return;
   }
+  // Opportunistic capture: every broadcast data packet is useful to every
+  // peer missing it (the heart of "maximizing the utility of
+  // transmissions").
   handle_collection_data(data);
 }
 
@@ -262,19 +263,11 @@ void Peer::discovery_tick() {
 
   // Adaptive period: frequent while peers are around, backing off toward
   // the maximum in isolation (paper §IV-B).
-  bool have_fresh_neighbor = false;
-  for (const auto& [id, info] : neighbors_) {
-    if (sched_.now() - info.last_heard <= options_.neighbor_ttl) {
-      have_fresh_neighbor = true;
-      break;
-    }
-  }
-  if (have_fresh_neighbor) {
-    discovery_period_ = options_.discovery_period_min;
+  if (has_fresh_neighbor()) {
+    discovery_period_ = kDiscoveryPeriodMin;
   } else {
     discovery_period_ =
-        std::min(Duration{discovery_period_.us * 2},
-                 options_.discovery_period_max);
+        std::min(Duration{discovery_period_.us * 2}, kDiscoveryPeriodMax);
   }
   Duration jitter = Duration::microseconds(static_cast<int64_t>(
       rng_.next_below(static_cast<uint64_t>(discovery_period_.us / 4) + 1)));
@@ -314,8 +307,7 @@ void Peer::handle_discovery_interest(const ndn::Interest& interest) {
 void Peer::handle_discovery_data(const ndn::Data& data) {
   auto msg = DiscoveryMessage::decode(data.content());
   if (!msg || msg->peer_id == options_.id) return;
-  bool fresh_encounter = touch_neighbor(msg->peer_id);
-  NeighborInfo& info = neighbors_[msg->peer_id];
+  auto [info, fresh_encounter] = touch_neighbor(msg->peer_id);
 
   for (const Name& metadata_name : msg->metadata_names) {
     info.offered_metadata.insert(metadata_name);
@@ -376,7 +368,7 @@ void Peer::request_metadata_segment(DownloadState& st, uint64_t segment) {
       break;
     }
   }
-  sched_.schedule(options_.interest_lifetime + Duration::milliseconds(200),
+  sched_.schedule(kInterestLifetime + Duration::milliseconds(200),
                   [this, coll_key, segment] {
                     DownloadState* state = state_for(coll_key);
                     if (state == nullptr || state->metadata) return;
@@ -434,12 +426,7 @@ void Peer::finish_metadata(DownloadState& st) {
   st.metadata = std::move(*meta);
   st.layout = st.metadata->layout();
   st.have = Bitmap(st.metadata->total_packets());
-  RpfOptions ro;
-  ro.total_packets = st.metadata->total_packets();
-  ro.random_start = options_.random_start;
-  ro.history_limit = options_.encounter_history;
-  ro.seed = rng_.next();
-  st.rpf = make_fetch_strategy(options_.rpf, ro);
+  st.rpf = make_rpf(st.metadata->total_packets());
   st.metadata_segments.clear();
 
   DAPES_LOG_DEBUG(kLog) << options_.id << " got metadata for "
@@ -500,9 +487,9 @@ void Peer::schedule_bitmap_announcement(const Name& collection, bool initial) {
       initial ? st->have.completeness() : provide_fraction(*st);
   Duration delay;
   if (st->collision_round > 0 && options_.use_peba) {
-    delay = peba_.backoff_delay(st->collision_round, fraction, rng_);
+    delay = PebaScheduler::backoff_delay(st->collision_round, fraction, rng_);
   } else {
-    delay = peba_.priority_delay(fraction);
+    delay = PebaScheduler::priority_delay(fraction);
     if (st->collision_round > 0) {
       // Without PEBA, retry with the same linear rule plus a tiny jitter —
       // peers with similar holdings keep colliding (Fig. 9b).
@@ -600,7 +587,7 @@ void Peer::handle_bitmap_message(const BitmapMessage& msg) {
     size_t threshold;
     size_t offering_now = 0;
     for (const auto& [id, info] : neighbors_) {
-      if (sched_.now() - info.last_heard > options_.neighbor_ttl) continue;
+      if (sched_.now() - info.last_heard > kNeighborTtl) continue;
       for (const Name& m : info.offered_metadata) {
         auto coll = collection_of_metadata_name(m);
         if (coll && *coll == msg.collection) {
@@ -642,14 +629,7 @@ void Peer::pump_fetch(const Name& collection) {
 
   // Without any fresh neighbor there is nobody to answer; stay quiet
   // until the next encounter.
-  bool fresh = false;
-  for (const auto& [id, info] : neighbors_) {
-    if (sched_.now() - info.last_heard <= options_.neighbor_ttl) {
-      fresh = true;
-      break;
-    }
-  }
-  if (!fresh) return;
+  if (!has_fresh_neighbor()) return;
 
   while (st->in_flight.size() <
          static_cast<size_t>(options_.interest_window)) {
@@ -670,7 +650,7 @@ void Peer::request_packet(DownloadState& st, const Name& collection,
   express(std::move(interest));
 
   Name coll = collection;
-  sched_.schedule(options_.interest_lifetime + Duration::milliseconds(100),
+  sched_.schedule(kInterestLifetime + Duration::milliseconds(100),
                   [this, coll, index] { handle_packet_timeout(coll, index); });
 }
 
@@ -785,42 +765,29 @@ void Peer::on_overheard_interest(const ndn::Interest& interest) {
   }
 }
 
-void Peer::on_overheard_data(const ndn::Data& data) {
-  const Name& name = data.name();
-  if (discovery_prefix().is_prefix_of(name)) {
-    handle_discovery_data(data);
-    return;
-  }
-  if (is_metadata_name(name)) {
-    if (auto collection = collection_of_metadata_name(name)) {
-      if (DownloadState* st = state_for(*collection)) {
-        handle_metadata_segment(*st, data);
-      }
-    }
-    return;
-  }
-  // Opportunistic capture: every broadcast data packet is useful to every
-  // peer missing it (the heart of "maximizing the utility of
-  // transmissions").
-  handle_collection_data(data);
-}
-
 // --------------------------------------------------------------------
 // Neighbor bookkeeping
 
-bool Peer::touch_neighbor(const std::string& peer_id) {
+std::pair<Peer::NeighborInfo&, bool> Peer::touch_neighbor(
+    const std::string& peer_id) {
   auto [it, inserted] = neighbors_.try_emplace(peer_id);
   bool fresh_encounter =
-      inserted ||
-      sched_.now() - it->second.last_heard > options_.neighbor_ttl;
+      inserted || sched_.now() - it->second.last_heard > kNeighborTtl;
   it->second.last_heard = sched_.now();
-  return fresh_encounter;
+  return {it->second, fresh_encounter};
+}
+
+bool Peer::has_fresh_neighbor() const {
+  for (const auto& [id, info] : neighbors_) {
+    if (sched_.now() - info.last_heard <= kNeighborTtl) return true;
+  }
+  return false;
 }
 
 void Peer::prune_neighbors() {
   for (auto it = neighbors_.begin(); it != neighbors_.end();) {
     if (sched_.now() - it->second.last_heard >
-        Duration{options_.neighbor_ttl.us * 2}) {
+        Duration{kNeighborTtl.us * 2}) {
       for (auto& [coll, st] : downloads_) {
         if (st.rpf) st.rpf->on_neighbor_lost(it->first);
       }
@@ -829,6 +796,15 @@ void Peer::prune_neighbors() {
       ++it;
     }
   }
+}
+
+std::unique_ptr<FetchStrategy> Peer::make_rpf(size_t total_packets) {
+  RpfOptions ro;
+  ro.total_packets = total_packets;
+  ro.random_start = options_.random_start;
+  ro.history_limit = options_.encounter_history;
+  ro.seed = rng_.next();
+  return make_fetch_strategy(options_.rpf, ro);
 }
 
 Peer::DownloadState* Peer::state_for(const Name& collection) {

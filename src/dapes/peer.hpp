@@ -24,12 +24,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/keychain.hpp"
 #include "dapes/collection.hpp"
 #include "dapes/messages.hpp"
-#include "dapes/peba.hpp"
 #include "dapes/rpf.hpp"
 #include "dapes/strategies.hpp"
 #include "ndn/forwarder.hpp"
@@ -37,6 +37,10 @@
 #include "sim/radio.hpp"
 
 namespace dapes::core {
+
+/// A peer forgets neighbors not heard for this long; neighbors heard
+/// within it count as fresh (discovery, fetching, bitmap gating).
+inline constexpr common::Duration kNeighborTtl = common::Duration::seconds(12.0);
 
 /// How bitmap exchanges relate to data fetching (paper §IV-D, Fig. 9c/9d).
 enum class AdvertisementMode {
@@ -61,18 +65,10 @@ struct PeerOptions {
   /// (the paper's "all bitmaps" configuration).
   int bitmaps_before_data = 2;
 
-  bool use_peba = true;        ///< PEBA vs plain linear delays (Fig. 9b)
-  PebaScheduler::Params peba{};  ///< PEBA tuning
+  bool use_peba = true;  ///< PEBA vs plain linear delays (Fig. 9b)
 
   /// Suppression window for randomized announcement delays.
   common::Duration tx_window = common::Duration::milliseconds(20);
-  /// Adaptive discovery period bounds (§IV-B).
-  common::Duration discovery_period_min = common::Duration::seconds(1.0);
-  common::Duration discovery_period_max = common::Duration::seconds(6.0);  ///< see min
-  /// Forget neighbors not heard for this long.
-  common::Duration neighbor_ttl = common::Duration::seconds(12.0);
-  /// Lifetime stamped on expressed Interests.
-  common::Duration interest_lifetime = common::Duration::seconds(1.5);
 
   int interest_window = 4;  ///< concurrent in-flight data Interests
 
@@ -81,7 +77,7 @@ struct PeerOptions {
 
   size_t cs_capacity = 4096;  ///< content-store entry cap
 
-  // --- open-membership knobs (churn.* scenarios; defaults keep the
+  // --- open-membership knobs (churn.swarm scenarios; defaults keep the
   // fixed-population paper sweeps byte-identical) ---
 
   /// Register the node on the medium but leave it dead and unstarted:
@@ -236,7 +232,9 @@ class Peer {
 
   // --- wiring ---
   void on_app_interest(const ndn::Interest& interest);
-  void on_app_data(const ndn::Data& data);
+  /// Data for the application: answers to its own Interests and every
+  /// overheard Data packet take the same path.
+  void on_data(const ndn::Data& data);
   void express(ndn::Interest interest);
 
   // --- discovery (step 1) ---
@@ -270,12 +268,17 @@ class Peer {
 
   // --- overhearing ---
   void on_overheard_interest(const ndn::Interest& interest);
-  void on_overheard_data(const ndn::Data& data);
 
-  /// Record hearing from a peer. Returns true when this is a new or
-  /// returning (stale beyond the TTL) neighbor — i.e. a fresh encounter.
-  bool touch_neighbor(const std::string& peer_id);
+  /// Record hearing from a peer. Returns its entry, and true when this is
+  /// a new or returning (stale beyond the TTL) neighbor — i.e. a fresh
+  /// encounter.
+  std::pair<NeighborInfo&, bool> touch_neighbor(const std::string& peer_id);
+  /// True when any neighbor was heard within kNeighborTtl.
+  bool has_fresh_neighbor() const;
   void prune_neighbors();
+  /// The configured RPF variant for a collection of @p total_packets,
+  /// seeded from the peer's stream.
+  std::unique_ptr<FetchStrategy> make_rpf(size_t total_packets);
   DownloadState* state_for(const Name& collection);
   DownloadState* state_for_packet_name(const Name& name,
                                        Name* collection_out);
@@ -284,7 +287,6 @@ class Peer {
   sim::Medium& medium_;
   common::Rng rng_;
   PeerOptions options_;
-  PebaScheduler peba_;
 
   sim::NodeId node_ = 0;
   std::unique_ptr<sim::Radio> radio_;

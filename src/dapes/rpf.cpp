@@ -6,7 +6,6 @@
 namespace dapes::core {
 
 std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
-                                 size_t bitmap_count,
                                  const std::vector<size_t>& order) {
   const size_t n = have_counts.size();
   // order_rank[i] = position of packet i in the tie-break permutation.
@@ -26,7 +25,6 @@ std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
                      }
                      return order_rank[a] < order_rank[b];
                    });
-  (void)bitmap_count;
   return ranked;
 }
 
@@ -50,7 +48,7 @@ class RpfBase : public FetchStrategy {
                                     const std::set<size_t>& in_flight) override {
     if (total_ == 0) return std::nullopt;
     if (dirty_) {
-      plan_ = rank_packets(have_counts_, bitmap_count_, order_);
+      plan_ = rank_packets(have_counts_, order_);
       plan_pos_ = 0;
       dirty_ = false;
     }
@@ -157,8 +155,6 @@ class LocalNeighborhoodRpf final : public RpfBase {
     }
   }
 
-  RpfKind kind() const override { return RpfKind::kLocalNeighborhood; }
-
   size_t state_bytes() const override {
     size_t bytes = have_counts_.size() * sizeof(uint32_t);
     for (const auto& [id, nb] : neighbors_) {
@@ -219,8 +215,6 @@ class EncounterBasedRpf final : public RpfBase {
   }
 
   // expire_older_than: default no-op — history outlives encounters.
-
-  RpfKind kind() const override { return RpfKind::kEncounterBased; }
 
   size_t state_bytes() const override {
     size_t bytes = have_counts_.size() * sizeof(uint32_t);

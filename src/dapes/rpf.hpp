@@ -80,8 +80,6 @@ class FetchStrategy {
   /// PeerOptions::knowledge_ttl.
   virtual void expire_older_than(TimePoint cutoff) { (void)cutoff; }
 
-  /// Which RPF variant this is.
-  virtual RpfKind kind() const = 0;
   /// Number of bitmaps currently informing rarity estimates.
   virtual size_t known_bitmaps() const = 0;
 
@@ -107,7 +105,6 @@ std::unique_ptr<FetchStrategy> make_fetch_strategy(RpfKind kind,
 /// indices by (available desc, rarity desc, order), where @p have_counts
 /// counts holders per packet and @p order is the tie-break permutation.
 std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
-                                 size_t bitmap_count,
                                  const std::vector<size_t>& order);
 
 }  // namespace dapes::core

@@ -28,8 +28,9 @@ void sweep_if_due(std::unordered_map<ndn::Name, TimePoint>& table,
 }  // namespace
 
 PureForwarderStrategy::PureForwarderStrategy(sim::Scheduler& sched,
-                                             common::Rng rng, Params params)
-    : sched_(sched), rng_(rng), params_(params) {}
+                                             common::Rng rng,
+                                             double forward_probability)
+    : sched_(sched), rng_(rng), forward_probability_(forward_probability) {}
 
 FaceId PureForwarderStrategy::wifi_face_of(Forwarder& fw) {
   for (const auto& face : fw.faces()) {
@@ -47,7 +48,7 @@ void PureForwarderStrategy::relay(Forwarder& fw, const Interest& interest) {
   FaceId out = wifi_face_of(fw);
   if (out == 0) return;
   Duration delay = Duration::microseconds(static_cast<int64_t>(rng_.next_below(
-      static_cast<uint64_t>(params_.forward_delay_window.us) + 1)));
+      static_cast<uint64_t>(kForwardDelayWindow.us) + 1)));
   Name name = interest.name();
   DAPES_TRACE_NAMED(trace::EventType::kStratRelay, name,
                     static_cast<uint64_t>(delay.us));
@@ -66,10 +67,10 @@ void PureForwarderStrategy::relay(Forwarder& fw, const Interest& interest) {
   // name anyway; once swept it no longer does (phantom suppression from
   // long-ago relays — the sweep only fires past cap + horizon, which
   // paper-scale runs never reach; their outputs stay byte-identical).
-  Duration horizon = params_.relay_horizon;
+  Duration horizon = kRelayHorizon;
   if (max_relayed_lifetime_ * 2 > horizon) horizon = max_relayed_lifetime_ * 2;
   sweep_if_due(relayed_, last_relayed_sweep_, sched_.now(), horizon,
-               params_.name_state_cap, sched_.now() - horizon,
+               kNameStateCap, sched_.now() - horizon,
                /*inclusive=*/false);
   ++forwards_;
   sched_.schedule(delay, [this, &fw, out, copy, name] {
@@ -125,7 +126,7 @@ void PureForwarderStrategy::after_receive_interest(Forwarder& fw,
   // Interests from the network first reach any local application
   // registered for the prefix; the relay decision is separate.
   deliver_local(fw, in_face, interest);
-  maybe_relay(fw, interest, params_.forward_probability);
+  maybe_relay(fw, interest, forward_probability_);
 }
 
 void PureForwarderStrategy::on_interest_timeout(Forwarder& /*fw*/,
@@ -137,17 +138,17 @@ void PureForwarderStrategy::on_interest_timeout(Forwarder& /*fw*/,
   DAPES_TRACE_NAMED(trace::EventType::kStratTimeout, name);
   // Forwarded but nothing came back: the data is (currently) not
   // reachable through us — suppress this name for a while (soft state).
-  suppressed_until_[name] = sched_.now() + params_.suppression;
+  suppressed_until_[name] = sched_.now() + kSuppression;
   // Expired suppression timers answer false anyway; sweeping them is
   // unobservable (values here are expiry times, so cutoff = now).
   sweep_if_due(suppressed_until_, last_suppressed_sweep_, sched_.now(),
-               params_.suppression, params_.name_state_cap, sched_.now(),
+               kSuppression, kNameStateCap, sched_.now(),
                /*inclusive=*/true);
 }
 
 DapesIntermediateStrategy::DapesIntermediateStrategy(
-    sim::Scheduler& sched, common::Rng rng, IntermediateParams params)
-    : PureForwarderStrategy(sched, rng, params.base), iparams_(params) {}
+    sim::Scheduler& sched, common::Rng rng, double forward_probability)
+    : PureForwarderStrategy(sched, rng, forward_probability) {}
 
 void DapesIntermediateStrategy::learn_bitmap(const BitmapMessage& msg,
                                              TimePoint now) {
@@ -183,8 +184,8 @@ void DapesIntermediateStrategy::on_overhear_data(Forwarder& /*fw*/,
   // strict cutoff keeps stamps exactly at the TTL boundary, which
   // packet_availability still counts as fresh.
   sweep_if_due(recent_data_, last_recent_sweep_, sched_.now(),
-               iparams_.knowledge_ttl, iparams_.recent_data_cap,
-               sched_.now() - iparams_.knowledge_ttl, /*inclusive=*/false);
+               kKnowledgeTtl, kRecentDataCap, sched_.now() - kKnowledgeTtl,
+               /*inclusive=*/false);
 }
 
 DapesIntermediateStrategy::Availability
@@ -192,7 +193,7 @@ DapesIntermediateStrategy::packet_availability(const Name& packet_name,
                                                TimePoint now) const {
   // Recently overheard exact transmission => available (cached nearby).
   if (auto it = recent_data_.find(packet_name); it != recent_data_.end()) {
-    if (now - it->second <= iparams_.knowledge_ttl) {
+    if (now - it->second <= kKnowledgeTtl) {
       return Availability::kAvailable;
     }
   }
@@ -205,7 +206,7 @@ DapesIntermediateStrategy::packet_availability(const Name& packet_name,
     if (!index) continue;
     size_t fresh = 0;
     for (const auto& [peer, entry] : k.peer_bitmaps) {
-      if (now - entry.second > iparams_.knowledge_ttl) continue;
+      if (now - entry.second > kKnowledgeTtl) continue;
       ++fresh;
       if (*index < entry.first.size() && entry.first.test(*index)) {
         return Availability::kAvailable;
@@ -220,7 +221,7 @@ bool DapesIntermediateStrategy::collection_active(const Name& collection,
                                                   TimePoint now) const {
   auto it = knowledge_.find(collection);
   if (it == knowledge_.end()) return false;
-  return now - it->second.last_heard <= iparams_.knowledge_ttl;
+  return now - it->second.last_heard <= kKnowledgeTtl;
 }
 
 size_t DapesIntermediateStrategy::knowledge_bytes() const {
@@ -271,9 +272,9 @@ void DapesIntermediateStrategy::after_receive_interest(Forwarder& fw,
       }
     }
     if (!collection.empty() && collection_active(collection, now)) {
-      maybe_relay(fw, interest, iparams_.control_forward_probability);
+      maybe_relay(fw, interest, kControlForwardProbability);
     } else {
-      maybe_relay(fw, interest, params_.forward_probability);
+      maybe_relay(fw, interest, forward_probability_);
     }
     return;
   }
@@ -291,7 +292,7 @@ void DapesIntermediateStrategy::after_receive_interest(Forwarder& fw,
       DAPES_TRACE_NAMED(trace::EventType::kStratKnowledgeSuppress, name);
       break;
     case Availability::kUnknown:
-      maybe_relay(fw, interest, params_.forward_probability);
+      maybe_relay(fw, interest, forward_probability_);
       break;
   }
 }

@@ -41,37 +41,30 @@ using ndn::PitEntry;
 /// overheard Data, forward probabilistically, suppress fruitless names.
 class PureForwarderStrategy : public ndn::ForwardingStrategy {
  public:
-  /// Tuning knobs.
-  struct Params {
-    /// Probability of relaying an Interest heard on the air (paper
-    /// default 20%; Fig. 9g/h sweep 20-60%).
-    double forward_probability = 0.2;
-    /// Random wait before relaying, to dodge collisions and give closer
-    /// holders the chance to answer first.
-    Duration forward_delay_window = Duration::milliseconds(50);
-    /// How long a name stays suppressed after a fruitless forward.
-    Duration suppression = Duration::seconds(2.0);
-    /// Soft-state bound: when a per-name table (suppression timers, relay
-    /// bookkeeping) outgrows this, entries whose time is up are swept.
-    /// Sweeps are throttled to one full scan per expiry interval, so the
-    /// amortized cost per insert is O(1). Below the cap nothing is ever
-    /// dropped; past it, only expired suppression timers (unobservable)
-    /// and relay entries past the horizon (see relay() on the one stale
-    /// corner this retires) go.
-    size_t name_state_cap = 4096;
-    /// Relay bookkeeping older than this is garbage — the PIT entry was
-    /// satisfied (so no timeout will ever consult it) or timed out long
-    /// ago. The sweep additionally keeps anything younger than twice the
-    /// largest Interest lifetime it has relayed, so a scenario with
-    /// longer-lived Interests cannot lose a pending suppression timer.
-    Duration relay_horizon = Duration::seconds(60.0);
-  };
+  /// Random wait before relaying, to dodge collisions and give closer
+  /// holders the chance to answer first.
+  static constexpr Duration kForwardDelayWindow = Duration::milliseconds(50);
+  /// How long a name stays suppressed after a fruitless forward.
+  static constexpr Duration kSuppression = Duration::seconds(2.0);
+  /// Soft-state bound: when a per-name table (suppression timers, relay
+  /// bookkeeping) outgrows this, entries whose time is up are swept.
+  /// Sweeps are throttled to one full scan per expiry interval, so the
+  /// amortized cost per insert is O(1). Below the cap nothing is ever
+  /// dropped; past it, only expired suppression timers (unobservable)
+  /// and relay entries past the horizon (see relay() on the one stale
+  /// corner this retires) go.
+  static constexpr size_t kNameStateCap = 4096;
+  /// Relay bookkeeping older than this is garbage — the PIT entry was
+  /// satisfied (so no timeout will ever consult it) or timed out long
+  /// ago. The sweep additionally keeps anything younger than twice the
+  /// largest Interest lifetime it has relayed, so a scenario with
+  /// longer-lived Interests cannot lose a pending suppression timer.
+  static constexpr Duration kRelayHorizon = Duration::seconds(60.0);
 
-  /// Strategy with explicit parameters.
-  PureForwarderStrategy(sim::Scheduler& sched, common::Rng rng, Params params);
-  /// Strategy with the paper-default parameters.
-  PureForwarderStrategy(sim::Scheduler& sched, common::Rng rng)
-      : PureForwarderStrategy(sched, rng, Params{}) {}
+  /// Strategy relaying an Interest heard on the air with probability
+  /// @p forward_probability (paper default 20%; Fig. 9g/h sweep 20-60%).
+  PureForwarderStrategy(sim::Scheduler& sched, common::Rng rng,
+                        double forward_probability);
 
   /// Probabilistic relay + suppression for network Interests.
   void after_receive_interest(Forwarder& fw, FaceId in_face,
@@ -116,7 +109,7 @@ class PureForwarderStrategy : public ndn::ForwardingStrategy {
 
   sim::Scheduler& sched_;
   common::Rng rng_;
-  Params params_;
+  double forward_probability_;
   uint64_t forwards_ = 0;
   uint64_t suppressions_ = 0;
   uint64_t relay_timeouts_ = 0;
@@ -151,24 +144,18 @@ struct CollectionKnowledge {
 /// back to the pure-forwarder scheme when nothing is known.
 class DapesIntermediateStrategy : public PureForwarderStrategy {
  public:
-  /// Tuning knobs on top of the pure-forwarder Params.
-  struct IntermediateParams {
-    Params base{};  ///< fallback pure-forwarder behaviour
-    /// How long overheard knowledge stays fresh.
-    Duration knowledge_ttl = Duration::seconds(15.0);
-    /// Forward probability for control Interests (discovery/bitmap) when
-    /// peers interested in that collection are known nearby.
-    double control_forward_probability = 0.4;
-    /// Cap on remembered recently-heard data names.
-    size_t recent_data_cap = 2048;
-  };
+  /// How long overheard knowledge stays fresh.
+  static constexpr Duration kKnowledgeTtl = Duration::seconds(15.0);
+  /// Forward probability for control Interests (discovery/bitmap) when
+  /// peers interested in that collection are known nearby.
+  static constexpr double kControlForwardProbability = 0.4;
+  /// Cap on remembered recently-heard data names.
+  static constexpr size_t kRecentDataCap = 2048;
 
-  /// Strategy with explicit parameters.
+  /// Strategy whose fallback (no knowledge) relays with probability
+  /// @p forward_probability, like a pure forwarder.
   DapesIntermediateStrategy(sim::Scheduler& sched, common::Rng rng,
-                            IntermediateParams params);
-  /// Strategy with the paper-default parameters.
-  DapesIntermediateStrategy(sim::Scheduler& sched, common::Rng rng)
-      : DapesIntermediateStrategy(sched, rng, IntermediateParams{}) {}
+                            double forward_probability);
 
   /// Knowledge-driven forward/suppress, pure-forwarder fallback.
   void after_receive_interest(Forwarder& fw, FaceId in_face,
@@ -208,7 +195,6 @@ class DapesIntermediateStrategy : public PureForwarderStrategy {
  private:
   void learn_bitmap(const BitmapMessage& msg, TimePoint now);
 
-  IntermediateParams iparams_;
   /// Ordered: packet_availability and the control-relay path scan this
   /// map and act on the first prefix match, so iteration order is
   /// observable behaviour.

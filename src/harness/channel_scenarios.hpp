@@ -21,10 +21,10 @@ namespace dapes::harness {
 TrialResult run_loss_sweep_trial(const ScenarioParams& params);
 
 /// One hetero.radio trial: mixed-range radios — an evenly spread
-/// `params.hetero_range_fraction` of the nodes run radios scaled by
-/// `params.hetero_range_factor`. A negative (unset) fraction defaults to
-/// 0.5 — half the field on half-range radios; an explicit 0 is honored
-/// as the all-full-range baseline. Composes with any
+/// `params.hetero_range_fraction` of the nodes run radios with half the
+/// nominal range. A negative (unset) fraction defaults to 0.5 — half
+/// the field on half-range radios; an explicit 0 is honored as the
+/// all-full-range baseline. Composes with any
 /// channel model; under log-distance the short radios also transmit
 /// proportionally less power (the nominal range is the power proxy).
 /// Registered under ProtocolNames::kHeteroRadio.

@@ -4,13 +4,13 @@ namespace dapes::harness {
 
 namespace {
 
-/// Open-membership peer hygiene shared by the churn.* presets: without
+/// Open-membership peer hygiene of the churn.swarm family: without
 /// time-based knowledge expiry and stale-claim demotion, bitmaps of
 /// departed (or lying) peers poison rarity estimates forever. Only knobs
 /// still at their "off" defaults are upgraded, so sweeps can pin them.
 void apply_churn_peer_defaults(ScenarioParams& p) {
   if (p.peer.knowledge_ttl.us == 0) {
-    p.peer.knowledge_ttl = p.peer.neighbor_ttl * 2;
+    p.peer.knowledge_ttl = core::kNeighborTtl * 2;
   }
   if (p.peer.stale_retry_limit == 0) p.peer.stale_retry_limit = 3;
 }
@@ -19,23 +19,6 @@ void apply_churn_peer_defaults(ScenarioParams& p) {
 
 TrialResult run_churn_swarm_trial(const ScenarioParams& params) {
   ScenarioParams p = params;
-  // force_wiring distinguishes "knob explicitly zeroed" from "preset
-  // defaults wanted": a caller sweeping leave_rate_hz down to 0 still
-  // runs the wired path once any() was true, keeping the axis uniform.
-  if (!p.faults.any()) {
-    p.faults.leave_rate_hz = 1.0 / 300.0;
-    p.faults.crash_fraction = 0.5;
-    p.faults.join_rate_hz = 1.0 / 300.0;
-  }
-  p.faults.force_wiring = true;
-  apply_churn_peer_defaults(p);
-  return run_dapes_trial(p);
-}
-
-TrialResult run_churn_flash_trial(const ScenarioParams& params) {
-  ScenarioParams p = params;
-  if (p.faults.flash_crowd_size == 0) p.faults.flash_crowd_size = 10;
-  p.faults.force_wiring = true;
   apply_churn_peer_defaults(p);
   return run_dapes_trial(p);
 }

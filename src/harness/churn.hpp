@@ -1,34 +1,23 @@
 /// @file
-/// Open-membership scenario families: the Fig. 7 DAPES world with node
+/// Open-membership scenario family: the Fig. 7 DAPES world with node
 /// lifecycle as a simulated event (src/sim/faults.hpp).
 ///
-/// Like the channel families these are parameter presets over
-/// `run_dapes_trial`, not new worlds: every TrialResult metric, sweep
-/// axis and determinism guarantee composes with them. `bench_churn` is
-/// the canonical sweep; EXPERIMENTS.md documents the axes.
+/// Like the channel families this is a parameter preset over
+/// `run_dapes_trial`, not a new world: every TrialResult metric, sweep
+/// axis and determinism guarantee composes with it. `bench_churn` is the
+/// canonical sweep; EXPERIMENTS.md documents the axes.
 #pragma once
 
 #include "harness/scenario.hpp"
 
 namespace dapes::harness {
 
-/// One churn.swarm trial: the full DAPES stack under Poisson leave/join
-/// churn with crash+restart outages. Defaults (applied only to knobs the
-/// caller left at "off"): leave rate 1/300 Hz per node, half the
-/// departures crashing with a 30 s outage, matching Poisson admissions,
-/// and open-membership peer hygiene (RPF knowledge TTL of twice the
-/// neighbor TTL, stale-claim demotion after 3 retry rounds). Fault
-/// wiring is forced on even at explicitly zeroed rates so a zero-churn
-/// cell measures the wired path, not a silent fallback. Registered under
-/// ProtocolNames::kChurnSwarm.
+/// One churn.swarm trial: the full DAPES stack under the fault knobs of
+/// `params.faults` (Poisson leave/join churn, crash+restart outages,
+/// flash crowds, bitmap liars) with open-membership peer hygiene: an RPF
+/// knowledge TTL of twice the neighbor TTL and stale-claim demotion
+/// after 3 retry rounds, each applied only when the caller left it off.
+/// Registered under ProtocolNames::kChurnSwarm.
 TrialResult run_churn_swarm_trial(const ScenarioParams& params);
-
-/// One churn.flash trial: churn.swarm hygiene plus a flash-crowd arrival
-/// wave — by default 10 latent downloaders admitted over a 10 s window
-/// at t=60 s (knobs left at "off" are upgraded; explicit values are
-/// honored). The paper's fixed swarm bootstraps cold; this family asks
-/// how completion degrades when most of the swarm shows up late.
-/// Registered under ProtocolNames::kChurnFlash.
-TrialResult run_churn_flash_trial(const ScenarioParams& params);
 
 }  // namespace dapes::harness

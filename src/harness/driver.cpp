@@ -29,7 +29,6 @@ ProtocolDriverRegistry::ProtocolDriverRegistry() {
   add(ProtocolNames::kLossSweep, run_loss_sweep_trial);
   add(ProtocolNames::kHeteroRadio, run_hetero_radio_trial);
   add(ProtocolNames::kChurnSwarm, run_churn_swarm_trial);
-  add(ProtocolNames::kChurnFlash, run_churn_flash_trial);
 }
 
 ProtocolDriverRegistry& ProtocolDriverRegistry::instance() {

@@ -68,10 +68,8 @@ struct ProtocolNames {
   static constexpr const char* kLossSweep = "loss.sweep";
   /// Channel family: mixed-range radios.
   static constexpr const char* kHeteroRadio = "hetero.radio";
-  /// Open-membership family: Poisson leave/join churn with crashes.
+  /// Open-membership family: churn, crashes, flash crowds and liars.
   static constexpr const char* kChurnSwarm = "churn.swarm";
-  /// Open-membership family: flash-crowd arrival wave.
-  static constexpr const char* kChurnFlash = "churn.flash";
 };
 
 /// String-keyed driver registry. The built-in drivers above are registered

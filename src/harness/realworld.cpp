@@ -88,13 +88,12 @@ TrialResult run_realworld_trial(int scenario, const ScenarioParams& params) {
       // Moving nodes: all four wander a compact area (the Fig. 8c walk
       // keeps the group loosely together); connectivity is intermittent
       // with full-group and chain (multi-hop) moments.
-      sim::RandomDirectionMobility::Params rp;
-      rp.field = sim::Field{160.0, 160.0};
+      const sim::Field field{160.0, 160.0};
       const Vec2 starts[4] = {{20, 20}, {140, 20}, {20, 140}, {140, 140}};
       const char* ids[4] = {"A", "B", "C", "D"};
       for (int i = 0; i < 4; ++i) {
         topo.mobility.push_back(std::make_unique<sim::RandomDirectionMobility>(
-            starts[i], rp, topo.rng.fork()));
+            starts[i], field, topo.rng.fork()));
         models.push_back(topo.mobility.back().get());
         members.push_back({ids[i], i == 0});
       }

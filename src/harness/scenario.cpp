@@ -30,25 +30,25 @@ TrialResult run_dapes_trial(const ScenarioParams& params) {
   tracker.expected =
       params.stationary_downloaders + params.mobile_downloaders - 1;
 
-  // Open-membership wiring (churn.* scenarios). Node ids are assigned by
+  // Open-membership wiring (churn.swarm scenarios). Node ids are assigned by
   // construction order: repositories 0..S-1, mobile downloaders S..S+M-1
   // (the producer is node S), forwarders next, and latent arrivals
   // appended last. That layout is what lets the FaultPlan and the
   // adversary pick operate on predicted node ids before the nodes exist.
-  const bool faults_on = params.faults.any();
+  // The wiring always runs: with every fault knob at zero it picks no
+  // adversary, creates no latent node and compiles an empty plan, all
+  // without a single draw, so fixed-population trials are unchanged.
   const uint32_t repo_count =
       static_cast<uint32_t>(params.stationary_downloaders);
-  std::vector<uint32_t> adversaries;
-  if (faults_on) {
-    std::vector<uint32_t> candidates;  // initial non-producer downloaders
-    for (uint32_t i = 0; i < repo_count; ++i) candidates.push_back(i);
-    for (int i = 1; i < params.mobile_downloaders; ++i) {
-      candidates.push_back(repo_count + static_cast<uint32_t>(i));
-    }
-    adversaries = sim::FaultPlan::pick_adversaries(params.faults, candidates,
-                                                   params.seed);
-    tracker.expected -= static_cast<int>(adversaries.size());
+  std::vector<uint32_t> candidates;  // initial non-producer downloaders
+  for (uint32_t i = 0; i < repo_count; ++i) candidates.push_back(i);
+  for (int i = 1; i < params.mobile_downloaders; ++i) {
+    candidates.push_back(repo_count + static_cast<uint32_t>(i));
   }
+  const std::vector<uint32_t> adversaries =
+      sim::FaultPlan::pick_adversaries(params.faults, candidates,
+                                       params.seed);
+  tracker.expected -= static_cast<int>(adversaries.size());
   auto is_adversary = [&](uint32_t node) {
     return std::binary_search(adversaries.begin(), adversaries.end(), node);
   };
@@ -122,66 +122,59 @@ TrialResult run_dapes_trial(const ScenarioParams& params) {
   // downloaders registered dead on the medium, admitted by kJoin events.
   // Appending them only *after* the fixed population means their
   // topo.rng forks never shift the paper-scale draw sequence.
-  sim::FaultPlan plan;
-  if (faults_on) {
-    size_t latent_count =
-        static_cast<size_t>(std::max(0, params.faults.flash_crowd_size));
-    if (params.faults.join_rate_hz > 0.0) {
-      latent_count += static_cast<size_t>(std::ceil(
-          params.faults.join_rate_hz *
-          std::max(0.0, params.sim_limit_s - params.faults.warmup_s)));
-    }
-    sim::FaultPlan::Population pop;
-    for (size_t i = 0; i < latent_count; ++i) {
-      add_downloader(topo.mobile(params), "late-" + std::to_string(i),
-                     /*is_producer=*/false, /*latent=*/true,
-                     /*adversary=*/false);
-      pop.latent.push_back(
-          static_cast<uint32_t>(downloaders.back()->node()));
-    }
-    // Removable pool: mobile downloaders except the producer, plus the
-    // relays. Stationary repositories stay — they are infrastructure,
-    // and retiring them would conflate churn with the coverage axis.
-    for (int i = 1; i < params.mobile_downloaders; ++i) {
-      pop.removable.push_back(repo_count + static_cast<uint32_t>(i));
-    }
-    for (const auto& [node, fwd] : fwd_of) {
-      pop.removable.push_back(static_cast<uint32_t>(node));
-    }
-    pop.seeder = repo_count;  // the producer (first mobile downloader)
-    pop.has_seeder = params.mobile_downloaders > 0;
-    plan = sim::FaultPlan::compile(params.faults, pop, params.sim_limit_s,
-                                   params.seed);
-    tracker.expected += static_cast<int>(plan.admitted_joins());
-
-    plan.install(topo.sched, [&](const sim::FaultEvent& ev) {
-      const sim::NodeId node = ev.target;
-      switch (ev.kind) {
-        case sim::FaultKind::kLeave:
-        case sim::FaultKind::kCrash:
-        case sim::FaultKind::kSeederLeave: {
-          topo.medium->retire_node(node);
-          topo.sched.cancel_for_node(node);
-          if (auto it = peer_of.find(node); it != peer_of.end()) {
-            it->second->crash();
-          } else if (auto fit = fwd_of.find(node); fit != fwd_of.end()) {
-            fit->second->crash_reset();
-          }
-          break;
-        }
-        case sim::FaultKind::kRestart:
-        case sim::FaultKind::kJoin: {
-          topo.medium->revive_node(node);
-          if (auto it = peer_of.find(node); it != peer_of.end()) {
-            sim::Scheduler::OwnerScope own(topo.sched, node);
-            it->second->restart();
-          }
-          // A revived relay needs no kick: it is purely reactive.
-          break;
-        }
-      }
-    });
+  size_t latent_count =
+      static_cast<size_t>(std::max(0, params.faults.flash_crowd_size));
+  if (params.faults.join_rate_hz > 0.0) {
+    latent_count += static_cast<size_t>(std::ceil(
+        params.faults.join_rate_hz *
+        std::max(0.0, params.sim_limit_s - sim::FaultPlan::kWarmupS)));
   }
+  sim::FaultPlan::Population pop;
+  for (size_t i = 0; i < latent_count; ++i) {
+    add_downloader(topo.mobile(params), "late-" + std::to_string(i),
+                   /*is_producer=*/false, /*latent=*/true,
+                   /*adversary=*/false);
+    pop.latent.push_back(static_cast<uint32_t>(downloaders.back()->node()));
+  }
+  // Removable pool: mobile downloaders except the producer, plus the
+  // relays. Stationary repositories stay — they are infrastructure, and
+  // retiring them would conflate churn with the coverage axis.
+  for (int i = 1; i < params.mobile_downloaders; ++i) {
+    pop.removable.push_back(repo_count + static_cast<uint32_t>(i));
+  }
+  for (const auto& [node, fwd] : fwd_of) {
+    pop.removable.push_back(static_cast<uint32_t>(node));
+  }
+  const sim::FaultPlan plan = sim::FaultPlan::compile(
+      params.faults, pop, params.sim_limit_s, params.seed);
+  tracker.expected += static_cast<int>(plan.admitted_joins());
+
+  plan.install(topo.sched, [&](const sim::FaultEvent& ev) {
+    const sim::NodeId node = ev.target;
+    switch (ev.kind) {
+      case sim::FaultKind::kLeave:
+      case sim::FaultKind::kCrash: {
+        topo.medium->retire_node(node);
+        topo.sched.cancel_for_node(node);
+        if (auto it = peer_of.find(node); it != peer_of.end()) {
+          it->second->crash();
+        } else if (auto fit = fwd_of.find(node); fit != fwd_of.end()) {
+          fit->second->crash_reset();
+        }
+        break;
+      }
+      case sim::FaultKind::kRestart:
+      case sim::FaultKind::kJoin: {
+        topo.medium->revive_node(node);
+        if (auto it = peer_of.find(node); it != peer_of.end()) {
+          sim::Scheduler::OwnerScope own(topo.sched, node);
+          it->second->restart();
+        }
+        // A revived relay needs no kick: it is purely reactive.
+        break;
+      }
+    }
+  });
 
   // Mixed-range radios (hetero.radio); an exact no-op when the fraction
   // is 0, so paper-scale trials are untouched.

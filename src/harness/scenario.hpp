@@ -31,8 +31,8 @@ inline constexpr size_t kDefaultScale = 8;
 
 /// Mobility model applied to the mobile nodes of a scenario. The paper's
 /// Fig. 7 setup uses random direction; the scale.field family also runs
-/// random waypoint (with pause) and reference-point group mobility
-/// (convoys of group_size nodes sharing an anchor).
+/// random waypoint (with a 2 s pause) and reference-point group mobility
+/// (convoys of five nodes sharing an anchor, each within 30 m of it).
 enum class MobilityKind {
   kRandomDirection,  ///< paper Fig. 7: random direction, 2-10 m/s
   kRandomWaypoint,   ///< random waypoint with pause
@@ -50,9 +50,6 @@ struct ScenarioParams {
 
   /// Mobility model of the mobile nodes.
   MobilityKind mobility = MobilityKind::kRandomDirection;
-  double waypoint_pause_s = 2.0;  ///< RandomWaypoint pause at each target
-  double group_radius_m = 30.0;   ///< max member offset from the group anchor
-  int group_size = 5;             ///< members per shared anchor
 
   double wifi_range_m = 60.0;     ///< radio range (paper: 802.11b)
   /// Radio data rate (paper: 11 Mb/s, divided by the default scale).
@@ -67,29 +64,25 @@ struct ScenarioParams {
   sim::ChannelParams channel;
   /// hetero.radio: fraction of nodes (evenly spread across the
   /// population classes, deterministically — no RNG draws) whose radio
-  /// range is scaled by `hetero_range_factor`. 0 disables; negative
-  /// means "unset" (the hetero.radio driver then defaults to 0.5, so an
-  /// explicit 0 remains a usable baseline on a fraction axis).
+  /// range is halved, modeling IoT-class radios next to full WiFi. 0
+  /// disables; negative means "unset" (the hetero.radio driver then
+  /// defaults to 0.5, so an explicit 0 remains a usable baseline on a
+  /// fraction axis).
   double hetero_range_fraction = -1.0;
-  /// Range multiplier applied to the selected nodes (e.g. 0.5 models
-  /// half-range IoT-class radios next to full WiFi).
-  double hetero_range_factor = 0.5;
 
   size_t files = 10;  ///< files in the collection (paper default: 10)
-  /// File size (paper: 1 MB, divided by the default scale).
+  /// File size (paper: 1 MB, divided by the default scale). Packets
+  /// carry 1024 payload bytes under packet-digest metadata (§IV-C).
   size_t file_size_bytes = 1024 * 1024 / kDefaultScale;
-  size_t packet_size = 1024;  ///< payload bytes per packet
-  /// Integrity encoding of the collection metadata (§IV-C).
-  core::MetadataFormat metadata_format = core::MetadataFormat::kPacketDigest;
 
   /// Peer configuration applied to every downloader.
   core::PeerOptions peer{};
 
-  /// Open-membership fault injection (churn.* scenarios): Poisson
-  /// leave/join churn, crash+restart outages, flash crowds, seeder
-  /// departure, adversarial bitmap liars. All defaults off — the
-  /// fixed-population paper sweeps take the unwired byte-identical path
-  /// (see DESIGN.md "Fault injection & open membership").
+  /// Open-membership fault injection (churn.swarm scenarios): Poisson
+  /// leave/join churn, crash+restart outages, flash crowds, adversarial
+  /// bitmap liars. All defaults off — the empty plan draws nothing, so
+  /// the fixed-population paper sweeps stay byte-identical (see
+  /// DESIGN.md "Fault injection & open membership").
   sim::FaultParams faults;
 
   double sim_limit_s = 3000.0;  ///< simulated-time cap per trial
@@ -101,9 +94,8 @@ struct ScenarioParams {
   /// engine & verify cache"): each delivered Data frame is hashed and
   /// MAC-checked once per broadcast, and every receiver serves its
   /// verify from the cache. The cache is exact, so all trial metrics are
-  /// identical on or off; `false` (`--no-verify-cache`) retains the
-  /// per-receiver scalar verify path as the reference, which
-  /// test_verify_cache diffs against.
+  /// identical on or off; `false` retains the per-receiver scalar verify
+  /// path as the reference, which test_verify_cache diffs against.
   bool verify_cache = true;
   /// Structured event tracing (`--trace <sink>[:<path>]`). Disabled by
   /// default (empty sink): no records, no buffers, and the instrumented

@@ -12,6 +12,25 @@ using sim::Duration;
 using sim::TimePoint;
 using sim::Vec2;
 
+namespace {
+
+/// Payload bytes per collection packet, and the metadata's integrity
+/// encoding (§IV-C).
+constexpr size_t kPacketSize = 1024;
+constexpr core::MetadataFormat kMetadataFormat =
+    core::MetadataFormat::kPacketDigest;
+
+/// MobilityKind::kGroup convoys: members per shared anchor, and the
+/// largest member offset from it (meters).
+constexpr int kGroupSize = 5;
+constexpr double kGroupRadiusM = 30.0;
+
+/// hetero.radio: range multiplier of the selected radios (half-range
+/// IoT-class radios next to full WiFi).
+constexpr double kHeteroRangeFactor = 0.5;
+
+}  // namespace
+
 Topology::Topology(const ScenarioParams& params, uint64_t seed,
                    const std::string& collection_name,
                    const std::string& key_name,
@@ -45,8 +64,8 @@ Topology::Topology(const ScenarioParams& params, uint64_t seed,
     files.push_back({file_prefix + std::to_string(i), params.file_size_bytes});
   }
   collection = Collection::create_synthetic(
-      ndn::Name(collection_name), std::move(files), params.packet_size,
-      params.metadata_format, producer_key);
+      ndn::Name(collection_name), std::move(files), kPacketSize,
+      kMetadataFormat, producer_key);
 
   if (params.verify_cache) {
     // One cache per trial, installed two ways: into this (the trial's)
@@ -88,18 +107,15 @@ sim::MobilityModel* Topology::mobile(const ScenarioParams& params) {
   const sim::Field field{params.field_m, params.field_m};
   switch (params.mobility) {
     case MobilityKind::kRandomDirection: {
-      sim::RandomDirectionMobility::Params mp;
-      mp.field = field;
       Vec2 start{rng.uniform(0.0, params.field_m),
                  rng.uniform(0.0, params.field_m)};
       mobility.push_back(std::make_unique<sim::RandomDirectionMobility>(
-          start, mp, rng.fork()));
+          start, field, rng.fork()));
       break;
     }
     case MobilityKind::kRandomWaypoint: {
       sim::RandomWaypointMobility::Params mp;
       mp.field = field;
-      mp.pause = sim::Duration::seconds(params.waypoint_pause_s);
       Vec2 start{rng.uniform(0.0, params.field_m),
                  rng.uniform(0.0, params.field_m)};
       mobility.push_back(std::make_unique<sim::RandomWaypointMobility>(
@@ -107,11 +123,9 @@ sim::MobilityModel* Topology::mobile(const ScenarioParams& params) {
       break;
     }
     case MobilityKind::kGroup: {
-      const int group_size = std::max(1, params.group_size);
-      if (group_fill_ % group_size == 0) {
+      if (group_fill_ % kGroupSize == 0) {
         sim::RandomWaypointMobility::Params mp;
         mp.field = field;
-        mp.pause = sim::Duration::seconds(params.waypoint_pause_s);
         Vec2 start{rng.uniform(0.0, params.field_m),
                    rng.uniform(0.0, params.field_m)};
         group_anchor_ = std::make_shared<sim::RandomWaypointMobility>(
@@ -119,7 +133,7 @@ sim::MobilityModel* Topology::mobile(const ScenarioParams& params) {
       }
       ++group_fill_;
       const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
-      const double radius = rng.uniform(0.0, params.group_radius_m);
+      const double radius = rng.uniform(0.0, kGroupRadiusM);
       Vec2 offset{radius * std::cos(angle), radius * std::sin(angle)};
       mobility.push_back(
           std::make_unique<sim::GroupMobility>(group_anchor_, offset, field));
@@ -167,7 +181,7 @@ void apply_hetero_radios(const ScenarioParams& params, sim::Medium& medium) {
   for (size_t i = 0; i < n; ++i) {
     if ((i + 1) * scaled / n != i * scaled / n) {
       medium.set_node_range_factor(static_cast<sim::NodeId>(i),
-                                   params.hetero_range_factor);
+                                   kHeteroRangeFactor);
     }
   }
 }

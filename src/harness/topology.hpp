@@ -72,8 +72,8 @@ struct Topology {
   ~Topology();
 
   /// Mobility for one mobile node, per params.mobility: random direction
-  /// (the Fig. 7 default), random waypoint, or group (every group_size-th
-  /// call starts a new convoy anchor the following members share).
+  /// (the Fig. 7 default), random waypoint, or group (every fifth call
+  /// starts a new convoy anchor the following members share).
   /// Started at a uniform position (consumes rng draws; call in node
   /// order — the random-direction path draws exactly what the
   /// pre-grid code drew, so paper-scale trials are unchanged).
@@ -90,7 +90,7 @@ struct Topology {
   sim::MobilityModel* waypoints(std::vector<sim::WaypointMobility::Waypoint> pts);
 
  private:
-  /// Shared convoy anchors for MobilityKind::kGroup, one per group_size
+  /// Shared convoy anchors for MobilityKind::kGroup, one per five
   /// mobile() calls.
   std::shared_ptr<sim::MobilityModel> group_anchor_;
   int group_fill_ = 0;
@@ -124,11 +124,10 @@ struct CompletionTracker {
 
 /// Apply the hetero.radio mixed-range radios to an already-populated
 /// medium: an evenly spread `params.hetero_range_fraction` of the
-/// registered nodes get their radio range scaled by
-/// `params.hetero_range_factor`. Deterministic — selection is by node
-/// index arithmetic, no RNG draws — so enabling it cannot perturb any
-/// other stream, and a fraction of 0 is an exact no-op. Call after every
-/// node is registered and before traffic starts.
+/// registered nodes get their radio range halved. Deterministic —
+/// selection is by node index arithmetic, no RNG draws — so enabling it
+/// cannot perturb any other stream, and a fraction of 0 is an exact
+/// no-op. Call after every node is registered and before traffic starts.
 void apply_hetero_radios(const ScenarioParams& params, sim::Medium& medium);
 
 /// Per-sample state snapshot a driver reports back to the run loop.

@@ -113,7 +113,6 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
   entry.can_be_prefix = interest.can_be_prefix();
   entry.in_faces.push_back(in_face);
   entry.nonces.insert(interest.nonce());
-  entry.expiry = sched_.now() + interest.lifetime();
   Name name = interest.name();
   entry.expiry_event =
       sched_.schedule(interest.lifetime(), [this, name] { on_pit_expiry(name); });

@@ -54,7 +54,6 @@ using common::TimePoint;
 struct PitEntry {
   Name name;                  ///< the pending Interest's name
   bool can_be_prefix = false; ///< Interest's CanBePrefix selector
-  TimePoint expiry{};         ///< when the entry times out
   /// Faces the Interest arrived on (data goes back to these).
   std::vector<FaceId> in_faces;
   /// Set when this node relayed the Interest onto the broadcast medium.

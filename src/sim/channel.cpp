@@ -30,14 +30,26 @@ constexpr double kCutFadingDb = 10.0;
 /// co-located pair would otherwise produce an infinite margin.
 constexpr double kMinDistance = 1e-3;
 
-/// Stream-family tags for the keyed substreams of `link_seed` (see
-/// DESIGN.md's determinism discipline): distinct ASCII tags keep the
-/// burst process, the obstacle field and the quasi-static shadowing
-/// draws statistically independent of each other.
-constexpr uint64_t kBurstTag = 0x62757273ULL;   // "burs"
-constexpr uint64_t kFieldTag = 0x6669656cULL;   // "fiel"
+/// Stream-family tag of the burst process's keyed substreams of
+/// `link_seed` (see DESIGN.md's determinism discipline): a distinct ASCII
+/// tag keeps it statistically independent of the quasi-static shadowing
+/// draws.
+constexpr uint64_t kBurstTag = 0x62757273ULL;  // "burs"
 
-constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+/// SIR advantage (dB) a frame needs over an interferer for
+/// physical-layer capture under the log-distance model.
+constexpr double kCaptureThresholdDb = 6.0;
+
+/// Fixed PHY preamble added to every log-distance frame's airtime
+/// (802.11b long PLCP preamble).
+constexpr double kPreambleUs = 192.0;
+
+/// SIR-adaptive bitrate ladder: tier count (base, base/2, ...
+/// base/2^(tiers-1)), the estimated SIR (dB) the full base rate needs,
+/// and the SIR requirement relaxed per halving of the bitrate (dB).
+constexpr int kRateTiers = 4;
+constexpr double kRateSirFullDb = 10.0;
+constexpr double kRateStepDb = 5.0;
 
 /// The paper's idealized channel, retained as the deterministic
 /// reference. Binary unit-disk connectivity at the nominal range,
@@ -88,12 +100,11 @@ class UnitDiskChannel final : public ChannelModel {
 };
 
 /// Log-distance path loss with the composable realism stack on top:
-/// optional log-normal shadowing (independent per pair, or spatially
-/// correlated through a shared `ShadowField`), optional Rayleigh/Rician
-/// fast fading per frame, an optional Gilbert-Elliott bursty erasure
-/// overlay, a logistic reception curve, an SIR-threshold capture rule,
-/// optional SIR-adaptive bitrate selection, and a preamble-aware
-/// airtime model.
+/// optional log-normal shadowing (independent per pair), optional
+/// Rayleigh/Rician fast fading per frame, an optional Gilbert-Elliott
+/// bursty erasure overlay, a logistic reception curve, an SIR-threshold
+/// capture rule, optional SIR-adaptive bitrate selection, and a
+/// preamble-aware airtime model.
 ///
 /// Everything is expressed as a link margin in dB relative to the
 /// transmitter's nominal range R (where the margin is 0):
@@ -103,8 +114,8 @@ class UnitDiskChannel final : public ChannelModel {
 ///
 /// Reception probability is logistic(margin / softness) — 0.5 at the
 /// nominal range, approaching a hard unit-disk step as softness -> 0 —
-/// scaled by (1 - loss_rate) for the medium's ambient loss and by the
-/// burst process's survival probability in the link's current state.
+/// scaled by (1 - loss_rate) for the medium's ambient loss; a link in
+/// the burst process's bad state receives nothing.
 /// The nominal range doubles as the transmit-power proxy, so
 /// mixed-range radios (hetero.radio) fall out of the same formula,
 /// including capture: a frame is captured when its SIR advantage over
@@ -123,27 +134,16 @@ class LogDistanceChannel final : public ChannelModel {
       : alpha_(std::max(0.1, p.path_loss_exponent)),
         sigma_db_(std::max(0.0, p.shadowing_sigma_db)),
         softness_db_(std::max(0.0, p.softness_db)),
-        capture_threshold_db_(p.capture_threshold_db),
-        preamble_s_(std::max(0.0, p.preamble_us) * 1e-6),
         fading_(parse_fading(p.fading)),
         k_factor_(std::max(0.0, p.rician_k)),
         ge_(p),
-        shadow_(p.link_seed, sigma_db_, std::max(0.0, p.shadowing_corr_m)),
         adaptive_rate_(p.adaptive_rate),
-        rate_tiers_(p.rate_tiers),
-        rate_sir_full_db_(p.rate_sir_full_db),
-        rate_step_db_(std::max(0.0, p.rate_step_db)),
         // Solve margin(d) = -cut for d: the hard audibility cutoff.
         coverage_factor_(std::pow(
             10.0,
             (kCutSigmas * sigma_db_ + kCutSoftness * softness_db_ +
              (fading_ != Fading::kNone ? kCutFadingDb : 0.0)) /
-                (10.0 * alpha_))) {
-    if (adaptive_rate_ && (rate_tiers_ < 1 || rate_tiers_ > 16)) {
-      throw std::invalid_argument(
-          "ChannelParams::rate_tiers must be in [1, 16]");
-    }
-  }
+                (10.0 * alpha_))) {}
 
   const std::string& name() const override {
     static const std::string n = "log-distance";
@@ -156,7 +156,7 @@ class LogDistanceChannel final : public ChannelModel {
 
   Duration airtime(size_t on_air_bytes, double data_rate_bps) const override {
     double bits = static_cast<double>(on_air_bytes) * 8.0;
-    return Duration::seconds(preamble_s_ + bits / data_rate_bps);
+    return Duration::seconds(kPreambleUs * 1e-6 + bits / data_rate_bps);
   }
 
   double reception_probability(double distance_m,
@@ -168,12 +168,14 @@ class LogDistanceChannel final : public ChannelModel {
   bool receives(const RxContext& rx, common::Rng& link_rng,
                 common::Rng& frame_rng) const override {
     if (rx.distance_m > coverage_m(rx.tx_range_m)) return false;
+    // A link in the burst process's bad state erases the frame. Both
+    // streams are fresh per frame, so skipping their draws here changes
+    // no other decision.
+    if (ge_.enabled() && ge_.bad_at(rx.sender, rx.receiver, rx.time_s)) {
+      return false;
+    }
     double margin = margin_db(rx.distance_m, rx.tx_range_m);
-    if (shadow_.enabled()) {
-      // Correlated shadowing: a pure sample of the shared obstacle
-      // field at the link midpoint — no draws, nearby links correlate.
-      margin += shadow_.sample_db(rx.mid_x, rx.mid_y);
-    } else if (sigma_db_ > 0.0) {
+    if (sigma_db_ > 0.0) {
       // link_rng restarts from the same per-pair seed on every frame,
       // so this draw is the link's fixed shadowing value for the whole
       // trial.
@@ -184,9 +186,6 @@ class LogDistanceChannel final : public ChannelModel {
           frame_rng, fading_ == Fading::kRician ? k_factor_ : 0.0);
     }
     double p = curve(margin) * (1.0 - std::clamp(rx.loss_rate, 0.0, 1.0));
-    if (ge_.enabled()) {
-      p *= 1.0 - ge_.erasure(ge_.bad_at(rx.sender, rx.receiver, rx.time_s));
-    }
     return frame_rng.uniform01() < p;
   }
 
@@ -200,7 +199,7 @@ class LogDistanceChannel final : public ChannelModel {
                 double interferer_range_m) const override {
     const double sir_db = margin_db(own_distance_m, own_range_m) -
                           margin_db(interferer_distance_m, interferer_range_m);
-    return sir_db >= capture_threshold_db_;
+    return sir_db >= kCaptureThresholdDb;
   }
 
   bool adaptive_rate() const override { return adaptive_rate_; }
@@ -212,11 +211,11 @@ class LogDistanceChannel final : public ChannelModel {
 
   double select_rate_bps(double base_rate_bps, double sir_db) const override {
     // Monotone tier ladder: each step down halves the bitrate and
-    // relaxes the SIR requirement by rate_step_db. Never exceeds the
-    // base rate.
+    // relaxes the SIR requirement by kRateStepDb. Never exceeds the base
+    // rate.
     int tier = 0;
-    while (tier < rate_tiers_ - 1 &&
-           sir_db < rate_sir_full_db_ - tier * rate_step_db_) {
+    while (tier < kRateTiers - 1 &&
+           sir_db < kRateSirFullDb - tier * kRateStepDb) {
       ++tier;
     }
     return base_rate_bps / static_cast<double>(1 << tier);
@@ -249,16 +248,10 @@ class LogDistanceChannel final : public ChannelModel {
   double alpha_;
   double sigma_db_;
   double softness_db_;
-  double capture_threshold_db_;
-  double preamble_s_;
   Fading fading_;
   double k_factor_;
   GilbertElliott ge_;
-  ShadowField shadow_;
   bool adaptive_rate_;
-  int rate_tiers_;
-  double rate_sir_full_db_;
-  double rate_step_db_;
   double coverage_factor_;
 };
 
@@ -272,19 +265,16 @@ GilbertElliott::GilbertElliott(const ChannelParams& p) {
   }
   enabled_ = true;
   pi_ = p.ge_bad_fraction;
-  slot_s_ = std::max(1e-6, p.ge_slot_ms * 1e-3);
   // Continuous-time two-state chain: exit-bad rate mu fixes the mean
   // burst length; the entry rate follows from stationarity. One slot of
   // elapsed time then has the exact transition probabilities below
   // (solve the two-state Kolmogorov forward equations).
-  const double mean_burst_s = std::max(slot_s_, p.ge_mean_burst_ms * 1e-3);
+  const double mean_burst_s = std::max(slot_s(), p.ge_mean_burst_ms * 1e-3);
   const double mu = 1.0 / mean_burst_s;
   const double lambda = mu * pi_ / (1.0 - pi_);
-  const double decay = std::exp(-(lambda + mu) * slot_s_);
+  const double decay = std::exp(-(lambda + mu) * slot_s());
   p_gb_ = pi_ * (1.0 - decay);
   p_bb_ = pi_ + (1.0 - pi_) * decay;
-  bad_loss_ = std::clamp(p.ge_bad_loss, 0.0, 1.0);
-  good_loss_ = std::clamp(p.ge_good_loss, 0.0, 1.0);
   root_ = common::derive_seed(p.link_seed, kBurstTag);
 }
 
@@ -294,7 +284,7 @@ bool GilbertElliott::bad_at(uint32_t a, uint32_t b, double time_s) const {
   const uint64_t pair_root =
       common::derive_seed(common::derive_seed(root_, lo), hi);
   const uint64_t slot =
-      static_cast<uint64_t>(std::max(0.0, time_s) / slot_s_);
+      static_cast<uint64_t>(std::max(0.0, time_s) / slot_s());
   const uint64_t block = slot / kBlockSlots;
   const int offset = static_cast<int>(slot % kBlockSlots);
   // One keyed substream per (pair, block): the anchor slot draws from
@@ -309,33 +299,6 @@ bool GilbertElliott::bad_at(uint32_t a, uint32_t b, double time_s) const {
     bad = rng.uniform01() < (bad ? p_bb_ : p_gb_);
   }
   return bad;
-}
-
-ShadowField::ShadowField(uint64_t seed, double sigma_db, double corr_m) {
-  if (sigma_db <= 0.0 || corr_m <= 0.0) return;
-  // Spectral (sum-of-random-cosines) construction: M harmonics with
-  // N(0, 1/corr^2) wave vectors and uniform phases give a Gaussian
-  // field with covariance sigma^2 * exp(-d^2 / (2 corr^2)).
-  constexpr int kHarmonics = 64;
-  common::Rng rng(common::derive_seed(seed, kFieldTag));
-  harmonics_.reserve(kHarmonics);
-  const double inv_corr = 1.0 / corr_m;
-  for (int i = 0; i < kHarmonics; ++i) {
-    Harmonic h;
-    h.kx = rng.gaussian() * inv_corr;
-    h.ky = rng.gaussian() * inv_corr;
-    h.phase = rng.uniform01() * kTwoPi;
-    harmonics_.push_back(h);
-  }
-  amplitude_ = sigma_db * std::sqrt(2.0 / kHarmonics);
-}
-
-double ShadowField::sample_db(double x, double y) const {
-  double sum = 0.0;
-  for (const Harmonic& h : harmonics_) {
-    sum += std::cos(h.kx * x + h.ky * y + h.phase);
-  }
-  return amplitude_ * sum;
 }
 
 double fading_gain_db(common::Rng& rng, double k_factor) {

@@ -15,8 +15,6 @@
 ///     function of (link_seed, pair, time) — see `GilbertElliott`,
 ///   * Rayleigh/Rician fast fading per (link, transmission) with a
 ///     K-factor knob — see `fading_gain_db`,
-///   * spatially correlated shadowing from a deterministic shared
-///     obstacle field sampled at link midpoints — see `ShadowField`,
 ///   * SIR-adaptive bitrate selection feeding the existing airtime
 ///     path — see `ChannelModel::select_rate_bps`.
 /// `sim::Medium` routes every delivery, carrier-sense and collision
@@ -63,59 +61,27 @@ struct ChannelParams {
   double path_loss_exponent = 3.0;
 
   /// Log-normal shadowing standard deviation in dB; 0 disables it.
-  /// With `shadowing_corr_m == 0` shadowing is quasi-static per link:
-  /// one N(0, sigma) value per unordered node pair, fixed for the whole
-  /// trial (drawn from a stream keyed by the pair, not by the frame).
-  /// With a positive correlation length the same sigma scales the
-  /// shared obstacle field instead (see `ShadowField`). Read by
-  /// "log-distance".
+  /// Shadowing is quasi-static per link: one N(0, sigma) value per
+  /// unordered node pair, fixed for the whole trial (drawn from a stream
+  /// keyed by the pair, not by the frame). Read by "log-distance".
   double shadowing_sigma_db = 0.0;
-
-  /// Correlation length (meters) of the spatially correlated shadowing
-  /// field: 0 (the default) keeps the independent per-pair draw; > 0
-  /// replaces it with a deterministic shared obstacle field sampled at
-  /// the link midpoint, so nearby links shadow together and the
-  /// covariance decays with midpoint distance. Read by "log-distance"
-  /// when `shadowing_sigma_db > 0`.
-  double shadowing_corr_m = 0.0;
 
   /// Width of the probabilistic reception curve in dB: reception
   /// probability is logistic(margin / softness). 0 makes reception a
   /// hard threshold at the nominal range. Read by "log-distance".
   double softness_db = 2.0;
 
-  /// SIR advantage (dB) a frame needs over an interferer for
-  /// physical-layer capture. Read by "log-distance".
-  double capture_threshold_db = 6.0;
-
-  /// Fixed PHY preamble added to every frame's airtime (802.11b long
-  /// PLCP preamble is 192 us). Read by "log-distance".
-  double preamble_us = 192.0;
-
   // --- Gilbert-Elliott bursty erasures (read by "log-distance") ------
 
   /// Stationary fraction of time an unordered link spends in the
-  /// Gilbert-Elliott bad state; 0 (the default) disables the burst
-  /// stage entirely (no draws, no state queries). Must stay below 1.
+  /// Gilbert-Elliott bad state, where it erases every frame; 0 (the
+  /// default) disables the burst stage entirely (no draws, no state
+  /// queries). Must stay below 1.
   double ge_bad_fraction = 0.0;
 
   /// Mean sojourn time in the bad state, milliseconds — the expected
   /// burst length. The good-state rate follows from stationarity.
   double ge_mean_burst_ms = 200.0;
-
-  /// Erasure probability applied on top of the reception curve while
-  /// the link is in the bad state (1 = the classic hard erasure burst).
-  double ge_bad_loss = 1.0;
-
-  /// Erasure probability while the link is in the good state.
-  double ge_good_loss = 0.0;
-
-  /// Quantization step of the burst process, milliseconds: link state
-  /// is a pure function of the slot index floor(t / slot), evolved with
-  /// the closed-form two-state transition probabilities for one slot of
-  /// elapsed time. Smaller slots track the continuous chain more
-  /// closely at slightly higher per-delivery cost.
-  double ge_slot_ms = 10.0;
 
   // --- fast fading (read by "log-distance") --------------------------
 
@@ -135,21 +101,10 @@ struct ChannelParams {
   /// Enable SIR-adaptive bitrate selection: at transmit time the sender
   /// estimates its worst-case SIR at the nominal-range edge from the
   /// in-flight interferers audible at its position and picks the
-  /// fastest rate tier whose SIR requirement is met (halving the base
-  /// rate per tier). Off by default; the selected rate never exceeds
-  /// the base rate.
+  /// fastest of four rate tiers (base, base/2, base/4, base/8) whose SIR
+  /// requirement is met: 10 dB for the base rate, 5 dB less per halving.
+  /// Off by default; the selected rate never exceeds the base rate.
   bool adaptive_rate = false;
-
-  /// Number of rate tiers (base, base/2, ... base/2^(tiers-1)). At
-  /// least 1; tier count 1 pins the base rate regardless of SIR.
-  int rate_tiers = 4;
-
-  /// Estimated SIR (dB) required to run at the full base rate.
-  double rate_sir_full_db = 10.0;
-
-  /// SIR requirement relaxed per tier step-down (each halving of the
-  /// bitrate buys this much robustness, dB).
-  double rate_step_db = 5.0;
 
   /// Base seed for the keyed per-link reception draws of the
   /// non-reference models. The harness (`Topology`) always derives it
@@ -174,8 +129,6 @@ struct RxContext {
   uint32_t receiver = 0;     ///< receiving node id
   uint64_t tx_id = 0;        ///< transmission id (per-frame key)
   double time_s = 0.0;       ///< transmission start time, seconds
-  double mid_x = 0.0;        ///< link midpoint x (obstacle-field sample)
-  double mid_y = 0.0;        ///< link midpoint y (obstacle-field sample)
 };
 
 /// Deterministic two-state Markov (Gilbert-Elliott) erasure process per
@@ -206,6 +159,12 @@ class GilbertElliott {
   /// burst).
   static constexpr int kBlockSlots = 32;
 
+  /// Quantization step of the burst process, milliseconds: link state
+  /// is a pure function of the slot index floor(t / slot), evolved with
+  /// the closed-form two-state transition probabilities for one slot of
+  /// elapsed time.
+  static constexpr double kSlotMs = 10.0;
+
   /// Disabled process (never queried).
   GilbertElliott() = default;
 
@@ -219,9 +178,6 @@ class GilbertElliott {
   /// Pure function of the constructor parameters and the arguments.
   bool bad_at(uint32_t a, uint32_t b, double time_s) const;
 
-  /// Erasure probability applied in the given state.
-  double erasure(bool bad) const { return bad ? bad_loss_ : good_loss_; }
-
   /// Stationary probability of the bad state (closed form, what the
   /// empirical occupancy must converge to).
   double stationary_bad() const { return pi_; }
@@ -234,48 +190,14 @@ class GilbertElliott {
   double p_enter_bad() const { return p_gb_; }
 
   /// Quantization slot length, seconds.
-  double slot_s() const { return slot_s_; }
+  double slot_s() const { return kSlotMs * 1e-3; }
 
  private:
   bool enabled_ = false;
   double pi_ = 0.0;
   double p_bb_ = 0.0;
   double p_gb_ = 0.0;
-  double slot_s_ = 0.01;
-  double bad_loss_ = 1.0;
-  double good_loss_ = 0.0;
   uint64_t root_ = 0;  ///< link_seed under the burst stream-family tag
-};
-
-/// Deterministic spatially correlated shadowing field — a seed-keyed
-/// Gaussian random field standing in for a shared obstacle map. Built
-/// once per trial (from the channel's link_seed), immutable afterwards;
-/// `sample_db` is a pure function, so nearby links sampled at their
-/// midpoints shadow together and the covariance between two sample
-/// points decays as exp(-d^2 / (2 corr^2)) with their distance d. The
-/// classic sum-of-random-cosines spectral construction: harmonics with
-/// N(0, 1/corr^2) wave vectors and uniform phases.
-class ShadowField {
- public:
-  /// Disabled field (never sampled).
-  ShadowField() = default;
-
-  /// Build a field with marginal standard deviation @p sigma_db and
-  /// correlation length @p corr_m from keyed substreams of @p seed.
-  ShadowField(uint64_t seed, double sigma_db, double corr_m);
-
-  /// True when the field is active (sigma and correlation length > 0).
-  bool enabled() const { return !harmonics_.empty(); }
-
-  /// Shadowing value (dB, ~N(0, sigma^2)) at a point. Pure function.
-  double sample_db(double x, double y) const;
-
- private:
-  struct Harmonic {
-    double kx, ky, phase;
-  };
-  std::vector<Harmonic> harmonics_;
-  double amplitude_ = 0.0;
 };
 
 /// One Rayleigh/Rician power fading gain in dB, normalized to unit mean
@@ -330,7 +252,7 @@ class ChannelModel {
 
   /// Decide whether a non-collided frame is received. @p rx carries the
   /// link geometry and keys (distance, nominal range, ambient loss rate,
-  /// endpoint ids, transmission id, start time, link midpoint).
+  /// endpoint ids, transmission id, start time).
   /// @p link_rng is a stream keyed by the (unordered) node pair and
   /// re-seeded identically for every frame between them, so draws from
   /// it — independent per-pair shadowing — are *quasi-static per link*
@@ -392,8 +314,7 @@ using ChannelModelPtr = std::shared_ptr<const ChannelModel>;
 
 /// Build the model named by `params.model`. Throws std::invalid_argument
 /// on an unknown model or fading name (listing the registered ones) and
-/// on out-of-range stack parameters (ge_bad_fraction >= 1,
-/// rate_tiers < 1).
+/// on ge_bad_fraction >= 1.
 ChannelModelPtr make_channel_model(const ChannelParams& params);
 
 /// Names accepted by `make_channel_model`, sorted.

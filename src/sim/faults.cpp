@@ -13,14 +13,20 @@ namespace dapes::sim {
 namespace {
 
 /// Stream-family tag of the fault layer ("falt"), parallel to the
-/// channel layer's "chan"/"shad" tags: the base of every fault draw,
-/// derived from the trial seed unless FaultParams::seed pins it.
+/// channel layer's "chan"/"shad" tags: the base of every fault draw is
+/// derived from the trial seed under it.
 constexpr uint64_t kFaultTag = 0x66616c74ULL;
 
-uint64_t stream_base(const FaultParams& params, uint64_t trial_seed) {
-  return params.seed != 0 ? params.seed
-                          : common::derive_seed(trial_seed, kFaultTag);
-}
+/// Outage duration for crashed nodes (seconds); the restart is skipped
+/// (the crash becomes permanent) if it would land past the sim limit.
+constexpr double kRestartDelayS = 30.0;
+/// When the flash-crowd wave starts, and the window its arrivals spread
+/// uniformly over (seconds).
+constexpr double kFlashCrowdAtS = 60.0;
+constexpr double kFlashCrowdWindowS = 10.0;
+/// Departures pause while the removable pool is at or below this
+/// fraction of its initial size (the swarm never empties out).
+constexpr double kMinAliveFraction = 0.25;
 
 /// Inverse-CDF exponential inter-arrival draw at @p rate_hz (> 0).
 double exp_draw(common::Rng& rng, double rate_hz) {
@@ -43,8 +49,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "restart";
     case FaultKind::kJoin:
       return "join";
-    case FaultKind::kSeederLeave:
-      return "seeder_leave";
   }
   return "?";
 }
@@ -53,7 +57,7 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
                              const Population& population, double sim_limit_s,
                              uint64_t trial_seed) {
   FaultPlan plan;
-  const uint64_t base = stream_base(params, trial_seed);
+  const uint64_t base = common::derive_seed(trial_seed, kFaultTag);
   // One derived stream per process, so adding (say) a flash crowd never
   // shifts the leave draws — the axes stay independent, like the
   // channel layer's per-frame vs per-link streams.
@@ -72,8 +76,7 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
                population.latent.size());
   for (size_t i = 0; i < flash; ++i) {
     const double when =
-        params.flash_crowd_at_s +
-        flash_rng.uniform(0.0, std::max(0.0, params.flash_crowd_window_s));
+        kFlashCrowdAtS + flash_rng.uniform(0.0, kFlashCrowdWindowS);
     if (when < sim_limit_s) {
       plan.events_.push_back({at_seconds(when), FaultKind::kJoin,
                               population.latent[latent_used]});
@@ -83,7 +86,7 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
 
   // Poisson admissions drain the rest of the latent pool in order.
   if (params.join_rate_hz > 0.0) {
-    double t = params.warmup_s;
+    double t = kWarmupS;
     while (latent_used < population.latent.size()) {
       t += exp_draw(join_rng, params.join_rate_hz);
       if (t >= sim_limit_s) break;
@@ -102,9 +105,8 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
     std::vector<uint32_t> pool = population.removable;
     std::sort(pool.begin(), pool.end());
     const size_t min_alive = static_cast<size_t>(
-        std::ceil(std::clamp(params.min_alive_fraction, 0.0, 1.0) *
-                  static_cast<double>(pool.size())));
-    // Restart times are t + restart_delay_s with t monotone, so a FIFO
+        std::ceil(kMinAliveFraction * static_cast<double>(pool.size())));
+    // Restart times are t + kRestartDelayS with t monotone, so a FIFO
     // holds them in order.
     std::deque<std::pair<double, uint32_t>> restarts;
     auto process_restarts = [&](double upto) {
@@ -115,7 +117,7 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
       }
     };
 
-    double t = params.warmup_s;
+    double t = kWarmupS;
     while (t < sim_limit_s) {
       process_restarts(t);
       if (pool.size() <= min_alive) {
@@ -138,7 +140,7 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
           params.crash_fraction > 0.0 && crash_rng.chance(params.crash_fraction);
       if (crash) {
         plan.events_.push_back({at_seconds(t), FaultKind::kCrash, victim});
-        const double back = t + std::max(0.0, params.restart_delay_s);
+        const double back = t + kRestartDelayS;
         if (back < sim_limit_s) {
           plan.events_.push_back(
               {at_seconds(back), FaultKind::kRestart, victim});
@@ -149,12 +151,6 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
         plan.events_.push_back({at_seconds(t), FaultKind::kLeave, victim});
       }
     }
-  }
-
-  if (params.seeder_departure_s >= 0.0 && population.has_seeder &&
-      params.seeder_departure_s < sim_limit_s) {
-    plan.events_.push_back({at_seconds(params.seeder_departure_s),
-                            FaultKind::kSeederLeave, population.seeder});
   }
 
   std::sort(plan.events_.begin(), plan.events_.end(),
@@ -174,8 +170,8 @@ std::vector<uint32_t> FaultPlan::pick_adversaries(
       std::floor(fraction * static_cast<double>(candidates.size())));
   if (k == 0) return {};
   std::vector<uint32_t> picked = candidates;
-  common::Rng rng(
-      common::derive_seed(stream_base(params, trial_seed), 5));
+  common::Rng rng(common::derive_seed(
+      common::derive_seed(trial_seed, kFaultTag), 5));
   rng.shuffle(picked);
   picked.resize(k);
   std::sort(picked.begin(), picked.end());

@@ -1,12 +1,12 @@
 /// @file
 /// Deterministic fault injection for open-membership swarms.
 ///
-/// The paper's trials (and every scenario family before the churn.*
-/// one) run a fixed node population. This layer makes node lifecycle a
+/// The paper's trials (and every scenario family but churn.swarm) run a
+/// fixed node population. This layer makes node lifecycle a
 /// first-class simulated event instead: a per-trial `FaultPlan` is
 /// *compiled* from `FaultParams` knobs before the trial starts — Poisson
-/// leave/join churn, crash+restart outages, flash-crowd arrival waves,
-/// seeder departure — and then installed into the scheduler as ordinary
+/// leave/join churn, crash+restart outages, flash-crowd arrival waves —
+/// and then installed into the scheduler as ordinary
 /// events that the harness applies (retire/revive on the medium, timer
 /// sweep via `Scheduler::cancel_for_node`, peer crash/restart).
 ///
@@ -17,8 +17,8 @@
 /// pure function of (params, population, seed), so any `--jobs` value
 /// and grid-vs-brute see the identical fault sequence. With every knob
 /// at its default the plan is empty and nothing in the trial changes by
-/// a single draw — the fixed-population path stays the byte-identical
-/// reference (DESIGN.md "Fault injection & open membership").
+/// a single draw, so the fixed-population paper sweeps stay
+/// byte-identical (DESIGN.md "Fault injection & open membership").
 #pragma once
 
 #include <cstdint>
@@ -35,63 +35,33 @@ using common::TimePoint;
 
 /// Per-trial fault-injection knobs, embedded in `ScenarioParams` the way
 /// `ChannelParams` is. All defaults are "off": a default-constructed
-/// FaultParams compiles to an empty plan and the harness skips the
-/// wiring entirely, keeping the paper sweeps byte-identical.
+/// FaultParams compiles to an empty plan that draws nothing, keeping the
+/// paper sweeps byte-identical. Every draw derives from the trial seed.
 struct FaultParams {
   /// Per-removable-node Poisson departure rate (Hz). The aggregate rate
   /// scales with the currently removable population, like independent
   /// exponential lifetimes.
   double leave_rate_hz = 0.0;
-  /// Fraction of departures that are crash+restart outages instead of
-  /// permanent leaves.
+  /// Fraction of departures that are crash+restart outages (30 s long)
+  /// instead of permanent leaves.
   double crash_fraction = 0.0;
-  /// Outage duration for crashed nodes; the restart is skipped (the
-  /// crash becomes permanent) if it would land past the sim limit.
-  double restart_delay_s = 30.0;
-  /// Latent peers admitted in one arrival wave (the flash crowd).
+  /// Latent peers admitted in one arrival wave (the flash crowd), spread
+  /// uniformly over 60-70 s.
   int flash_crowd_size = 0;
-  /// When the wave starts (seconds).
-  double flash_crowd_at_s = 60.0;
-  /// Arrivals spread uniformly over this window (seconds).
-  double flash_crowd_window_s = 10.0;
   /// Poisson admission rate (Hz) from the remaining latent pool,
-  /// starting after warmup_s.
+  /// starting after FaultPlan::kWarmupS.
   double join_rate_hz = 0.0;
-  /// Producer/seeder retirement time (seconds; < 0 = never). The
-  /// starvation axis: the swarm must finish from peer stores alone.
-  double seeder_departure_s = -1.0;
   /// Fraction of the initial non-producer downloaders that lie in their
   /// availability bitmaps (advertise everything, serve nothing).
   double adversarial_fraction = 0.0;
-  /// No departures before this time (lets discovery bootstrap).
-  double warmup_s = 5.0;
-  /// Departures pause while the removable pool is at or below this
-  /// fraction of its initial size (the swarm never empties out).
-  double min_alive_fraction = 0.25;
-  /// Fault-stream seed; 0 derives one from the trial seed, any other
-  /// value decouples the fault axis from the trial axis.
-  uint64_t seed = 0;
-  /// Install the harness fault wiring even when the plan is empty. The
-  /// zero-churn equivalence suite sets this so "churn scenario with all
-  /// rates zero" exercises the wired path, not a silent fallback.
-  bool force_wiring = false;
-
-  /// True when any knob is active (or wiring is forced): the harness
-  /// builds latent pools, compiles and installs the plan only then.
-  bool any() const {
-    return leave_rate_hz > 0.0 || join_rate_hz > 0.0 ||
-           flash_crowd_size > 0 || seeder_departure_s >= 0.0 ||
-           adversarial_fraction > 0.0 || force_wiring;
-  }
 };
 
 /// What a compiled fault event does to its target node.
 enum class FaultKind : uint8_t {
-  kLeave = 0,    ///< permanent departure
-  kCrash,        ///< departure with a scheduled restart
-  kRestart,      ///< end of a crash outage
-  kJoin,         ///< admission of a latent node
-  kSeederLeave,  ///< the producer retires (starvation axis)
+  kLeave = 0,  ///< permanent departure
+  kCrash,      ///< departure with a scheduled restart
+  kRestart,    ///< end of a crash outage
+  kJoin,       ///< admission of a latent node
 };
 
 /// Dotted well-known name of @p kind (for logs and tests).
@@ -107,6 +77,10 @@ struct FaultEvent {
 /// The compiled, immutable fault schedule of one trial.
 class FaultPlan {
  public:
+  /// No departures and no Poisson admissions before this time (seconds):
+  /// lets discovery bootstrap.
+  static constexpr double kWarmupS = 5.0;
+
   /// The node pools compile() draws from. The harness fills these with
   /// medium node ids after building the fixed population.
   struct Population {
@@ -116,18 +90,14 @@ class FaultPlan {
     /// Pre-created latent nodes consumed by flash-crowd and join
     /// events, in order.
     std::vector<uint32_t> latent;
-    /// The producer node (seeder_departure_s target).
-    uint32_t seeder = 0;
-    /// False when the trial has no producer to retire.
-    bool has_seeder = false;
   };
 
   /// Compile the fault schedule: a deterministic membership walk over
   /// the removable pool (Poisson leaves at `leave_rate_hz *
   /// pool.size()`, crash victims re-entering the pool at restart),
-  /// flash-crowd arrivals, Poisson admissions consuming the latent pool
-  /// in order, and the seeder departure. Pure function of its
-  /// arguments; events come back sorted by (time, kind, target).
+  /// flash-crowd arrivals and Poisson admissions consuming the latent
+  /// pool in order. Pure function of its arguments; events come back
+  /// sorted by (time, kind, target).
   static FaultPlan compile(const FaultParams& params,
                            const Population& population, double sim_limit_s,
                            uint64_t trial_seed);

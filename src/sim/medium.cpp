@@ -49,14 +49,6 @@ void Medium::revive_node(NodeId node) {
   DAPES_TRACE_EVENT(trace::EventType::kNodeJoin, node, /*revive=*/1);
 }
 
-size_t Medium::alive_count() const {
-  size_t count = 0;
-  for (const NodeEntry& entry : nodes_) {
-    if (entry.alive) ++count;
-  }
-  return count;
-}
-
 void Medium::set_node_range_factor(NodeId node, double factor) {
   if (!(factor > 0.0)) {
     throw std::invalid_argument("Medium::set_node_range_factor: factor <= 0");
@@ -65,7 +57,7 @@ void Medium::set_node_range_factor(NodeId node, double factor) {
 }
 
 Duration Medium::frame_duration(size_t payload_bytes) const {
-  return channel_->airtime(payload_bytes + params_.frame_overhead_bytes,
+  return channel_->airtime(payload_bytes + kFrameOverheadBytes,
                            params_.data_rate_bps);
 }
 
@@ -192,12 +184,12 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
   }
   const TimePoint end =
       start +
-      channel_->airtime(frame->payload.size() + params_.frame_overhead_bytes,
+      channel_->airtime(frame->payload.size() + kFrameOverheadBytes,
                         rate_bps) +
-      params_.propagation;
+      kPropagation;
 
   ++stats_.transmissions;
-  stats_.bytes_sent += frame->payload.size() + params_.frame_overhead_bytes;
+  stats_.bytes_sent += frame->payload.size() + kFrameOverheadBytes;
   ++stats_.tx_by_kind[frame->kind];
 
   uint64_t id = next_tx_id_++;
@@ -340,8 +332,6 @@ void Medium::deliver_one(const ActiveTx& tx, NodeId receiver,
   rx.receiver = receiver;
   rx.tx_id = tx.id;
   rx.time_s = tx.start.to_seconds();
-  rx.mid_x = 0.5 * (tx.sender_pos.x + receiver_pos.x);
-  rx.mid_y = 0.5 * (tx.sender_pos.y + receiver_pos.y);
   bool delivered;
   if (channel_->deterministic_reference()) {
     delivered = channel_->receives(rx, rng_, rng_);

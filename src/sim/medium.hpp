@@ -98,6 +98,11 @@ struct MediumStats {
 /// The shared broadcast medium every node of a trial transmits on.
 class Medium {
  public:
+  /// Fixed propagation delay added to every frame's airtime.
+  static constexpr Duration kPropagation = Duration::microseconds(1);
+  /// Fixed per-frame overhead (preamble/MAC header), bytes.
+  static constexpr size_t kFrameOverheadBytes = 34;
+
   /// Radio/channel configuration, fixed per trial.
   struct Params {
     /// Nominal radio range (paper sweeps WiFi range 20-100 m). Per-node
@@ -107,10 +112,6 @@ class Medium {
     double data_rate_bps = 11e6;
     /// Distance-independent Bernoulli loss per receiver (paper: 10 %).
     double loss_rate = 0.10;
-    /// Fixed propagation delay added to every frame's airtime.
-    Duration propagation = Duration::microseconds(1);
-    /// Fixed per-frame overhead (preamble/MAC header), bytes.
-    size_t frame_overhead_bytes = 34;
     /// Channel/PHY model (unit-disk reference by default) plus its
     /// parameters, including the legacy capture ratio. See
     /// sim/channel.hpp.
@@ -177,9 +178,6 @@ class Medium {
   /// True when @p node is currently a live member (registered alive, or
   /// revived and not since retired).
   bool node_alive(NodeId node) const { return nodes_.at(node).alive; }
-
-  /// Number of currently live members (<= node_count()).
-  size_t alive_count() const;
 
   /// Put a frame on the air now. Serialization + propagation delay apply.
   void transmit(FramePtr frame, SendCompleteCallback on_complete = nullptr);

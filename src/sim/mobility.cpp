@@ -8,18 +8,26 @@
 
 namespace dapes::sim {
 
-RandomDirectionMobility::RandomDirectionMobility(Vec2 start, Params params,
+namespace {
+
+/// Leg duration bounds of the random-direction model (paper Fig. 7).
+constexpr Duration kLegMin = Duration::seconds(5.0);
+constexpr Duration kLegMax = Duration::seconds(20.0);
+
+}  // namespace
+
+RandomDirectionMobility::RandomDirectionMobility(Vec2 start, Field field,
                                                  common::Rng rng)
-    : params_(params), rng_(rng) {
-  legs_.push_back(make_leg(TimePoint::zero(), params_.field.clamp(start)));
+    : field_(field), rng_(rng) {
+  legs_.push_back(make_leg(TimePoint::zero(), field_.clamp(start)));
 }
 
 RandomDirectionMobility::Leg RandomDirectionMobility::make_leg(
     TimePoint start_time, Vec2 start_pos) {
   double angle = rng_.uniform(0.0, 2.0 * std::numbers::pi);
-  double speed = rng_.uniform(params_.speed_min, params_.speed_max);
-  double leg_seconds = rng_.uniform(params_.leg_min.to_seconds(),
-                                    params_.leg_max.to_seconds());
+  double speed = rng_.uniform(kMinSpeedMps, kMaxSpeedMps);
+  double leg_seconds =
+      rng_.uniform(kLegMin.to_seconds(), kLegMax.to_seconds());
   Leg leg;
   leg.start_time = start_time;
   leg.end_time = start_time + Duration::seconds(leg_seconds);
@@ -70,7 +78,7 @@ void RandomDirectionMobility::extend_to(TimePoint t) {
     Vec2 vel = last.velocity;
     double dt = (last.end_time - last.start_time).to_seconds();
     Vec2 end_pos =
-        move_with_reflection(last.start_pos, vel, dt, params_.field);
+        move_with_reflection(last.start_pos, vel, dt, field_);
     legs_.push_back(make_leg(last.end_time, end_pos));
   }
 }
@@ -85,7 +93,7 @@ Vec2 RandomDirectionMobility::position_at(TimePoint t) {
     if (t >= leg.start_time) {
       Vec2 vel = leg.velocity;
       double dt = (t - leg.start_time).to_seconds();
-      return move_with_reflection(leg.start_pos, vel, dt, params_.field);
+      return move_with_reflection(leg.start_pos, vel, dt, field_);
     }
   }
   return legs_.front().start_pos;
@@ -128,9 +136,6 @@ Vec2 WaypointMobility::position_at(TimePoint t) {
 RandomWaypointMobility::RandomWaypointMobility(Vec2 start, Params params,
                                                common::Rng rng)
     : params_(params), rng_(rng) {
-  if (params_.speed_min <= 0.0 || params_.speed_max < params_.speed_min) {
-    throw std::invalid_argument("RandomWaypointMobility: bad speed bounds");
-  }
   if (params_.pause.us < 0) {
     throw std::invalid_argument("RandomWaypointMobility: negative pause");
   }
@@ -141,7 +146,7 @@ RandomWaypointMobility::Leg RandomWaypointMobility::make_leg(
     TimePoint start_time, Vec2 from) {
   Vec2 dest{rng_.uniform(0.0, params_.field.width),
             rng_.uniform(0.0, params_.field.height)};
-  double speed = rng_.uniform(params_.speed_min, params_.speed_max);
+  double speed = rng_.uniform(kMinSpeedMps, kMaxSpeedMps);
   Leg leg;
   leg.start_time = start_time;
   leg.arrive_time =

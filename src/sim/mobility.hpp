@@ -22,6 +22,11 @@ namespace dapes::sim {
 using common::Duration;
 using common::TimePoint;
 
+/// Speed bounds (m/s) both random mobility models draw each leg's speed
+/// from, uniformly: the paper's Fig. 7 nodes move at 2-10 m/s.
+inline constexpr double kMinSpeedMps = 2.0;
+inline constexpr double kMaxSpeedMps = 10.0;  ///< see kMinSpeedMps
+
 /// Interface: where is the node at simulated time t?
 ///
 /// position_at must be a pure function of t (models may materialize
@@ -58,25 +63,17 @@ class StationaryMobility final : public MobilityModel {
 /// Random-direction model with boundary reflection.
 ///
 /// The node repeatedly draws a direction uniform in [0, 2*pi), a speed
-/// uniform in [speed_min, speed_max], and a leg duration uniform in
-/// [leg_min, leg_max]; it reflects off field edges mid-leg. Legs are
+/// uniform in [kMinSpeedMps, kMaxSpeedMps], and a leg duration uniform
+/// in [5 s, 20 s]; it reflects off field edges mid-leg. Legs are
 /// materialized on demand up to the queried time.
 class RandomDirectionMobility final : public MobilityModel {
  public:
-  /// Model parameters (defaults are the paper's Fig. 7 values).
-  struct Params {
-    Field field{};            ///< field the node reflects inside
-    double speed_min = 2.0;   ///< m/s, paper value
-    double speed_max = 10.0;  ///< m/s, paper value
-    Duration leg_min = Duration::seconds(5.0);   ///< shortest leg
-    Duration leg_max = Duration::seconds(20.0);  ///< longest leg
-  };
-
-  /// Start at @p start; every later leg is drawn from @p rng.
-  RandomDirectionMobility(Vec2 start, Params params, common::Rng rng);
+  /// Start at @p start inside @p field; every later leg is drawn from
+  /// @p rng.
+  RandomDirectionMobility(Vec2 start, Field field, common::Rng rng);
 
   Vec2 position_at(TimePoint t) override;
-  double max_speed() const override { return params_.speed_max; }
+  double max_speed() const override { return kMaxSpeedMps; }
 
  private:
   struct Leg {
@@ -91,7 +88,7 @@ class RandomDirectionMobility final : public MobilityModel {
   static Vec2 move_with_reflection(Vec2 from, Vec2& velocity, double dt,
                                    const Field& field);
 
-  Params params_;
+  Field field_;
   common::Rng rng_;
   std::vector<Leg> legs_;
 };
@@ -124,16 +121,14 @@ class WaypointMobility final : public MobilityModel {
 
 /// Random-waypoint model with pause time (the classic RWP used by the
 /// large-scale scenario families): the node draws a destination uniform
-/// in the field and a speed uniform in [speed_min, speed_max], travels
-/// there in a straight line, pauses, and repeats. Legs are materialized
-/// on demand, like RandomDirectionMobility.
+/// in the field and a speed uniform in [kMinSpeedMps, kMaxSpeedMps],
+/// travels there in a straight line, pauses, and repeats. Legs are
+/// materialized on demand, like RandomDirectionMobility.
 class RandomWaypointMobility final : public MobilityModel {
  public:
   /// Model parameters.
   struct Params {
     Field field{};            ///< field destinations are drawn in
-    double speed_min = 2.0;   ///< m/s
-    double speed_max = 10.0;  ///< m/s
     Duration pause = Duration::seconds(2.0);  ///< dwell at each target
   };
 
@@ -141,7 +136,7 @@ class RandomWaypointMobility final : public MobilityModel {
   RandomWaypointMobility(Vec2 start, Params params, common::Rng rng);
 
   Vec2 position_at(TimePoint t) override;
-  double max_speed() const override { return params_.speed_max; }
+  double max_speed() const override { return kMaxSpeedMps; }
 
  private:
   struct Leg {

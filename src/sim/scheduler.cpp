@@ -29,10 +29,9 @@ EventId Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
   Entry e;
   e.at = at;
   e.seq = next_seq_++;
-  e.id = next_id_++;
   e.owner = owner_;
   e.fn = std::move(fn);
-  const EventId id{e.id};
+  const EventId id{e.seq};
   heap_.push_back(std::move(e));
   std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
   return id;
@@ -43,10 +42,10 @@ EventId Scheduler::schedule(Duration delay, std::function<void()> fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-bool Scheduler::apply_cancel(uint64_t id) {
+bool Scheduler::apply_cancel(uint64_t seq) {
   // Mark; the entry is discarded lazily at pop time, or in bulk once
   // cancelled entries dominate the heap or pile past the absolute cap.
-  if (!cancelled_.insert(id).second) return false;
+  if (!cancelled_.insert(seq).second) return false;
   if ((heap_.size() >= kCompactFloor &&
        cancelled_.size() * 2 > heap_.size()) ||
       cancelled_.size() >= kCompactAbsolute) {
@@ -67,21 +66,21 @@ size_t Scheduler::cancel_for_node(uint64_t owner) {
   }
   // Collect first, cancel second: apply_cancel may trigger compact(),
   // which rewrites heap_ mid-iteration.
-  std::vector<uint64_t> ids;
+  std::vector<uint64_t> seqs;
   for (const Entry& e : heap_) {
-    if (e.owner == owner && !cancelled_.contains(e.id)) ids.push_back(e.id);
+    if (e.owner == owner && !cancelled_.contains(e.seq)) seqs.push_back(e.seq);
   }
   size_t cancelled = 0;
-  for (uint64_t id : ids) {
+  for (uint64_t seq : seqs) {
     DAPES_TRACE_HERE(trace::EventType::kSchedCancel);
-    if (apply_cancel(id)) ++cancelled;
+    if (apply_cancel(seq)) ++cancelled;
   }
   return cancelled;
 }
 
 void Scheduler::compact() {
   std::erase_if(heap_, [&](const Entry& e) {
-    auto it = cancelled_.find(e.id);
+    auto it = cancelled_.find(e.seq);
     if (it == cancelled_.end()) return false;
     cancelled_.erase(it);
     return true;
@@ -96,7 +95,7 @@ bool Scheduler::step() {
   std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
   Entry e = std::move(heap_.back());
   heap_.pop_back();
-  if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
+  if (auto it = cancelled_.find(e.seq); it != cancelled_.end()) {
     cancelled_.erase(it);
     return false;
   }

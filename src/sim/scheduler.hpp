@@ -131,8 +131,8 @@ class Scheduler {
  private:
   struct Entry {
     TimePoint at;
+    /// Insertion order (same-time tie-break) and the EventId value.
     uint64_t seq = 0;
-    uint64_t id = 0;
     /// Owning node for cancel_for_node (kNoOwner = unowned).
     uint64_t owner = kNoOwner;
     std::function<void()> fn;
@@ -151,7 +151,7 @@ class Scheduler {
   void compact();
 
   /// Cancel bookkeeping shared by cancel and cancel_for_node.
-  bool apply_cancel(uint64_t id);
+  bool apply_cancel(uint64_t seq);
 
   /// Pop the earliest entry (the heap must be non-empty): drop it if it
   /// was cancelled, else advance the clock to it and fire it. Returns
@@ -160,13 +160,13 @@ class Scheduler {
 
   TimePoint now_ = TimePoint::zero();
   uint64_t next_seq_ = 1;
-  uint64_t next_id_ = 1;
   uint64_t executed_ = 0;
   /// Owner stamped onto newly scheduled events (see OwnerScope).
   uint64_t owner_ = kNoOwner;
   /// Max-priority heap over EntryCompare (std::push_heap/pop_heap), kept
   /// as a plain vector so compact() can filter it in place.
   std::vector<Entry> heap_;
+  /// Seqs of cancelled entries still in heap_.
   std::unordered_set<uint64_t> cancelled_;
 };
 

@@ -167,7 +167,7 @@ using EventTypeRegistry = ConstSingleton<EventTypeRegistryValues>;
 class TraceSinkNameValues {
  public:
   /// Bounded ring buffer (the default): memory stays capped, the newest
-  /// `ring_capacity` records of the trial survive to the flush.
+  /// 2^20 records of the trial survive to the flush.
   std::string_view kRing = "ring";
   /// Unbounded in-memory buffer written to the output path at flush.
   std::string_view kFile = "file";

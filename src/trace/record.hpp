@@ -52,10 +52,6 @@ struct TraceConfig {
   /// Output path for the binary trace. Required by the file sink;
   /// optional for ring (empty = in-memory only); ignored by null.
   std::string path;
-  /// Per-trial record cap of the ring sink (drop-oldest beyond it), also
-  /// its name-dictionary cap. 2^20 records = 48 MiB, which holds a whole
-  /// quick fig9b trial.
-  size_t ring_capacity = 1048576;
 
   /// True when a sink is configured.
   bool enabled() const { return !sink.empty(); }

@@ -10,12 +10,17 @@ namespace dapes::trace {
 
 namespace {
 
-/// Bounded default: a ring of the trial's newest config.ring_capacity
-/// records, written to config.path at flush when a path is set.
+/// Per-trial record cap of the ring sink (drop-oldest beyond it), also
+/// its name-dictionary cap. 2^20 records = 48 MiB, which holds a whole
+/// quick fig9b trial.
+constexpr size_t kRingCapacity = 1048576;
+
+/// Bounded default: a ring of the trial's newest kRingCapacity records,
+/// written to config.path at flush when a path is set.
 class RingSink : public TraceSink {
  public:
-  size_t buffer_capacity(const TraceConfig& config) const override {
-    return config.ring_capacity;
+  size_t buffer_capacity(const TraceConfig&) const override {
+    return kRingCapacity;
   }
   void write(const TraceConfig& config,
              const TraceData& trace) const override {

@@ -73,13 +73,10 @@ inline void build_world(World& w, uint64_t seed, bool brute,
       case 0:
         w.mobility.push_back(std::make_unique<StationaryMobility>(start));
         break;
-      case 1: {
-        RandomDirectionMobility::Params p;
-        p.field = field;
+      case 1:
         w.mobility.push_back(
-            std::make_unique<RandomDirectionMobility>(start, p, node_rng));
+            std::make_unique<RandomDirectionMobility>(start, field, node_rng));
         break;
-      }
       case 2: {
         RandomWaypointMobility::Params p;
         p.field = field;

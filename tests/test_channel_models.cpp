@@ -257,7 +257,6 @@ TEST(Capture, TransmissionStartOrderDoesNotChangeDeliveries) {
     mp.channel.model = "log-distance";
     mp.channel.shadowing_sigma_db = 0.0;
     mp.channel.softness_db = 0.0;
-    mp.channel.capture_threshold_db = 6.0;
     Medium medium(sched, mp, common::Rng(1));
 
     StationaryMobility receiver({0.0, 0.0});
@@ -320,10 +319,9 @@ TEST(Airtime, GrowsStrictlyWithPayload) {
   // The reference keeps the historic linear formula exactly…
   ChannelParams ud;
   EXPECT_EQ(make_channel_model(ud)->airtime(125, 1e6).us, 1000);
-  // …and the log-distance model charges its PHY preamble on top.
+  // …and the log-distance model charges its 192 us PHY preamble on top.
   ChannelParams ld;
   ld.model = "log-distance";
-  ld.preamble_us = 192.0;
   EXPECT_EQ(make_channel_model(ld)->airtime(125, 1e6).us, 1192);
 }
 

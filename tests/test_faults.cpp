@@ -3,12 +3,10 @@
 //
 //   * FaultPlan purity — compiling is a pure function of (params,
 //     population, limit, seed); the sim-limit only truncates; per-process
-//     draw streams are independent; the departure floor holds.
-//   * Zero-churn equivalence — the wired fault path with every rate at
-//     zero (force_wiring) is bit-identical to the untouched
-//     fixed-population path, per deterministic TrialResult field, across
-//     12 seeds. This is the "paper sweeps stay byte-identical" guarantee
-//     in its strongest testable form.
+//     draw streams are independent; the departure floor holds. Default
+//     knobs compile an empty plan, so the always-on wiring leaves
+//     fixed-population trials unchanged (the golden sweeps and
+//     test_harness's pinned trial hold them byte-identical).
 //   * Churn determinism — under real churn (leaves, crashes, flash
 //     crowd, liars) the trial is bit-identical between grid and brute
 //     media, and between --jobs 1 and 8.
@@ -17,7 +15,7 @@
 //     and never reach a node admitted after they were sent, even in
 //     the same instant, on either medium.
 //   * Graceful degradation — adversarial bitmap liars never stall the
-//     honest swarm, and seeder departure after seeding still completes.
+//     honest swarm.
 //   * Lifecycle tracing — node.join / node.leave / fault.inject /
 //     peer.lied records land in the trial trace with the right shape.
 #include <gtest/gtest.h>
@@ -47,8 +45,6 @@ sim::FaultPlan::Population small_population() {
   sim::FaultPlan::Population pop;
   for (uint32_t n = 3; n < 23; ++n) pop.removable.push_back(n);
   for (uint32_t n = 30; n < 45; ++n) pop.latent.push_back(n);
-  pop.seeder = 2;
-  pop.has_seeder = true;
   return pop;
 }
 
@@ -56,11 +52,8 @@ sim::FaultParams busy_faults() {
   sim::FaultParams f;
   f.leave_rate_hz = 1.0 / 60.0;
   f.crash_fraction = 0.5;
-  f.restart_delay_s = 20.0;
   f.flash_crowd_size = 5;
-  f.flash_crowd_at_s = 30.0;
   f.join_rate_hz = 1.0 / 40.0;
-  f.seeder_departure_s = 120.0;
   return f;
 }
 
@@ -92,10 +85,6 @@ TEST(FaultPlan, DefaultParamsCompileEmpty) {
   const auto plan = sim::FaultPlan::compile(sim::FaultParams{},
                                             small_population(), 600.0, 1);
   EXPECT_TRUE(plan.events().empty());
-  EXPECT_FALSE(sim::FaultParams{}.any());
-  sim::FaultParams forced;
-  forced.force_wiring = true;
-  EXPECT_TRUE(forced.any());
 }
 
 TEST(FaultPlan, SimLimitOnlyTruncates) {
@@ -144,14 +133,14 @@ TEST(FaultPlan, StreamsAreIndependent) {
 
 TEST(FaultPlan, DepartureFloorHolds) {
   // Replay the compiled membership walk: the removable population never
-  // drops below ceil(min_alive_fraction * initial size).
+  // drops below a quarter of its initial size.
   const auto pop = small_population();
   auto f = busy_faults();
   f.leave_rate_hz = 1.0;  // aggressive: the floor must do the work
-  f.min_alive_fraction = 0.4;
   const auto plan = sim::FaultPlan::compile(f, pop, 600.0, 11);
-  const size_t floor_count = 8;  // ceil(0.4 * 20)
+  const size_t floor_count = 5;  // ceil(0.25 * 20)
   std::set<uint32_t> alive(pop.removable.begin(), pop.removable.end());
+  size_t lowest = alive.size();
   for (const auto& ev : plan.events()) {
     switch (ev.kind) {
       case sim::FaultKind::kLeave:
@@ -166,7 +155,10 @@ TEST(FaultPlan, DepartureFloorHolds) {
         break;
     }
     EXPECT_GE(alive.size(), floor_count);
+    lowest = std::min(lowest, alive.size());
   }
+  // The floor actually binds.
+  EXPECT_EQ(lowest, floor_count);
 }
 
 TEST(FaultPlan, EventsSortedAndJoinsCounted) {
@@ -230,12 +222,10 @@ ScenarioParams churny_field(uint64_t seed) {
   ScenarioParams p = small_field(seed);
   p.faults.leave_rate_hz = 1.0 / 120.0;
   p.faults.crash_fraction = 0.5;
-  p.faults.restart_delay_s = 20.0;
   p.faults.flash_crowd_size = 3;
-  p.faults.flash_crowd_at_s = 40.0;
   p.faults.join_rate_hz = 1.0 / 120.0;
   p.faults.adversarial_fraction = 0.2;
-  p.peer.knowledge_ttl = p.peer.neighbor_ttl * 2;
+  p.peer.knowledge_ttl = core::kNeighborTtl * 2;
   p.peer.stale_retry_limit = 3;
   return p;
 }
@@ -254,27 +244,6 @@ void expect_equal(const TrialResult& a, const TrialResult& b) {
   EXPECT_EQ(a.system_calls, b.system_calls);
   EXPECT_EQ(a.page_faults, b.page_faults);
 }
-
-class FaultEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(FaultEquivalence, ZeroChurnWiringIsByteIdentical) {
-  // The wired fault path with every rate at zero must reproduce the
-  // fixed-population path bit-for-bit: no extra events, no extra draws,
-  // no metric off by one ulp. force_wiring makes this non-vacuous (the
-  // harness builds the owner scopes and the empty plan, rather than
-  // skipping the wiring).
-  ScenarioParams plain = small_field(GetParam());
-  TrialResult reference = run_trial(ProtocolNames::kDapes, plain);
-  ASSERT_GT(reference.transmissions, 0u);
-
-  ScenarioParams wired = plain;
-  wired.faults.force_wiring = true;
-  TrialResult forced = run_trial(ProtocolNames::kDapes, wired);
-  expect_equal(reference, forced);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FaultEquivalence,
-                         ::testing::Range<uint64_t>(1, 13));
 
 TEST(Faults, ChurnTrialIdenticalGridVsBrute) {
   for (uint64_t seed : {1ull, 5ull, 9ull}) {
@@ -310,21 +279,11 @@ TEST(Faults, AdversariesNeverStallHonestSwarm) {
     SCOPED_TRACE(seed);
     ScenarioParams p = small_field(seed);
     p.faults.adversarial_fraction = 0.25;
-    p.peer.knowledge_ttl = p.peer.neighbor_ttl * 2;
+    p.peer.knowledge_ttl = core::kNeighborTtl * 2;
     p.peer.stale_retry_limit = 3;
     TrialResult r = run_trial(ProtocolNames::kDapes, p);
     EXPECT_DOUBLE_EQ(r.completion_fraction, 1.0) << "honest swarm stalled";
   }
-}
-
-TEST(Faults, SeederDepartureAfterSeedingStillCompletes) {
-  // The producer retires late; by then the swarm holds enough replicas
-  // to finish from peer stores alone (graceful degradation, not
-  // collapse). A departure at t=0 would be a starvation test instead.
-  ScenarioParams p = small_field(4);
-  p.faults.seeder_departure_s = 200.0;
-  TrialResult r = run_trial(ProtocolNames::kDapes, p);
-  EXPECT_GT(r.completion_fraction, 0.0);
 }
 
 // --- Lifecycle tracing -----------------------------------------------

@@ -99,21 +99,12 @@ TEST(Scenario, ChannelDefaultsAreInert) {
   c.capture_ratio = 0.7;
   c.path_loss_exponent = 3.0;
   c.shadowing_sigma_db = 0.0;
-  c.shadowing_corr_m = 0.0;
   c.softness_db = 2.0;
-  c.capture_threshold_db = 6.0;
-  c.preamble_us = 192.0;
   c.ge_bad_fraction = 0.0;
   c.ge_mean_burst_ms = 200.0;
-  c.ge_bad_loss = 1.0;
-  c.ge_good_loss = 0.0;
-  c.ge_slot_ms = 10.0;
   c.fading = "none";
   c.rician_k = 4.0;
   c.adaptive_rate = false;
-  c.rate_tiers = 4;
-  c.rate_sir_full_db = 10.0;
-  c.rate_step_db = 5.0;
   c.link_seed = 0;
   TrialResult spelled = run_dapes_trial(p);
   EXPECT_EQ(spelled.transmissions, r.transmissions);

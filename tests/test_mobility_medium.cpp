@@ -21,9 +21,8 @@ TEST(Mobility, StationaryNeverMoves) {
 class RandomDirectionField : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomDirectionField, StaysInsideField) {
-  RandomDirectionMobility::Params params;
-  params.field = Field{300, 300};
-  RandomDirectionMobility m({150, 150}, params, common::Rng(GetParam()));
+  RandomDirectionMobility m({150, 150}, Field{300, 300},
+                            common::Rng(GetParam()));
   for (int s = 0; s < 600; s += 3) {
     Vec2 p = m.position_at(TimePoint{static_cast<int64_t>(s) * 1000000});
     EXPECT_GE(p.x, -1e-6);
@@ -34,14 +33,14 @@ TEST_P(RandomDirectionField, StaysInsideField) {
 }
 
 TEST_P(RandomDirectionField, SpeedWithinConfiguredBounds) {
-  RandomDirectionMobility::Params params;
-  params.field = Field{1e7, 1e7};  // effectively unbounded: no reflections
-  RandomDirectionMobility m({5e6, 5e6}, params, common::Rng(GetParam()));
+  // Effectively unbounded field: no reflections.
+  RandomDirectionMobility m({5e6, 5e6}, Field{1e7, 1e7},
+                            common::Rng(GetParam()));
   for (int s = 0; s < 100; ++s) {
     Vec2 a = m.position_at(TimePoint{static_cast<int64_t>(s) * 1000000});
     Vec2 b = m.position_at(TimePoint{static_cast<int64_t>(s + 1) * 1000000});
     double speed = distance(a, b);  // meters over one second
-    EXPECT_LE(speed, 10.0 + 1e-6);
+    EXPECT_LE(speed, kMaxSpeedMps + 1e-6);
   }
 }
 
@@ -49,9 +48,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDirectionField,
                          ::testing::Values(1, 2, 3, 42, 99));
 
 TEST(Mobility, RandomDirectionDeterministic) {
-  RandomDirectionMobility::Params params;
-  RandomDirectionMobility a({150, 150}, params, common::Rng(7));
-  RandomDirectionMobility b({150, 150}, params, common::Rng(7));
+  const Field field{300, 300};
+  RandomDirectionMobility a({150, 150}, field, common::Rng(7));
+  RandomDirectionMobility b({150, 150}, field, common::Rng(7));
   for (int s = 0; s < 100; s += 10) {
     TimePoint t{static_cast<int64_t>(s) * 1000000};
     EXPECT_EQ(a.position_at(t), b.position_at(t));
@@ -83,10 +82,12 @@ TEST(Mobility, MaxSpeedContracts) {
   StationaryMobility fixed({1, 1});
   EXPECT_EQ(fixed.max_speed(), 0.0);
 
-  RandomDirectionMobility::Params dp;
-  dp.speed_max = 7.5;
-  RandomDirectionMobility dir({10, 10}, dp, common::Rng(1));
-  EXPECT_EQ(dir.max_speed(), 7.5);
+  RandomDirectionMobility dir({10, 10}, Field{300, 300}, common::Rng(1));
+  EXPECT_EQ(dir.max_speed(), kMaxSpeedMps);
+  RandomWaypointMobility::Params wp_params;
+  wp_params.field = Field{300, 300};
+  RandomWaypointMobility way({10, 10}, wp_params, common::Rng(1));
+  EXPECT_EQ(way.max_speed(), kMaxSpeedMps);
 
   // 10 m in 2 s, then 30 m in 3 s: fastest segment is 10 m/s.
   WaypointMobility wp({{TimePoint{0}, {0, 0}},
@@ -124,10 +125,8 @@ void expect_query_order_independent(Make make) {
 
 TEST(Mobility, RandomDirectionQueryOrderIndependent) {
   expect_query_order_independent([] {
-    RandomDirectionMobility::Params p;
-    p.field = Field{200, 200};
-    return std::make_unique<RandomDirectionMobility>(Vec2{100, 100}, p,
-                                                     common::Rng(11));
+    return std::make_unique<RandomDirectionMobility>(
+        Vec2{100, 100}, Field{200, 200}, common::Rng(11));
   });
 }
 
@@ -154,8 +153,8 @@ TEST_P(RandomWaypointField, StaysInsideFieldAndRespectsSpeed) {
     EXPECT_GE(p.y, -1e-6);
     EXPECT_LE(p.x, 250 + 1e-6);
     EXPECT_LE(p.y, 250 + 1e-6);
-    // Displacement per second bounded by the configured max speed.
-    EXPECT_LE(distance(prev, p), params.speed_max + 1e-6);
+    // Displacement per second bounded by the max speed.
+    EXPECT_LE(distance(prev, p), kMaxSpeedMps + 1e-6);
     prev = p;
   }
 }
@@ -182,10 +181,6 @@ TEST(Mobility, RandomWaypointPausesAtTargets) {
 }
 
 TEST(Mobility, RandomWaypointRejectsBadParams) {
-  RandomWaypointMobility::Params bad_speed;
-  bad_speed.speed_min = 0.0;
-  EXPECT_THROW(RandomWaypointMobility({0, 0}, bad_speed, common::Rng(1)),
-               std::invalid_argument);
   RandomWaypointMobility::Params bad_pause;
   bad_pause.pause = Duration::seconds(-1.0);
   EXPECT_THROW(RandomWaypointMobility({0, 0}, bad_pause, common::Rng(1)),
@@ -337,10 +332,9 @@ TEST_F(MediumTest, NonOverlappingDoNotCollide) {
 TEST_F(MediumTest, FrameDurationScalesWithSizeAndRate) {
   auto p = params();
   p.data_rate_bps = 1e6;
-  p.frame_overhead_bytes = 0;
-  p.propagation = Duration{0};
   Medium medium(sched, p, common::Rng(1));
-  EXPECT_EQ(medium.frame_duration(125).us, 1000);  // 1000 bits at 1 Mbps
+  // 125 bytes on the air, MAC overhead included: 1000 bits at 1 Mbps.
+  EXPECT_EQ(medium.frame_duration(125 - Medium::kFrameOverheadBytes).us, 1000);
 }
 
 TEST_F(MediumTest, BusyForReflectsActiveTransmissions) {

@@ -16,14 +16,14 @@ TEST(Peba, PriorityDelayDecreasesWithFraction) {
 
 TEST(Peba, PriorityDelayAtFullFractionIsWindow) {
   PebaScheduler peba;
-  EXPECT_EQ(peba.priority_delay(1.0), peba.params().window);
+  EXPECT_EQ(peba.priority_delay(1.0), PebaScheduler::kWindow);
 }
 
 TEST(Peba, PriorityDelayIsWindowDividedByFraction) {
   PebaScheduler peba;
   // The paper's rule: window / percent.
-  EXPECT_EQ(peba.priority_delay(0.5).us, peba.params().window.us * 2);
-  EXPECT_EQ(peba.priority_delay(0.25).us, peba.params().window.us * 4);
+  EXPECT_EQ(peba.priority_delay(0.5).us, PebaScheduler::kWindow.us * 2);
+  EXPECT_EQ(peba.priority_delay(0.25).us, PebaScheduler::kWindow.us * 4);
 }
 
 TEST(Peba, ZeroFractionCapped) {
@@ -40,11 +40,10 @@ TEST(Peba, SlotsDoublePerRound) {
 }
 
 TEST(Peba, SlotsCappedAtMaxRounds) {
-  PebaScheduler::Params params;
-  params.max_rounds = 4;
-  PebaScheduler peba(params);
-  EXPECT_EQ(peba.slots_for_round(4), 16);
-  EXPECT_EQ(peba.slots_for_round(9), 16);
+  PebaScheduler peba;
+  ASSERT_EQ(PebaScheduler::kMaxRounds, 6);
+  EXPECT_EQ(peba.slots_for_round(6), 64);
+  EXPECT_EQ(peba.slots_for_round(9), 64);
   EXPECT_EQ(peba.slots_for_round(0), 2);  // clamped low as well
 }
 
@@ -58,14 +57,13 @@ TEST(Peba, GroupAssignmentTwoGroups) {
   EXPECT_EQ(peba.group_for_fraction(0.0), 1);
 }
 
-TEST(Peba, GroupAssignmentFourGroups) {
-  PebaScheduler::Params params;
-  params.groups = 4;
-  PebaScheduler peba(params);
-  EXPECT_EQ(peba.group_for_fraction(0.9), 0);
-  EXPECT_EQ(peba.group_for_fraction(0.7), 1);
-  EXPECT_EQ(peba.group_for_fraction(0.3), 2);
-  EXPECT_EQ(peba.group_for_fraction(0.1), 3);
+TEST(Peba, GroupAssignmentClampsOutOfRangeFractions) {
+  PebaScheduler peba;
+  ASSERT_EQ(PebaScheduler::kGroups, 2);
+  EXPECT_EQ(peba.group_for_fraction(1.5), 0);
+  EXPECT_EQ(peba.group_for_fraction(0.51), 0);
+  EXPECT_EQ(peba.group_for_fraction(0.49), 1);
+  EXPECT_EQ(peba.group_for_fraction(-0.3), 1);
 }
 
 TEST(Peba, BackoffHighFractionEarlierSlots) {
@@ -75,8 +73,8 @@ TEST(Peba, BackoffHighFractionEarlierSlots) {
   for (int i = 0; i < 50; ++i) {
     common::Duration high = peba.backoff_delay(2, 0.9, rng);
     common::Duration low = peba.backoff_delay(2, 0.1, rng);
-    int high_slot = static_cast<int>(high.us / peba.params().slot.us);
-    int low_slot = static_cast<int>(low.us / peba.params().slot.us);
+    int high_slot = static_cast<int>(high.us / PebaScheduler::kSlot.us);
+    int low_slot = static_cast<int>(low.us / PebaScheduler::kSlot.us);
     EXPECT_LT(high_slot, 2);
     EXPECT_GE(low_slot, 2);
     EXPECT_LT(low_slot, 4);
@@ -91,7 +89,7 @@ TEST(Peba, BackoffWithinTotalSlotRange) {
       double fraction = rng.uniform01();
       common::Duration d = peba.backoff_delay(round, fraction, rng);
       EXPECT_GE(d.us, 0);
-      EXPECT_LT(d.us, peba.params().slot.us * peba.slots_for_round(round));
+      EXPECT_LT(d.us, PebaScheduler::kSlot.us * peba.slots_for_round(round));
     }
   }
 }

@@ -47,17 +47,15 @@ TEST_F(PeerProtocol, DiscoveryBacksOffInIsolation) {
   mp.range_m = 50;
   sim::Medium medium(sched, mp, rng.fork());
   sim::StationaryMobility alone{{0, 0}};
-  PeerOptions po;
-  po.discovery_period_min = common::Duration::seconds(1.0);
-  po.discovery_period_max = common::Duration::seconds(8.0);
-  auto peer = make_peer(medium, &alone, "hermit", po);
+  auto peer = make_peer(medium, &alone, "hermit");
   peer->subscribe(collection());
   peer->start();
   run_seconds(120);
-  // With exponential backoff to 8 s (+<=25% jitter) an isolated peer
-  // sends far fewer queries than the 1 s floor would produce.
+  // With exponential backoff to the 6 s ceiling (+<=25% jitter) an
+  // isolated peer sends far fewer queries than the 1 s floor would
+  // produce.
   uint64_t sent = peer->stats().discovery_interests_sent;
-  EXPECT_LT(sent, 40u);  // 120 at the floor; ~15-20 with backoff
+  EXPECT_LT(sent, 40u);  // 120 at the floor; ~20-25 with backoff
   EXPECT_GT(sent, 8u);
 }
 
@@ -67,12 +65,9 @@ TEST_F(PeerProtocol, DiscoveryStaysFastAmongNeighbors) {
   mp.loss_rate = 0.0;
   sim::Medium medium(sched, mp, rng.fork());
   sim::StationaryMobility pa{{0, 0}}, pb{{20, 0}};
-  PeerOptions po;
-  po.discovery_period_min = common::Duration::seconds(1.0);
-  po.discovery_period_max = common::Duration::seconds(8.0);
   auto col = collection();
-  auto a = make_peer(medium, &pa, "a", po);
-  auto b = make_peer(medium, &pb, "b", po);
+  auto a = make_peer(medium, &pa, "a");
+  auto b = make_peer(medium, &pb, "b");
   a->publish(col);
   b->subscribe(col);
   a->start();

@@ -27,14 +27,14 @@ TEST(RankPackets, RarestFirstAmongAvailable) {
   // packet 3 by nobody.
   std::vector<uint32_t> counts = {3, 1, 2, 0};
   std::vector<size_t> order = {0, 1, 2, 3};
-  auto ranked = rank_packets(counts, 3, order);
+  auto ranked = rank_packets(counts, order);
   EXPECT_EQ(ranked, (std::vector<size_t>{1, 2, 0, 3}));
 }
 
 TEST(RankPackets, TieBreakFollowsOrder) {
   std::vector<uint32_t> counts = {1, 1, 1};
   std::vector<size_t> order = {2, 0, 1};
-  auto ranked = rank_packets(counts, 1, order);
+  auto ranked = rank_packets(counts, order);
   EXPECT_EQ(ranked, (std::vector<size_t>{2, 0, 1}));
 }
 

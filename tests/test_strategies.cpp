@@ -46,23 +46,26 @@ struct StrategyTest : ::testing::Test {
     fw.add_face(app);
   }
 
-  void use_pure(double probability) {
-    PureForwarderStrategy::Params p;
-    p.forward_probability = probability;
-    p.forward_delay_window = common::Duration::milliseconds(10);
-    fw.set_strategy(std::make_unique<PureForwarderStrategy>(
-        sched, common::Rng(1), p));
-  }
-
-  DapesIntermediateStrategy* use_intermediate(double probability) {
-    DapesIntermediateStrategy::IntermediateParams p;
-    p.base.forward_probability = probability;
-    p.base.forward_delay_window = common::Duration::milliseconds(10);
-    auto s = std::make_unique<DapesIntermediateStrategy>(sched,
-                                                         common::Rng(1), p);
+  PureForwarderStrategy* use_pure(double probability) {
+    auto s = std::make_unique<PureForwarderStrategy>(sched, common::Rng(1),
+                                                     probability);
     auto* raw = s.get();
     fw.set_strategy(std::move(s));
     return raw;
+  }
+
+  DapesIntermediateStrategy* use_intermediate(double probability) {
+    auto s = std::make_unique<DapesIntermediateStrategy>(
+        sched, common::Rng(1), probability);
+    auto* raw = s.get();
+    fw.set_strategy(std::move(s));
+    return raw;
+  }
+
+  /// Run past the longest relay delay.
+  void run_past_relay_delay() {
+    sched.run_until(common::TimePoint{} +
+                    PureForwarderStrategy::kForwardDelayWindow);
   }
 
   BitmapMessage bitmap_msg(const std::string& peer,
@@ -87,7 +90,7 @@ struct StrategyTest : ::testing::Test {
 TEST_F(StrategyTest, PureForwarderRelaysWithProbabilityOne) {
   use_pure(1.0);
   wifi->inject(make_interest("/coll/file/1", 1));
-  sched.run_until(common::TimePoint{50000});
+  run_past_relay_delay();
   ASSERT_EQ(wifi->sent_interests.size(), 1u);
   EXPECT_EQ(wifi->sent_interests[0].name().to_uri(), "/coll/file/1");
 }
@@ -95,7 +98,7 @@ TEST_F(StrategyTest, PureForwarderRelaysWithProbabilityOne) {
 TEST_F(StrategyTest, PureForwarderNeverRelaysAtZero) {
   use_pure(0.0);
   wifi->inject(make_interest("/coll/file/1", 1));
-  sched.run_until(common::TimePoint{50000});
+  run_past_relay_delay();
   EXPECT_TRUE(wifi->sent_interests.empty());
 }
 
@@ -104,7 +107,7 @@ TEST_F(StrategyTest, RelayWaitsForRandomDelay) {
   wifi->inject(make_interest("/coll/file/1", 1));
   // Relay is scheduled, not synchronous.
   EXPECT_TRUE(wifi->sent_interests.empty());
-  sched.run_until(common::TimePoint{20000});
+  run_past_relay_delay();
   EXPECT_EQ(wifi->sent_interests.size(), 1u);
 }
 
@@ -115,7 +118,7 @@ TEST_F(StrategyTest, RelaySuppressedIfDataArrivesFirst) {
   Data d{ndn::Name("/coll/file/1")};
   d.set_content(bytes_of("x"));
   wifi->inject(d);
-  sched.run_until(common::TimePoint{50000});
+  run_past_relay_delay();
   EXPECT_TRUE(wifi->sent_interests.empty());
 }
 
@@ -197,16 +200,16 @@ TEST_F(StrategyTest, IntermediateSuppressesKnownMissing) {
 }
 
 TEST_F(StrategyTest, IntermediateKnowledgeExpires) {
-  DapesIntermediateStrategy::IntermediateParams p;
-  p.knowledge_ttl = common::Duration::milliseconds(100);
-  auto s = std::make_unique<DapesIntermediateStrategy>(sched, common::Rng(1), p);
-  auto* raw = s.get();
-  fw.set_strategy(std::move(s));
+  auto* s = use_intermediate(0.2);
   wifi->inject(bitmap_interest(bitmap_msg("B", {5}), 1));
-  EXPECT_EQ(raw->packet_availability(ndn::Name("/coll/file/5"), sched.now()),
+  const ndn::Name packet("/coll/file/5");
+  // Fresh through the TTL boundary, forgotten just past it.
+  sched.run_until(common::TimePoint{} +
+                  DapesIntermediateStrategy::kKnowledgeTtl);
+  EXPECT_EQ(s->packet_availability(packet, sched.now()),
             DapesIntermediateStrategy::Availability::kAvailable);
-  sched.run_until(common::TimePoint{500000});
-  EXPECT_EQ(raw->packet_availability(ndn::Name("/coll/file/5"), sched.now()),
+  sched.run_until(sched.now() + common::Duration::microseconds(1));
+  EXPECT_EQ(s->packet_availability(packet, sched.now()),
             DapesIntermediateStrategy::Availability::kUnknown);
 }
 
@@ -233,20 +236,16 @@ TEST_F(StrategyTest, IntermediateFallsBackToProbabilisticWhenUnknown) {
 // --------------------------------------------- soft-state expiry sweeps
 
 TEST_F(StrategyTest, RelayBookkeepingSweptAfterHorizon) {
-  PureForwarderStrategy::Params p;
-  p.forward_probability = 1.0;
-  p.forward_delay_window = common::Duration::milliseconds(1);
-  p.name_state_cap = 8;
-  p.relay_horizon = common::Duration::seconds(1.0);
-  fw.set_strategy(
-      std::make_unique<PureForwarderStrategy>(sched, common::Rng(1), p));
-  auto* strategy = static_cast<PureForwarderStrategy*>(&fw.strategy());
+  auto* strategy = use_pure(1.0);
 
   // Every relay is satisfied by returning data, so on_interest_timeout
   // never fires and nothing would ever shrink the table without the
-  // horizon sweep.
-  for (uint32_t i = 0; i < 40; ++i) {
-    common::TimePoint at{static_cast<int64_t>(i) * 2'000'000};  // 2 s apart
+  // horizon sweep. 20 ms apart, the cap is passed well after the
+  // horizon, so the first sweep finds stale entries to drop.
+  const uint32_t relays =
+      static_cast<uint32_t>(PureForwarderStrategy::kNameStateCap) + 100;
+  for (uint32_t i = 0; i < relays; ++i) {
+    common::TimePoint at{static_cast<int64_t>(i) * 20'000};
     sched.schedule_at(at, [this, i] {
       std::string uri = "/swarm/file/" + std::to_string(i);
       wifi->inject(make_interest(uri, i + 1));
@@ -257,51 +256,46 @@ TEST_F(StrategyTest, RelayBookkeepingSweptAfterHorizon) {
       wifi->inject(d);
     });
   }
+  ASSERT_GT(static_cast<int64_t>(relays) * 20'000,
+            PureForwarderStrategy::kRelayHorizon.us);
   sched.run();
   EXPECT_EQ(strategy->relay_timeouts(), 0u);
-  // 40 relays happened, but entries older than the 1 s horizon are swept
-  // whenever the table exceeds the cap.
-  EXPECT_LE(strategy->relayed_names(), p.name_state_cap + 1);
+  EXPECT_EQ(strategy->forwards(), relays);
+  // Entries older than the horizon are swept whenever the table exceeds
+  // the cap.
+  EXPECT_LE(strategy->relayed_names(), PureForwarderStrategy::kNameStateCap + 1);
 }
 
 TEST_F(StrategyTest, SuppressionTableSweptAfterExpiry) {
-  PureForwarderStrategy::Params p;
-  p.forward_probability = 1.0;
-  p.forward_delay_window = common::Duration::milliseconds(1);
-  p.suppression = common::Duration::milliseconds(100);
-  p.name_state_cap = 8;
-  fw.set_strategy(
-      std::make_unique<PureForwarderStrategy>(sched, common::Rng(1), p));
-  auto* strategy = static_cast<PureForwarderStrategy*>(&fw.strategy());
+  auto* strategy = use_pure(1.0);
 
-  // 40 fruitless forwards, 500 ms apart: each PIT timeout (300 ms
-  // lifetime) adds a suppression entry that expires 100 ms later, long
-  // before the next insert — the sweep keeps the table at the cap.
-  for (uint32_t i = 0; i < 40; ++i) {
-    sched.schedule_at(common::TimePoint{static_cast<int64_t>(i) * 500'000},
+  // Fruitless forwards 2.5 s apart: each PIT timeout (300 ms lifetime)
+  // adds a suppression entry that expires 2 s later, before the next
+  // insert — past the cap, the sweep keeps the table at the cap.
+  const uint32_t forwards =
+      static_cast<uint32_t>(PureForwarderStrategy::kNameStateCap) + 100;
+  for (uint32_t i = 0; i < forwards; ++i) {
+    sched.schedule_at(common::TimePoint{static_cast<int64_t>(i) * 2'500'000},
                       [this, i] {
                         std::string uri = "/dead/" + std::to_string(i);
                         wifi->inject(make_interest(uri, i + 1));
                       });
   }
   sched.run();
-  EXPECT_EQ(strategy->relay_timeouts(), 40u);
-  EXPECT_LE(strategy->suppressed_names(), p.name_state_cap + 1);
+  EXPECT_EQ(strategy->relay_timeouts(), forwards);
+  EXPECT_LE(strategy->suppressed_names(),
+            PureForwarderStrategy::kNameStateCap + 1);
 }
 
 TEST_F(StrategyTest, RecentDataSweptAfterKnowledgeTtl) {
-  DapesIntermediateStrategy::IntermediateParams p;
-  p.base.forward_probability = 0.0;
-  p.knowledge_ttl = common::Duration::milliseconds(200);
-  p.recent_data_cap = 8;
-  fw.set_strategy(
-      std::make_unique<DapesIntermediateStrategy>(sched, common::Rng(1), p));
-  auto* strategy = static_cast<DapesIntermediateStrategy*>(&fw.strategy());
+  auto* strategy = use_intermediate(0.0);
 
-  // Distinct overheard data names 500 ms apart: each is stale (past the
-  // 200 ms TTL) by the time the next arrives, so once the cap trips the
-  // sweep holds the table at cap size.
-  for (uint32_t i = 0; i < 40; ++i) {
+  // Distinct overheard data names, each stale (past the knowledge TTL)
+  // long before the last arrives: once the cap trips, the sweep holds
+  // the table at cap size.
+  const uint32_t heard =
+      static_cast<uint32_t>(DapesIntermediateStrategy::kRecentDataCap) + 100;
+  for (uint32_t i = 0; i < heard; ++i) {
     sched.schedule_at(common::TimePoint{static_cast<int64_t>(i) * 500'000},
                       [this, i] {
                         Data d{ndn::Name("/heard/" + std::to_string(i))};
@@ -310,7 +304,8 @@ TEST_F(StrategyTest, RecentDataSweptAfterKnowledgeTtl) {
                       });
   }
   sched.run();
-  EXPECT_LE(strategy->recent_data_names(), p.recent_data_cap + 1);
+  EXPECT_LE(strategy->recent_data_names(),
+            DapesIntermediateStrategy::kRecentDataCap + 1);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 //
 //   * Binary round-trip — varints and whole DTRC traces encode/decode
 //     losslessly, on randomized inputs.
-//   * Bounded memory — the ring sink holds the trial's newest
-//     ring_capacity records in emission order, drops oldest-first, and
-//     counts every drop.
+//   * Bounded memory — a capped sink (the ring sink's policy at a
+//     testable size) holds the trial's newest records in emission order,
+//     drops oldest-first, and counts every drop.
 //   * Disabled guard — with no sink configured nothing is emitted, no
 //     tracer is installed, and a traced trial's deterministic TrialResult
 //     is bit-identical to the untraced one.
@@ -21,10 +21,12 @@
 //     injections, which run unowned on purpose.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -38,6 +40,7 @@
 #include "sim/scheduler.hpp"
 #include "trace/format.hpp"
 #include "trace/query.hpp"
+#include "trace/sinks.hpp"
 #include "trace/trace.hpp"
 
 namespace dapes::trace {
@@ -157,10 +160,36 @@ TEST(TraceFormat, RejectsVersionOneHeader) {
 
 // -------------------------------------------------------- tracer + sinks
 
+/// A sink that retains the newest @p capacity records and writes
+/// nothing: the ring sink's policy at a size small enough to test (the
+/// ring itself holds 2^20 records). Registered on first use; returns the
+/// sink name.
+std::string capped_ring(size_t capacity) {
+  class CappedRing : public TraceSink {
+   public:
+    explicit CappedRing(size_t capacity) : capacity_(capacity) {}
+    size_t buffer_capacity(const TraceConfig&) const override {
+      return capacity_;
+    }
+    void write(const TraceConfig&, const TraceData&) const override {}
+
+   private:
+    size_t capacity_;
+  };
+  const std::string name = "test.ring" + std::to_string(capacity);
+  TraceSinkRegistry& registry = TraceSinkRegistry::instance();
+  const std::vector<std::string> known = registry.names();
+  if (std::find(known.begin(), known.end(), name) == known.end()) {
+    registry.register_factory(name, [capacity](const TraceConfig&) {
+      return std::make_unique<CappedRing>(capacity);
+    });
+  }
+  return name;
+}
+
 TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
   TraceConfig config;
-  config.sink = "ring";
-  config.ring_capacity = 16;
+  config.sink = capped_ring(16);
   int64_t now = 0;
   Tracer tracer(config, [&now] { return now; });
   TrialScope scope(&tracer);
@@ -189,8 +218,7 @@ TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
 
 TEST(Tracer, RingKeepsNewestRecordsOfTheTrial) {
   TraceConfig config;
-  config.sink = "ring";
-  config.ring_capacity = 8;
+  config.sink = capped_ring(8);
   Tracer tracer(config, [] { return int64_t{0}; });
   TrialScope scope(&tracer);
   sim::Scheduler sched;
@@ -273,8 +301,7 @@ TEST(Tracer, DictionaryCappedBySinkCapacity) {
   const ndn::Name names[3] = {ndn::Name("/a"), ndn::Name("/b"),
                               ndn::Name("/c")};
   TraceConfig config;
-  config.sink = "ring";
-  config.ring_capacity = 2;
+  config.sink = capped_ring(2);
   Tracer ring(config, [] { return int64_t{0}; });
   config.sink = "null";
   Tracer null(config, [] { return int64_t{0}; });
@@ -540,9 +567,7 @@ TEST(TraceTrial, UnownedFiresAreDeliveriesAndFaults) {
   ScenarioParams churn = tiny_field(3);
   churn.faults.leave_rate_hz = 1.0 / 120.0;
   churn.faults.crash_fraction = 0.5;
-  churn.faults.restart_delay_s = 20.0;
   churn.faults.flash_crowd_size = 3;
-  churn.faults.flash_crowd_at_s = 40.0;
   churn.faults.join_rate_hz = 1.0 / 120.0;
   expect_unowned_fires_are_deliveries_and_faults(ProtocolNames::kChurnSwarm,
                                                  churn, "owned_churn");
