@@ -40,7 +40,8 @@ namespace dapes::core {
 
 /// A peer forgets neighbors not heard for this long; neighbors heard
 /// within it count as fresh (discovery, fetching, bitmap gating).
-inline constexpr common::Duration kNeighborTtl = common::Duration::seconds(12.0);
+inline constexpr common::Duration kNeighborTtl =
+    common::Duration::seconds(12.0);
 
 /// How bitmap exchanges relate to data fetching (paper §IV-D, Fig. 9c/9d).
 enum class AdvertisementMode {
@@ -77,7 +78,7 @@ struct PeerOptions {
 
   size_t cs_capacity = 4096;  ///< content-store entry cap
 
-  // --- open-membership knobs (churn.swarm scenarios; defaults keep the
+  // --- open-membership knobs (churn.* scenarios; defaults keep the
   // fixed-population paper sweeps byte-identical) ---
 
   /// Register the node on the medium but leave it dead and unstarted:

@@ -6,6 +6,13 @@ namespace dapes::core {
 
 namespace {
 
+/// How long a name stays suppressed after a fruitless forward.
+constexpr Duration kSuppression = Duration::seconds(2.0);
+
+/// Forward probability for control Interests (discovery/bitmap) when
+/// peers interested in that collection are known nearby.
+constexpr double kControlForwardProbability = 0.4;
+
 /// Shared expiry sweep for the per-name soft-state tables: erase entries
 /// stamped strictly before @p cutoff (or equal, when @p inclusive), at
 /// most once per @p interval and only once the table has outgrown

@@ -44,8 +44,6 @@ class PureForwarderStrategy : public ndn::ForwardingStrategy {
   /// Random wait before relaying, to dodge collisions and give closer
   /// holders the chance to answer first.
   static constexpr Duration kForwardDelayWindow = Duration::milliseconds(50);
-  /// How long a name stays suppressed after a fruitless forward.
-  static constexpr Duration kSuppression = Duration::seconds(2.0);
   /// Soft-state bound: when a per-name table (suppression timers, relay
   /// bookkeeping) outgrows this, entries whose time is up are swept.
   /// Sweeps are throttled to one full scan per expiry interval, so the
@@ -146,9 +144,6 @@ class DapesIntermediateStrategy : public PureForwarderStrategy {
  public:
   /// How long overheard knowledge stays fresh.
   static constexpr Duration kKnowledgeTtl = Duration::seconds(15.0);
-  /// Forward probability for control Interests (discovery/bitmap) when
-  /// peers interested in that collection are known nearby.
-  static constexpr double kControlForwardProbability = 0.4;
   /// Cap on remembered recently-heard data names.
   static constexpr size_t kRecentDataCap = 2048;
 

@@ -78,7 +78,7 @@ struct ScenarioParams {
   /// Peer configuration applied to every downloader.
   core::PeerOptions peer{};
 
-  /// Open-membership fault injection (churn.swarm scenarios): Poisson
+  /// Open-membership fault injection (churn.* scenarios): Poisson
   /// leave/join churn, crash+restart outages, flash crowds, adversarial
   /// bitmap liars. All defaults off — the empty plan draws nothing, so
   /// the fixed-population paper sweeps stay byte-identical (see

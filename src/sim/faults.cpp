@@ -13,9 +13,13 @@ namespace dapes::sim {
 namespace {
 
 /// Stream-family tag of the fault layer ("falt"), parallel to the
-/// channel layer's "chan"/"shad" tags: the base of every fault draw is
-/// derived from the trial seed under it.
+/// channel layer's "chan"/"shad" tags: the base of every fault draw,
+/// derived from the trial seed.
 constexpr uint64_t kFaultTag = 0x66616c74ULL;
+
+uint64_t stream_base(uint64_t trial_seed) {
+  return common::derive_seed(trial_seed, kFaultTag);
+}
 
 /// Outage duration for crashed nodes (seconds); the restart is skipped
 /// (the crash becomes permanent) if it would land past the sim limit.
@@ -57,7 +61,7 @@ FaultPlan FaultPlan::compile(const FaultParams& params,
                              const Population& population, double sim_limit_s,
                              uint64_t trial_seed) {
   FaultPlan plan;
-  const uint64_t base = common::derive_seed(trial_seed, kFaultTag);
+  const uint64_t base = stream_base(trial_seed);
   // One derived stream per process, so adding (say) a flash crowd never
   // shifts the leave draws — the axes stay independent, like the
   // channel layer's per-frame vs per-link streams.
@@ -170,8 +174,7 @@ std::vector<uint32_t> FaultPlan::pick_adversaries(
       std::floor(fraction * static_cast<double>(candidates.size())));
   if (k == 0) return {};
   std::vector<uint32_t> picked = candidates;
-  common::Rng rng(common::derive_seed(
-      common::derive_seed(trial_seed, kFaultTag), 5));
+  common::Rng rng(common::derive_seed(stream_base(trial_seed), 5));
   rng.shuffle(picked);
   picked.resize(k);
   std::sort(picked.begin(), picked.end());

@@ -10,6 +10,13 @@
 
 namespace dapes::sim {
 
+namespace {
+
+/// Fixed propagation delay added to every frame's airtime.
+constexpr Duration kPropagation = Duration::microseconds(1);
+
+}  // namespace
+
 Medium::Medium(Scheduler& sched, Params params, common::Rng rng)
     : sched_(sched),
       params_(params),

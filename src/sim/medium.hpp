@@ -98,8 +98,6 @@ struct MediumStats {
 /// The shared broadcast medium every node of a trial transmits on.
 class Medium {
  public:
-  /// Fixed propagation delay added to every frame's airtime.
-  static constexpr Duration kPropagation = Duration::microseconds(1);
   /// Fixed per-frame overhead (preamble/MAC header), bytes.
   static constexpr size_t kFrameOverheadBytes = 34;
 

@@ -263,7 +263,8 @@ TEST_F(StrategyTest, RelayBookkeepingSweptAfterHorizon) {
   EXPECT_EQ(strategy->forwards(), relays);
   // Entries older than the horizon are swept whenever the table exceeds
   // the cap.
-  EXPECT_LE(strategy->relayed_names(), PureForwarderStrategy::kNameStateCap + 1);
+  EXPECT_LE(strategy->relayed_names(),
+            PureForwarderStrategy::kNameStateCap + 1);
 }
 
 TEST_F(StrategyTest, SuppressionTableSweptAfterExpiry) {

@@ -187,6 +187,13 @@ std::string capped_ring(size_t capacity) {
   return name;
 }
 
+TEST(Tracer, RingSinkCapIsTwoToTheTwentyRecords) {
+  TraceConfig config;
+  config.sink = "ring";
+  const auto ring = TraceSinkRegistry::instance().create(config);
+  EXPECT_EQ(ring->buffer_capacity(config), size_t{1} << 20);
+}
+
 TEST(Tracer, RingSinkBoundsMemoryAndCountsDrops) {
   TraceConfig config;
   config.sink = capped_ring(16);
