@@ -386,7 +386,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BurstStackEquivalence,
 }  // namespace dapes::sim
 
 // ---------------------------------------------------------------------
-// 6. Harness-level determinism: --jobs identity for the new sweep axes,
+// 5. Harness-level determinism: --jobs identity for the new sweep axes,
 // and the link_seed foot-gun closure.
 // ---------------------------------------------------------------------
 
@@ -453,7 +453,7 @@ TEST(BurstStackEngines, SweepJobsOneAndEightBitIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// 7. The link_seed foot-gun is closed at the harness layer.
+// 6. The link_seed foot-gun is closed at the harness layer.
 // ---------------------------------------------------------------------
 
 TEST(LinkSeedFootGun, TopologyAlwaysInstallsAPerTrialLinkSeed) {
