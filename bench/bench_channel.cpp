@@ -1,16 +1,17 @@
 // Channel bench: the Fig. 7 DAPES world swept along one of three channel
 // axes under the pluggable channel/PHY layer (see DESIGN.md "Channel &
-// PHY models" and "Channel realism round two").
+// PHY models" and "Channel realism round two"). Every series runs the
+// "dapes" driver; each sets the channel it needs in its params.
 //
 // Axes (--axis alpha|burst|kfactor, default alpha):
 //
 //   alpha    — path-loss exponent sweep. Series:
-//     logdist(s=0)    loss.sweep, log-distance, no shadowing: the
-//                     reception curve alone (50 % at the nominal range).
+//     logdist(s=0)    log-distance, no shadowing: the reception curve
+//                     alone (50 % at the nominal range).
 //     logdist(s=6)    6 dB log-normal shadowing on top: links well inside
 //                     the nominal range fade out, links beyond open up.
-//     hetero+logdist  hetero.radio on the same channel: half the nodes on
-//                     half-range radios.
+//     hetero+logdist  mixed-range radios on the same channel: half the
+//                     nodes on half-range radios.
 //     unit-disk       the paper's reference channel as a flat baseline
 //                     (it ignores the exponent axis by construction).
 //     burst(pi=.3)    Gilbert-Elliott bursty erasures (30 % bad-state
@@ -18,16 +19,17 @@
 //                     log-distance curve.
 //     rician(K=4)+rate Rician fast fading plus SIR-adaptive bitrate.
 //
-//   burst    — Gilbert-Elliott mean burst length (ms) at fixed slot size.
-//     Longer bursts at the same stationary bad fraction concentrate the
-//     same loss budget into contiguous outages: retransmission suppression
-//     rides out short bursts, long ones stall whole pipeline windows.
+//   burst    — Gilbert-Elliott mean burst length (ms) at fixed slot size,
+//     on the log-distance channel. Longer bursts at the same stationary
+//     bad fraction concentrate the same loss budget into contiguous
+//     outages: retransmission suppression rides out short bursts, long
+//     ones stall whole pipeline windows.
 //     Series: pi=0.1, pi=0.3, and pi=0.3 with Rician fading stacked.
 //
-//   kfactor  — Rician K-factor (0 = Rayleigh, large = line-of-sight).
-//     More line-of-sight power means fewer deep fades; the adaptive-rate
-//     series trades some airtime for fewer losses at low K. Series:
-//     rician, rician+rate, rician+burst.
+//   kfactor  — Rician K-factor (0 = Rayleigh, large = line-of-sight), on
+//     the log-distance channel. More line-of-sight power means fewer deep
+//     fades; the adaptive-rate series trades some airtime for fewer
+//     losses at low K. Series: rician, rician+rate, rician+burst.
 //
 // Expected alpha-axis shape: the log-distance channel is *better*
 // connected than the unit-disk reference at the same nominal range — so
@@ -96,35 +98,40 @@ int main(int argc, char** argv) {
     spec.axis.apply = [](ScenarioParams& p, double x) {
       p.channel.path_loss_exponent = x;
     };
-    spec.series.push_back({"logdist(s=0)", ProtocolNames::kLossSweep,
+    spec.series.push_back({"logdist(s=0)", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
+                             p.channel.model = "log-distance";
                              p.channel.shadowing_sigma_db = 0.0;
                            }});
-    spec.series.push_back({"logdist(s=6)", ProtocolNames::kLossSweep,
+    spec.series.push_back({"logdist(s=6)", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
+                             p.channel.model = "log-distance";
                              p.channel.shadowing_sigma_db = 6.0;
                            }});
     spec.series.push_back(
-        {"hetero+logdist", ProtocolNames::kHeteroRadio,
+        {"hetero+logdist", ProtocolNames::kDapes,
          [](ScenarioParams& p) {
            p.channel.model = "log-distance";
            p.hetero_range_fraction = 0.5;
          }});
     spec.series.push_back(
         {"unit-disk", ProtocolNames::kDapes, [](ScenarioParams&) {}});
-    spec.series.push_back({"burst(pi=.3)", ProtocolNames::kLossSweep,
+    spec.series.push_back({"burst(pi=.3)", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
+                             p.channel.model = "log-distance";
                              p.channel.ge_bad_fraction = 0.3;
                              p.channel.ge_mean_burst_ms = 100.0;
                            }});
-    spec.series.push_back({"rician(K=4)+rate", ProtocolNames::kLossSweep,
+    spec.series.push_back({"rician(K=4)+rate", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
+                             p.channel.model = "log-distance";
                              p.channel.fading = "rician";
                              p.channel.rician_k = 4.0;
                              p.channel.adaptive_rate = true;
                            }});
   } else if (axis == "burst") {
     spec.title = "channel: DAPES vs Gilbert-Elliott mean burst length";
+    spec.base.channel.model = "log-distance";
     spec.axis.label = "burst_ms";
     spec.axis.values =
         args.quick ? std::vector<double>{50.0, 200.0}
@@ -132,15 +139,15 @@ int main(int argc, char** argv) {
     spec.axis.apply = [](ScenarioParams& p, double x) {
       p.channel.ge_mean_burst_ms = x;
     };
-    spec.series.push_back({"pi=0.1", ProtocolNames::kLossSweep,
+    spec.series.push_back({"pi=0.1", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
                              p.channel.ge_bad_fraction = 0.1;
                            }});
-    spec.series.push_back({"pi=0.3", ProtocolNames::kLossSweep,
+    spec.series.push_back({"pi=0.3", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
                              p.channel.ge_bad_fraction = 0.3;
                            }});
-    spec.series.push_back({"pi=0.3+rician(K=4)", ProtocolNames::kLossSweep,
+    spec.series.push_back({"pi=0.3+rician(K=4)", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
                              p.channel.ge_bad_fraction = 0.3;
                              p.channel.fading = "rician";
@@ -148,6 +155,7 @@ int main(int argc, char** argv) {
                            }});
   } else {  // kfactor
     spec.title = "channel: DAPES vs Rician K-factor (0 = Rayleigh)";
+    spec.base.channel.model = "log-distance";
     spec.axis.label = "K";
     spec.axis.values =
         args.quick ? std::vector<double>{0.0, 4.0}
@@ -157,12 +165,12 @@ int main(int argc, char** argv) {
       p.channel.rician_k = x;
     };
     spec.series.push_back(
-        {"rician", ProtocolNames::kLossSweep, [](ScenarioParams&) {}});
-    spec.series.push_back({"rician+rate", ProtocolNames::kLossSweep,
+        {"rician", ProtocolNames::kDapes, [](ScenarioParams&) {}});
+    spec.series.push_back({"rician+rate", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
                              p.channel.adaptive_rate = true;
                            }});
-    spec.series.push_back({"rician+burst", ProtocolNames::kLossSweep,
+    spec.series.push_back({"rician+burst", ProtocolNames::kDapes,
                            [](ScenarioParams& p) {
                              p.channel.ge_bad_fraction = 0.2;
                              p.channel.ge_mean_burst_ms = 100.0;

@@ -2,8 +2,8 @@
 // DESIGN.md "Fault injection & open membership"), swept along the
 // per-node departure-rate axis.
 //
-// Every series runs churn.swarm: the DAPES stack with open-membership
-// peer hygiene, under the fault knobs the series sets.
+// Every series runs the "dapes" driver with open-membership peer
+// hygiene on, under the fault knobs the series sets.
 //
 // Series:
 //   leave-only     — every departure permanent: the swarm thins out and
@@ -46,6 +46,10 @@ int main(int argc, char** argv) {
     spec.base.file_size_bytes = 16 * 1024;
   }
   spec.base.sim_limit_s = args.quick ? 300.0 : 900.0;
+  // Without time-based knowledge expiry and stale-claim demotion, the
+  // bitmaps of departed (or lying) peers poison rarity estimates forever.
+  spec.base.peer.knowledge_ttl = core::kNeighborTtl * 2;
+  spec.base.peer.stale_retry_limit = 3;
 
   spec.axis.label = "leave_rate_hz_per_node";
   spec.axis.values = args.quick ? std::vector<double>{0.0, 1.0 / 150.0}
@@ -59,20 +63,20 @@ int main(int argc, char** argv) {
     p.faults.join_rate_hz = x;
   };
 
-  spec.series.push_back({"leave-only", harness::ProtocolNames::kChurnSwarm,
+  spec.series.push_back({"leave-only", harness::ProtocolNames::kDapes,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.0;
                          }});
-  spec.series.push_back({"crash+restart", harness::ProtocolNames::kChurnSwarm,
+  spec.series.push_back({"crash+restart", harness::ProtocolNames::kDapes,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.5;
                          }});
-  spec.series.push_back({"flash-crowd", harness::ProtocolNames::kChurnSwarm,
+  spec.series.push_back({"flash-crowd", harness::ProtocolNames::kDapes,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.5;
                            p.faults.flash_crowd_size = 10;
                          }});
-  spec.series.push_back({"adversarial", harness::ProtocolNames::kChurnSwarm,
+  spec.series.push_back({"adversarial", harness::ProtocolNames::kDapes,
                          [](harness::ScenarioParams& p) {
                            p.faults.crash_fraction = 0.5;
                            p.faults.adversarial_fraction = 0.25;

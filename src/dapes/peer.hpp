@@ -78,7 +78,7 @@ struct PeerOptions {
 
   size_t cs_capacity = 4096;  ///< content-store entry cap
 
-  // --- open-membership knobs (churn.* scenarios; defaults keep the
+  // --- open-membership knobs (churn scenarios; defaults keep the
   // fixed-population paper sweeps byte-identical) ---
 
   /// Register the node on the medium but leave it dead and unstarted:

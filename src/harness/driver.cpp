@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "harness/channel_scenarios.hpp"
-#include "harness/churn.hpp"
 #include "harness/realworld.hpp"
 #include "harness/scale.hpp"
 
@@ -24,11 +22,8 @@ ProtocolDriverRegistry::ProtocolDriverRegistry() {
       return run_realworld_trial(scenario, params);
     });
   }
-  add(ProtocolNames::kScaleField, run_scale_trial);
+  add(ProtocolNames::kScaleField, run_dapes_trial);
   add(ProtocolNames::kScaleMedium, run_medium_stress_trial);
-  add(ProtocolNames::kLossSweep, run_loss_sweep_trial);
-  add(ProtocolNames::kHeteroRadio, run_hetero_radio_trial);
-  add(ProtocolNames::kChurnSwarm, run_churn_swarm_trial);
 }
 
 ProtocolDriverRegistry& ProtocolDriverRegistry::instance() {

@@ -60,16 +60,12 @@ struct ProtocolNames {
   static constexpr const char* kRealWorldRepository = "realworld.repository";
   /// Fig. 10 moving-peers variant.
   static constexpr const char* kRealWorldMoving = "realworld.moving";
-  /// Scale family: full stack at growing node counts.
+  /// Scale family: full stack at growing node counts. Runs
+  /// `run_dapes_trial`, like kDapes; bench_scale and perfbench select it
+  /// by this name.
   static constexpr const char* kScaleField = "scale.field";
   /// Scale family: medium-only stress (no NDN stack).
   static constexpr const char* kScaleMedium = "scale.medium";
-  /// Channel family: log-distance loss sweep.
-  static constexpr const char* kLossSweep = "loss.sweep";
-  /// Channel family: mixed-range radios.
-  static constexpr const char* kHeteroRadio = "hetero.radio";
-  /// Open-membership family: churn, crashes, flash crowds and liars.
-  static constexpr const char* kChurnSwarm = "churn.swarm";
 };
 
 /// String-keyed driver registry. The built-in drivers above are registered

@@ -31,13 +31,6 @@ void apply_scale(ScenarioParams& p, double total_nodes) {
   p.field_m = 300.0 * std::sqrt(static_cast<double>(n) / kFig7Nodes);
 }
 
-TrialResult run_scale_trial(const ScenarioParams& params) {
-  // The family runs the full DAPES stack; everything scale-specific
-  // (populations, field, mobility kind, medium implementation) arrives
-  // through the params.
-  return run_dapes_trial(params);
-}
-
 namespace {
 
 // scale.medium offered load: every node broadcasts a 256-byte frame on

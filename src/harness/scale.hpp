@@ -11,10 +11,11 @@
 /// so the axis isolates how the *system* scales rather than how crowded
 /// the channel gets.
 ///
-/// The family is registered as protocol driver "scale.field"; callers pick
-/// the mobility model (random direction / random waypoint / group) and the
-/// medium implementation (spatial grid vs the brute-force reference)
-/// through ScenarioParams. bench_scale is the canonical sweep over it.
+/// A scale.field trial is `run_dapes_trial` on the resized params; the
+/// registry keeps the name "scale.field" for it. Callers pick the mobility
+/// model (random direction / random waypoint / group) and the medium
+/// implementation (spatial grid vs the brute-force reference) through
+/// ScenarioParams. bench_scale is the canonical sweep over it.
 ///
 /// The axis reaches 10 000 nodes (a ~1.4 km field at Fig. 7 density);
 /// apply_scale is closed-form in n, so nothing special happens at that
@@ -36,10 +37,6 @@ inline constexpr int kFig7Nodes = 44;
 /// a SweepAxis::apply function (axis label "nodes"). Counts below the
 /// four-class minimum (1 repository, 2 mobile downloaders) are clamped.
 void apply_scale(ScenarioParams& p, double total_nodes);
-
-/// One scale.field trial: the DAPES stack on the scaled field. The driver
-/// is registered under ProtocolNames::kScaleField.
-TrialResult run_scale_trial(const ScenarioParams& params);
 
 /// One scale.medium trial: the same scaled field, but driving the medium
 /// directly — every node broadcasts fixed-size frames through a CSMA

@@ -30,7 +30,7 @@ TrialResult run_dapes_trial(const ScenarioParams& params) {
   tracker.expected =
       params.stationary_downloaders + params.mobile_downloaders - 1;
 
-  // Open-membership wiring (churn.* scenarios). Node ids are assigned by
+  // Open-membership wiring (churn scenarios). Node ids are assigned by
   // construction order: repositories 0..S-1, mobile downloaders S..S+M-1
   // (the producer is node S), forwarders next, and latent arrivals
   // appended last. That layout is what lets the FaultPlan and the
@@ -176,7 +176,7 @@ TrialResult run_dapes_trial(const ScenarioParams& params) {
     }
   });
 
-  // Mixed-range radios (hetero.radio); an exact no-op when the fraction
+  // Mixed-range radios; an exact no-op when the fraction
   // is 0, so paper-scale trials are untouched.
   apply_hetero_radios(params, *topo.medium);
 

@@ -62,13 +62,11 @@ struct ScenarioParams {
   /// pre-channel-layer tree. `link_seed` is derived per trial by the
   /// Topology when left at 0.
   sim::ChannelParams channel;
-  /// hetero.radio: fraction of nodes (evenly spread across the
+  /// Mixed-range radios: fraction of nodes (evenly spread across the
   /// population classes, deterministically — no RNG draws) whose radio
   /// range is halved, modeling IoT-class radios next to full WiFi. 0
-  /// disables; negative means "unset" (the hetero.radio driver then
-  /// defaults to 0.5, so an explicit 0 remains a usable baseline on a
-  /// fraction axis).
-  double hetero_range_fraction = -1.0;
+  /// disables.
+  double hetero_range_fraction = 0.0;
 
   size_t files = 10;  ///< files in the collection (paper default: 10)
   /// File size (paper: 1 MB, divided by the default scale). Packets
@@ -78,7 +76,7 @@ struct ScenarioParams {
   /// Peer configuration applied to every downloader.
   core::PeerOptions peer{};
 
-  /// Open-membership fault injection (churn.* scenarios): Poisson
+  /// Open-membership fault injection (churn scenarios): Poisson
   /// leave/join churn, crash+restart outages, flash crowds, adversarial
   /// bitmap liars. All defaults off — the empty plan draws nothing, so
   /// the fixed-population paper sweeps stay byte-identical (see

@@ -25,7 +25,7 @@ constexpr core::MetadataFormat kMetadataFormat =
 constexpr int kGroupSize = 5;
 constexpr double kGroupRadiusM = 30.0;
 
-/// hetero.radio: range multiplier of the selected radios (half-range
+/// Mixed-range radios: range multiplier of the selected radios (half-range
 /// IoT-class radios next to full WiFi).
 constexpr double kHeteroRangeFactor = 0.5;
 

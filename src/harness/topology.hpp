@@ -122,7 +122,7 @@ struct CompletionTracker {
   bool done() const { return completed >= expected; }
 };
 
-/// Apply the hetero.radio mixed-range radios to an already-populated
+/// Apply the mixed-range radios to an already-populated
 /// medium: an evenly spread `params.hetero_range_fraction` of the
 /// registered nodes get their radio range halved. Deterministic —
 /// selection is by node index arithmetic, no RNG draws — so enabling it

@@ -117,7 +117,7 @@ class UnitDiskChannel final : public ChannelModel {
 /// scaled by (1 - loss_rate) for the medium's ambient loss; a link in
 /// the burst process's bad state receives nothing.
 /// The nominal range doubles as the transmit-power proxy, so
-/// mixed-range radios (hetero.radio) fall out of the same formula,
+/// mixed-range radios fall out of the same formula,
 /// including capture: a frame is captured when its SIR advantage over
 /// the interferer, 10*alpha*log10((own_R/own_d) / (intf_R/intf_d)),
 /// meets the threshold.

@@ -104,7 +104,7 @@ class Medium {
   /// Radio/channel configuration, fixed per trial.
   struct Params {
     /// Nominal radio range (paper sweeps WiFi range 20-100 m). Per-node
-    /// radios scale it via `set_node_range_factor` (hetero.radio).
+    /// radios scale it via `set_node_range_factor` (mixed-range radios).
     double range_m = 60.0;
     /// Channel bit rate (paper: 802.11b, 11 Mbps).
     double data_rate_bps = 11e6;
@@ -218,7 +218,7 @@ class Medium {
   const ChannelModel& channel() const { return *channel_; }
 
   /// Scale one node's radio range to `range_m * factor` (> 0) —
-  /// mixed-range radios (hetero.radio). Call during setup, before
+  /// mixed-range radios. Call during setup, before
   /// traffic: frames already in flight keep their start-time range.
   void set_node_range_factor(NodeId node, double factor);
 
@@ -238,7 +238,7 @@ class Medium {
   struct NodeEntry {
     MobilityModel* mobility = nullptr;
     ReceiveCallback on_receive;
-    /// Per-node multiplier on params_.range_m (hetero.radio).
+    /// Per-node multiplier on params_.range_m (mixed-range radios).
     double range_factor = 1.0;
     /// Live member? Retired/latent nodes stay registered (ids are dense
     /// and stable) but are invisible to every connectivity query.

@@ -393,7 +393,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BurstStackEquivalence,
 namespace dapes::harness {
 namespace {
 
-/// Tiny but traffic-bearing loss.sweep world on the log-distance model.
+/// Tiny but traffic-bearing DAPES world on the log-distance model.
 ScenarioParams stack_params(uint64_t seed) {
   ScenarioParams p;
   p.files = 1;
@@ -419,17 +419,18 @@ TEST(BurstStackEngines, SweepJobsOneAndEightBitIdentical) {
   spec.base.file_size_bytes = 4 * 1024;
   spec.base.sim_limit_s = 20.0;
   spec.base.seed = 42;
+  spec.base.channel.model = "log-distance";
   spec.trials = 2;
   spec.axis.label = "burst_ms";
   spec.axis.values = {30.0, 200.0};
   spec.axis.apply = [](ScenarioParams& p, double x) {
     p.channel.ge_mean_burst_ms = x;
   };
-  spec.series.push_back({"burst", ProtocolNames::kLossSweep,
+  spec.series.push_back({"burst", ProtocolNames::kDapes,
                          [](ScenarioParams& p) {
                            p.channel.ge_bad_fraction = 0.3;
                          }});
-  spec.series.push_back({"burst+rician", ProtocolNames::kLossSweep,
+  spec.series.push_back({"burst+rician", ProtocolNames::kDapes,
                          [](ScenarioParams& p) {
                            p.channel.ge_bad_fraction = 0.3;
                            p.channel.fading = "rician";

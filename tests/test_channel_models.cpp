@@ -18,7 +18,7 @@
 // grid-vs-brute identity under the log-distance channel (keyed draws)
 // and under mixed-range radios (per-frame coverage, directional
 // neighbor queries), dense in-flight goldens, quasi-static per-link
-// shadowing, and bit-identical loss.sweep results for any --jobs.
+// shadowing, and bit-identical log-distance sweeps for any --jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -454,7 +454,7 @@ TEST(LogDistanceChannel, ShadowingIsStaticPerLink) {
 }
 
 // ---------------------------------------------------------------------
-// Mixed-range radios (hetero.radio plumbing).
+// Mixed-range radios (Medium::set_node_range_factor).
 // ---------------------------------------------------------------------
 
 TEST(HeteroRadios, RangeFactorsAreDirectionalAndDeterministic) {
@@ -518,7 +518,8 @@ TEST(ChannelRegistry, KnownModelsAndErrors) {
 }  // namespace dapes::sim
 
 // ---------------------------------------------------------------------
-// loss.sweep determinism: bit-identical results for any --jobs value.
+// Log-distance sweep determinism: bit-identical results for any --jobs
+// value.
 // ---------------------------------------------------------------------
 
 namespace dapes::harness {
@@ -526,7 +527,7 @@ namespace {
 
 TEST(LossSweepFamily, JobsOneAndEightBitIdentical) {
   SweepSpec spec;
-  spec.title = "loss.sweep jobs identity";
+  spec.title = "log-distance jobs identity";
   spec.base.files = 1;
   spec.base.file_size_bytes = 4 * 1024;
   spec.base.sim_limit_s = 20.0;
@@ -537,13 +538,15 @@ TEST(LossSweepFamily, JobsOneAndEightBitIdentical) {
   spec.axis.apply = [](ScenarioParams& p, double x) {
     p.channel.path_loss_exponent = x;
   };
-  spec.series.push_back({"logdist", ProtocolNames::kLossSweep,
-                         [](ScenarioParams& p) {
-                           p.channel.shadowing_sigma_db = 5.0;
-                         }});
-  spec.series.push_back({"hetero", ProtocolNames::kHeteroRadio,
+  spec.series.push_back({"logdist", ProtocolNames::kDapes,
                          [](ScenarioParams& p) {
                            p.channel.model = "log-distance";
+                           p.channel.shadowing_sigma_db = 5.0;
+                         }});
+  spec.series.push_back({"hetero", ProtocolNames::kDapes,
+                         [](ScenarioParams& p) {
+                           p.channel.model = "log-distance";
+                           p.hetero_range_fraction = 0.5;
                          }});
   spec.metrics = {download_time_metric(), transmissions_k_metric(),
                   completion_metric()};

@@ -262,8 +262,8 @@ TEST(Faults, ChurnTrialIdenticalGridVsBrute) {
 TEST(Faults, ChurnTrialsIdenticalAcrossJobs) {
   ScenarioParams p = churny_field(3);
   const int trials = 4;
-  auto a = TrialRunner(1).run(ProtocolNames::kChurnSwarm, p, trials);
-  auto b = TrialRunner(8).run(ProtocolNames::kChurnSwarm, p, trials);
+  auto a = TrialRunner(1).run(ProtocolNames::kDapes, p, trials);
+  auto b = TrialRunner(8).run(ProtocolNames::kDapes, p, trials);
   ASSERT_EQ(a.size(), b.size());
   for (int t = 0; t < trials; ++t) {
     SCOPED_TRACE(t);

@@ -92,8 +92,10 @@ TEST(Scenario, ChannelDefaultsAreInert) {
 
   // And spelling out every channel knob at its documented default must
   // be indistinguishable from an untouched ChannelParams — the knobs'
-  // "off" values really are off.
+  // "off" values really are off. Mixed-range radios default off too.
+  EXPECT_EQ(ScenarioParams{}.hetero_range_fraction, 0.0);
   ScenarioParams p = tiny_params();
+  p.hetero_range_fraction = 0.0;
   sim::ChannelParams& c = p.channel;
   c.model = "unit-disk";
   c.capture_ratio = 0.7;

@@ -526,13 +526,12 @@ TEST(TraceTrial, SchedFireCountsEveryExecutedEvent) {
 // (`FaultPlan::install`) are the only events scheduled unowned, on
 // purpose; every other event belongs to a node, so its sched.fire names
 // one the trial registered.
-void expect_unowned_fires_are_deliveries_and_faults(const std::string& driver,
-                                                    ScenarioParams p,
+void expect_unowned_fires_are_deliveries_and_faults(ScenarioParams p,
                                                     const std::string& tag) {
   TempDir dir(tag);
   p.trace.sink = "file";
   p.trace.path = (dir.path / "tr").string();
-  run_trial(driver, p);
+  run_trial(ProtocolNames::kDapes, p);
 
   const TraceData t = trace::read_trace_file(p.trace.path);
   ASSERT_EQ(t.dropped, 0u);
@@ -563,21 +562,21 @@ void expect_unowned_fires_are_deliveries_and_faults(const std::string& driver,
   EXPECT_GT(owned_fires, 0u);
   EXPECT_EQ(unowned_fires, deliveries + faults)
       << deliveries << " deliveries, " << faults << " faults";
-  if (driver == ProtocolNames::kChurnSwarm) {
+  if (p.faults.leave_rate_hz > 0.0 || p.faults.flash_crowd_size > 0) {
     EXPECT_GT(faults, 0u);
   }
 }
 
 TEST(TraceTrial, UnownedFiresAreDeliveriesAndFaults) {
-  expect_unowned_fires_are_deliveries_and_faults(ProtocolNames::kScaleField,
-                                                 tiny_field(6), "owned_fixed");
+  expect_unowned_fires_are_deliveries_and_faults(tiny_field(6), "owned_fixed");
   ScenarioParams churn = tiny_field(3);
   churn.faults.leave_rate_hz = 1.0 / 120.0;
   churn.faults.crash_fraction = 0.5;
   churn.faults.flash_crowd_size = 3;
   churn.faults.join_rate_hz = 1.0 / 120.0;
-  expect_unowned_fires_are_deliveries_and_faults(ProtocolNames::kChurnSwarm,
-                                                 churn, "owned_churn");
+  churn.peer.knowledge_ttl = core::kNeighborTtl * 2;
+  churn.peer.stale_retry_limit = 3;
+  expect_unowned_fires_are_deliveries_and_faults(churn, "owned_churn");
 }
 
 TEST(TraceTrial, EveryNameHashResolves) {
