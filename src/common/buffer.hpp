@@ -44,7 +44,6 @@ class Buffer {
   const uint8_t* data() const { return valid() ? storage_->data() : nullptr; }
   size_t size() const { return valid() ? storage_->size() : 0; }
   BytesView view() const { return BytesView(data(), size()); }
-  long use_count() const { return storage_.use_count(); }
 
  private:
   std::shared_ptr<const Bytes> storage_;

@@ -44,10 +44,6 @@ Bytes from_hex(std::string_view hex) {
   return out;
 }
 
-void append_string(Bytes& out, std::string_view str) {
-  out.insert(out.end(), str.begin(), str.end());
-}
-
 void append_be(Bytes& out, uint64_t value, size_t width) {
   for (size_t i = 0; i < width; ++i) {
     size_t shift = 8 * (width - 1 - i);

@@ -28,9 +28,6 @@ std::string to_hex(BytesView data);
 /// @throws std::invalid_argument on odd length or non-hex characters.
 Bytes from_hex(std::string_view hex);
 
-/// Append the raw bytes of @p str to @p out.
-void append_string(Bytes& out, std::string_view str);
-
 /// Append @p value in big-endian order using exactly @p width bytes
 /// (width in [1,8]). Most-significant truncation is the caller's problem;
 /// values must fit.

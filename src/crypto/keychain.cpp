@@ -80,6 +80,4 @@ bool KeyChain::is_trusted(const KeyId& id) const {
   return it != anchors_.end() && it->second;
 }
 
-bool KeyChain::knows(const KeyId& id) const { return keys_.contains(id); }
-
 }  // namespace dapes::crypto

@@ -118,12 +118,6 @@ class KeyChain {
   /// Whether @p id is in the trust-anchor set.
   bool is_trusted(const KeyId& id) const;
 
-  /// Whether the key is known at all (verification possible).
-  bool knows(const KeyId& id) const;
-
-  /// Number of keys in the registry.
-  size_t key_count() const { return keys_.size(); }
-
   /// MAC used by both sign and verify: SHA256(secret || name ||
   /// len(name) || content_digest). Exposed for PrivateKey::sign and the
   /// delivery prewarm; not part of the public protocol surface.

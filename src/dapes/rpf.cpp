@@ -30,7 +30,8 @@ std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
 
 namespace {
 
-/// Shared machinery: holder counting + lazily rebuilt fetch plan.
+/// Shared machinery: the known peers' bitmaps, holder counting and the
+/// lazily rebuilt fetch plan.
 class RpfBase : public FetchStrategy {
  public:
   explicit RpfBase(const RpfOptions& options)
@@ -70,15 +71,55 @@ class RpfBase : public FetchStrategy {
     return index < have_counts_.size() && have_counts_[index] > 0;
   }
 
-  size_t known_bitmaps() const override { return bitmap_count_; }
+  void on_fetch_failed(size_t index) override {
+    if (index >= total_) return;
+    // Clear the claimed bit in every stored bitmap (keeping the counts
+    // consistent with what remove_counts will later subtract) so liar
+    // poison and departed holders decay instead of wedging the plan.
+    for (auto& [id, nb] : bitmaps_) {
+      if (index < nb.bitmap.size() && nb.bitmap.test(index)) {
+        nb.bitmap.set(index, false);
+        if (have_counts_[index] > 0) --have_counts_[index];
+        dirty_ = true;
+      }
+    }
+  }
+
+  size_t known_bitmaps() const override { return bitmaps_.size(); }
+
+  size_t state_bytes() const override {
+    size_t bytes = have_counts_.size() * sizeof(uint32_t);
+    for (const auto& [id, nb] : bitmaps_) {
+      bytes += id.size() + (nb.bitmap.size() + 7) / 8;
+    }
+    return bytes;
+  }
 
  protected:
+  /// Swap in a known peer's fresh bitmap; false when @p peer_id is new.
+  bool replace(const std::string& peer_id, const Bitmap& bitmap,
+               TimePoint now) {
+    auto it = bitmaps_.find(peer_id);
+    if (it == bitmaps_.end()) return false;
+    remove_counts(it->second.bitmap);
+    it->second = NeighborBitmap{peer_id, bitmap, now};
+    add_counts(bitmap);
+    return true;
+  }
+
+  /// Drop @p peer_id's bitmap, if known.
+  void forget(const std::string& peer_id) {
+    auto it = bitmaps_.find(peer_id);
+    if (it == bitmaps_.end()) return;
+    remove_counts(it->second.bitmap);
+    bitmaps_.erase(it);
+  }
+
   void add_counts(const Bitmap& bitmap) {
     size_t n = std::min(total_, bitmap.size());
     for (size_t i = 0; i < n; ++i) {
       if (bitmap.test(i)) ++have_counts_[i];
     }
-    ++bitmap_count_;
     dirty_ = true;
   }
 
@@ -87,16 +128,16 @@ class RpfBase : public FetchStrategy {
     for (size_t i = 0; i < n; ++i) {
       if (bitmap.test(i) && have_counts_[i] > 0) --have_counts_[i];
     }
-    if (bitmap_count_ > 0) --bitmap_count_;
     dirty_ = true;
   }
 
-  size_t total_;
-  std::vector<uint32_t> have_counts_;
-  size_t bitmap_count_ = 0;
-  bool dirty_ = true;
+  /// The bitmap each known peer last advertised.
+  std::map<std::string, NeighborBitmap> bitmaps_;
 
  private:
+  size_t total_;
+  std::vector<uint32_t> have_counts_;
+  bool dirty_ = true;
   common::Rng rng_;
   std::vector<size_t> order_;
   std::vector<size_t> plan_;
@@ -113,58 +154,25 @@ class LocalNeighborhoodRpf final : public RpfBase {
 
   void on_bitmap(const std::string& peer_id, const Bitmap& bitmap,
                  TimePoint now) override {
-    auto it = neighbors_.find(peer_id);
-    if (it != neighbors_.end()) {
-      remove_counts(it->second.bitmap);
-      it->second = NeighborBitmap{peer_id, bitmap, now};
-    } else {
-      neighbors_.emplace(peer_id, NeighborBitmap{peer_id, bitmap, now});
-    }
+    if (replace(peer_id, bitmap, now)) return;
+    bitmaps_.emplace(peer_id, NeighborBitmap{peer_id, bitmap, now});
     add_counts(bitmap);
   }
 
   void on_neighbor_lost(const std::string& peer_id) override {
-    auto it = neighbors_.find(peer_id);
-    if (it == neighbors_.end()) return;
-    remove_counts(it->second.bitmap);
-    neighbors_.erase(it);
-  }
-
-  void on_fetch_failed(size_t index) override {
-    if (index >= total_) return;
-    // Clear the claimed bit in every stored bitmap (keeping the counts
-    // consistent with what remove_counts will later subtract) so liar
-    // poison and departed holders decay instead of wedging the plan.
-    for (auto& [id, nb] : neighbors_) {
-      if (index < nb.bitmap.size() && nb.bitmap.test(index)) {
-        nb.bitmap.set(index, false);
-        if (have_counts_[index] > 0) --have_counts_[index];
-        dirty_ = true;
-      }
-    }
+    forget(peer_id);
   }
 
   void expire_older_than(TimePoint cutoff) override {
-    for (auto it = neighbors_.begin(); it != neighbors_.end();) {
+    for (auto it = bitmaps_.begin(); it != bitmaps_.end();) {
       if (it->second.received < cutoff) {
         remove_counts(it->second.bitmap);
-        it = neighbors_.erase(it);
+        it = bitmaps_.erase(it);
       } else {
         ++it;
       }
     }
   }
-
-  size_t state_bytes() const override {
-    size_t bytes = have_counts_.size() * sizeof(uint32_t);
-    for (const auto& [id, nb] : neighbors_) {
-      bytes += id.size() + (nb.bitmap.size() + 7) / 8;
-    }
-    return bytes;
-  }
-
- private:
-  std::map<std::string, NeighborBitmap> neighbors_;
 };
 
 /// Rarity across the history of encountered peers (paper: "maintain a
@@ -177,23 +185,12 @@ class EncounterBasedRpf final : public RpfBase {
 
   void on_bitmap(const std::string& peer_id, const Bitmap& bitmap,
                  TimePoint now) override {
-    auto it = by_peer_.find(peer_id);
-    if (it != by_peer_.end()) {
-      remove_counts(it->second.bitmap);
-      it->second = NeighborBitmap{peer_id, bitmap, now};
-      add_counts(bitmap);
-      return;
-    }
+    if (replace(peer_id, bitmap, now)) return;
     if (lru_.size() >= history_limit_ && !lru_.empty()) {
-      const std::string victim = lru_.front();
+      forget(lru_.front());
       lru_.pop_front();
-      auto vit = by_peer_.find(victim);
-      if (vit != by_peer_.end()) {
-        remove_counts(vit->second.bitmap);
-        by_peer_.erase(vit);
-      }
     }
-    by_peer_.emplace(peer_id, NeighborBitmap{peer_id, bitmap, now});
+    bitmaps_.emplace(peer_id, NeighborBitmap{peer_id, bitmap, now});
     lru_.push_back(peer_id);
     add_counts(bitmap);
   }
@@ -202,31 +199,10 @@ class EncounterBasedRpf final : public RpfBase {
     // Encounter history outlives the encounter by design.
   }
 
-  void on_fetch_failed(size_t index) override {
-    if (index >= total_) return;
-    // Same claim demotion as the local variant, over the history.
-    for (auto& [id, nb] : by_peer_) {
-      if (index < nb.bitmap.size() && nb.bitmap.test(index)) {
-        nb.bitmap.set(index, false);
-        if (have_counts_[index] > 0) --have_counts_[index];
-        dirty_ = true;
-      }
-    }
-  }
-
   // expire_older_than: default no-op — history outlives encounters.
-
-  size_t state_bytes() const override {
-    size_t bytes = have_counts_.size() * sizeof(uint32_t);
-    for (const auto& [id, nb] : by_peer_) {
-      bytes += id.size() + (nb.bitmap.size() + 7) / 8;
-    }
-    return bytes;
-  }
 
  private:
   size_t history_limit_;
-  std::map<std::string, NeighborBitmap> by_peer_;
   std::deque<std::string> lru_;
 };
 

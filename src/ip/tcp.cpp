@@ -10,6 +10,12 @@ constexpr uint8_t kTypeData = 1;
 constexpr uint8_t kTypeAck = 2;
 constexpr uint8_t kFlagLast = 0x01;
 
+constexpr size_t kWindow = 4;  // outstanding segments
+constexpr size_t kMss = 1200;  // max payload bytes per segment
+constexpr Duration kRtoInitial = Duration::milliseconds(600);
+constexpr Duration kRtoMax = Duration::seconds(8.0);
+constexpr int kMaxRetries = 6;
+
 common::Bytes encode_segment(uint8_t type, uint32_t seq, uint8_t flags,
                              common::BytesView payload) {
   common::Bytes out;
@@ -23,9 +29,7 @@ common::Bytes encode_segment(uint8_t type, uint32_t seq, uint8_t flags,
 
 }  // namespace
 
-TcpLite::TcpLite(Node& node) : TcpLite(node, Params{}) {}
-
-TcpLite::TcpLite(Node& node, Params params) : node_(node), params_(params) {
+TcpLite::TcpLite(Node& node) : node_(node) {
   node_.register_handler(Proto::kTcp,
                          [this](const Packet& p) { on_packet(p); });
 }
@@ -34,13 +38,13 @@ void TcpLite::send(Address peer, common::Bytes message) {
   Connection& conn = connections_[peer];
   size_t offset = 0;
   do {
-    size_t len = std::min(params_.mss, message.size() - offset);
+    size_t len = std::min(kMss, message.size() - offset);
     Segment seg;
     seg.seq = conn.next_seq++;
     seg.payload.assign(message.begin() + offset, message.begin() + offset + len);
     offset += len;
     seg.last_of_message = offset >= message.size();
-    seg.rto = params_.rto_initial;
+    seg.rto = kRtoInitial;
     conn.send_queue.push_back(std::move(seg));
   } while (offset < message.size());
   pump(peer);
@@ -53,7 +57,7 @@ void TcpLite::pump(Address peer) {
     if (seg.in_flight) ++in_flight;
   }
   for (auto& seg : conn.send_queue) {
-    if (in_flight >= params_.window) break;
+    if (in_flight >= kWindow) break;
     if (seg.in_flight) continue;
     transmit(peer, seg);
     ++in_flight;
@@ -83,11 +87,11 @@ void TcpLite::schedule_rto(Address peer, uint32_t seq, Duration rto) {
     for (auto& seg : conn.send_queue) {
       if (seg.seq != seq) continue;
       // Still queued => unacked: back off and retransmit.
-      if (++seg.retries > params_.max_retries) {
+      if (++seg.retries > kMaxRetries) {
         fail_connection(peer);
         return;
       }
-      seg.rto = Duration{std::min(seg.rto.us * 2, params_.rto_max.us)};
+      seg.rto = Duration{std::min(seg.rto.us * 2, kRtoMax.us)};
       seg.in_flight = false;
       pump(peer);
       return;
@@ -160,7 +164,7 @@ void TcpLite::on_packet(const Packet& packet) {
       it = conn.out_of_order.find(conn.expected_seq);
     }
   } else if (seq > conn.expected_seq &&
-             conn.out_of_order.size() < 4 * params_.window) {
+             conn.out_of_order.size() < 4 * kWindow) {
     conn.out_of_order[seq] = {common::Bytes(payload.begin() + 10, payload.end()),
                               last};
   }

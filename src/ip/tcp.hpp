@@ -22,14 +22,6 @@ using common::Duration;
 
 class TcpLite {
  public:
-  struct Params {
-    size_t window = 4;               // outstanding segments
-    size_t mss = 1200;               // max payload bytes per segment
-    Duration rto_initial = Duration::milliseconds(600);
-    Duration rto_max = Duration::seconds(8.0);
-    int max_retries = 6;
-  };
-
   /// A delivered application message (reassembled, ordered).
   using ReceiveCallback =
       std::function<void(Address peer, const common::Bytes& message)>;
@@ -37,7 +29,6 @@ class TcpLite {
   using FailureCallback = std::function<void(Address peer)>;
 
   explicit TcpLite(Node& node);
-  TcpLite(Node& node, Params params);
 
   /// Queue an application message to @p peer; segments flow under the
   /// window with retransmission. Connections are implicit (created on
@@ -81,7 +72,6 @@ class TcpLite {
   void fail_connection(Address peer);
 
   Node& node_;
-  Params params_;
   std::map<Address, Connection> connections_;
   ReceiveCallback on_receive_;
   FailureCallback on_failure_;

@@ -2,20 +2,33 @@
 
 namespace dapes::manet {
 
+namespace {
+
+/// Period of the full-table dumps (plus up to 1/8 of it in jitter).
+constexpr Duration kUpdatePeriod = Duration::seconds(5.0);
+/// Entries not refreshed for this long are considered broken.
+constexpr Duration kRouteLifetime = Duration::seconds(20.0);
+/// The infinite metric: a route this many hops long is unreachable.
+constexpr uint8_t kMaxMetric = 16;
+/// Minimum spacing for triggered (event-driven) dumps.
+constexpr Duration kTriggeredMinGap = Duration::seconds(1.0);
+
+}  // namespace
+
 void Dsdv::attach(ip::Node& node) {
   node_ = &node;
   // Self route, metric 0.
   table_[node.address()] = Route{node.address(), 0, own_seq_, TimePoint{}};
   // Desynchronized periodic full dumps.
   Duration initial = Duration::microseconds(static_cast<int64_t>(
-      node.rng().next_below(static_cast<uint64_t>(params_.update_period.us))));
+      node.rng().next_below(static_cast<uint64_t>(kUpdatePeriod.us))));
   node.scheduler().schedule(initial, [this] { broadcast_update(); });
 }
 
 bool Dsdv::route_fresh(const Route& r) const {
   if (r.next_hop == node_->address()) return true;  // self
-  return node_->scheduler().now() - r.updated <= params_.route_lifetime &&
-         r.metric < params_.max_metric;
+  return node_->scheduler().now() - r.updated <= kRouteLifetime &&
+         r.metric < kMaxMetric;
 }
 
 Address Dsdv::next_hop(Address dst) const {
@@ -27,7 +40,7 @@ Address Dsdv::next_hop(Address dst) const {
 uint8_t Dsdv::metric(Address dst) const {
   auto it = table_.find(dst);
   if (it == table_.end() || !route_fresh(it->second)) {
-    return params_.max_metric;
+    return kMaxMetric;
   }
   return it->second.metric;
 }
@@ -81,8 +94,8 @@ void Dsdv::broadcast_update() {
 
   Duration jitter = Duration::microseconds(static_cast<int64_t>(
       node_->rng().next_below(
-          static_cast<uint64_t>(params_.update_period.us / 8) + 1)));
-  node_->scheduler().schedule(params_.update_period + jitter,
+          static_cast<uint64_t>(kUpdatePeriod.us / 8) + 1)));
+  node_->scheduler().schedule(kUpdatePeriod + jitter,
                               [this] { broadcast_update(); });
 }
 
@@ -102,8 +115,7 @@ void Dsdv::on_control(const Packet& packet) {
 
     if (dst == node_->address()) continue;
     uint8_t new_metric =
-        metric >= params_.max_metric ? params_.max_metric
-                                     : static_cast<uint8_t>(metric + 1);
+        metric >= kMaxMetric ? kMaxMetric : static_cast<uint8_t>(metric + 1);
     auto it = table_.find(dst);
     // DSDV rule: newer sequence wins; same sequence keeps lower metric.
     if (it == table_.end() || seq > it->second.seq ||
@@ -113,7 +125,7 @@ void Dsdv::on_control(const Packet& packet) {
       // Triggered update (DSDV's event-driven dump): propagate important
       // changes quickly instead of waiting out the periodic timer.
       if (new_destination &&
-          now - last_triggered_ >= params_.triggered_min_gap) {
+          now - last_triggered_ >= kTriggeredMinGap) {
         last_triggered_ = now;
         node_->scheduler().schedule(
             Duration::milliseconds(

@@ -22,18 +22,6 @@ using ip::Packet;
 
 class Dsdv final : public ip::RoutingProtocol {
  public:
-  struct Params {
-    Duration update_period = Duration::seconds(5.0);
-    /// Entries not refreshed for this long are considered broken.
-    Duration route_lifetime = Duration::seconds(20.0);
-    uint8_t max_metric = 16;
-    /// Minimum spacing for triggered (event-driven) dumps.
-    Duration triggered_min_gap = Duration::seconds(1.0);
-  };
-
-  Dsdv() : Dsdv(Params{}) {}
-  explicit Dsdv(Params params) : params_(params) {}
-
   void attach(ip::Node& node) override;
   bool send(Packet packet) override;
   void forward(Packet packet) override;
@@ -43,8 +31,8 @@ class Dsdv final : public ip::RoutingProtocol {
 
   /// Next hop for dst, or kInvalid.
   Address next_hop(Address dst) const;
-  /// Hop count for dst (max_metric when unknown) — Bithoc uses this to
-  /// split close (<=2 hops) from far neighbors.
+  /// Hop count for dst (16, the infinite metric, when unknown) — Bithoc
+  /// uses this to split close (<=2 hops) from far neighbors.
   uint8_t metric(Address dst) const;
 
   size_t table_size() const { return table_.size(); }
@@ -61,7 +49,6 @@ class Dsdv final : public ip::RoutingProtocol {
   common::Bytes encode_table() const;
   bool route_fresh(const Route& r) const;
 
-  Params params_;
   ip::Node* node_ = nullptr;
   std::map<Address, Route> table_;
   uint32_t own_seq_ = 0;

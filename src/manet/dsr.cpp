@@ -4,13 +4,30 @@
 
 namespace dapes::manet {
 
+namespace {
+
+/// Long enough for corner-to-corner paths in the 300 m field even at the
+/// shortest WiFi ranges.
+constexpr uint8_t kMaxRouteLen = 16;
+/// Nodes moving 2-10 m/s break links within seconds; cached paths go
+/// stale quickly.
+constexpr Duration kRouteLifetime = Duration::seconds(15.0);
+/// First Route Request retry wait; doubles with every attempt.
+constexpr Duration kDiscoveryTimeout = Duration::seconds(2.0);
+constexpr int kMaxDiscoveryRetries = 3;
+/// Packets buffered per unrouted destination; the oldest is dropped.
+constexpr size_t kSendBufferCap = 64;
+/// Pause after a fully failed discovery before retrying that target.
+constexpr Duration kDiscoveryCooldown = Duration::seconds(5.0);
+
+}  // namespace
+
 void Dsr::attach(ip::Node& node) { node_ = &node; }
 
 bool Dsr::has_route(Address dst) const {
   auto it = cache_.find(dst);
   return it != cache_.end() &&
-         node_->scheduler().now() - it->second.learned <=
-             params_.route_lifetime;
+         node_->scheduler().now() - it->second.learned <= kRouteLifetime;
 }
 
 common::Bytes Dsr::encode_control(Kind kind, uint32_t id, Address origin,
@@ -50,7 +67,7 @@ bool Dsr::send(Packet packet) {
     return true;
   }
   auto& buffer = send_buffer_[dst];
-  if (buffer.size() >= params_.send_buffer_cap) buffer.pop_front();
+  if (buffer.size() >= kSendBufferCap) buffer.pop_front();
   buffer.push_back(std::move(packet));
   auto cooldown = discovery_cooldown_.find(dst);
   bool cooling = cooldown != discovery_cooldown_.end() &&
@@ -71,13 +88,12 @@ void Dsr::send_along_route(Packet packet, const std::vector<Address>& path) {
 }
 
 void Dsr::start_discovery(Address target, int attempt) {
-  if (attempt > params_.max_discovery_retries) {
+  if (attempt > kMaxDiscoveryRetries) {
     pending_discovery_.erase(target);
     send_buffer_.erase(target);  // give up; transport layer re-tries
     // Cool down before the next discovery for this target: repeated
     // failures back-to-back just burn the channel.
-    discovery_cooldown_[target] =
-        node_->scheduler().now() + params_.discovery_cooldown;
+    discovery_cooldown_[target] = node_->scheduler().now() + kDiscoveryCooldown;
     return;
   }
   pending_discovery_[target] = attempt;
@@ -88,8 +104,8 @@ void Dsr::start_discovery(Address target, int attempt) {
   rreq.next_hop = ip::kBroadcast;
   rreq.proto = ip::Proto::kDsr;
   // Expanding-ring search: try a cheap local flood first, widen on retry.
-  uint8_t ring = static_cast<uint8_t>(
-      std::min<int>(params_.max_route_len, 2 << attempt));
+  uint8_t ring =
+      static_cast<uint8_t>(std::min<int>(kMaxRouteLen, 2 << attempt));
   rreq.ttl = ring;
   uint32_t id = next_rreq_id_++;
   rreq.payload = encode_control(Kind::kRreq, id, node_->address(), target,
@@ -98,7 +114,7 @@ void Dsr::start_discovery(Address target, int attempt) {
   node_->send_link(std::move(rreq), "dsr-rreq");
 
   // Retry with backoff while the route stays unknown.
-  Duration wait{params_.discovery_timeout.us * (1 << attempt)};
+  Duration wait{kDiscoveryTimeout.us * (1 << attempt)};
   node_->scheduler().schedule(wait, [this, target, attempt] {
     if (!pending_discovery_.contains(target)) return;
     if (has_route(target)) {
@@ -227,7 +243,7 @@ void Dsr::handle_rreq(const Packet& packet) {
     rrep.src = node_->address();
     rrep.dst = c.origin;
     rrep.proto = ip::Proto::kDsr;
-    rrep.ttl = params_.max_route_len;
+    rrep.ttl = kMaxRouteLen;
     rrep.payload = encode_control(Kind::kRrep, c.id, c.origin, c.target, path);
     rrep.route = reverse;
     rrep.route_pos = 0;
@@ -237,7 +253,7 @@ void Dsr::handle_rreq(const Packet& packet) {
     return;
   }
 
-  if (packet.ttl == 0 || path.size() >= params_.max_route_len) return;
+  if (packet.ttl == 0 || path.size() >= kMaxRouteLen) return;
 
   Packet relay = packet;
   relay.ttl -= 1;

@@ -27,23 +27,6 @@ using ip::Packet;
 
 class Dsr final : public ip::RoutingProtocol {
  public:
-  struct Params {
-    /// Long enough for corner-to-corner paths in the 300 m field even at
-    /// the shortest WiFi ranges.
-    uint8_t max_route_len = 16;
-    /// Nodes moving 2-10 m/s break links within seconds; cached paths go
-    /// stale quickly.
-    Duration route_lifetime = Duration::seconds(15.0);
-    Duration discovery_timeout = Duration::seconds(2.0);
-    int max_discovery_retries = 3;
-    size_t send_buffer_cap = 64;
-    /// Pause after a fully failed discovery before retrying that target.
-    Duration discovery_cooldown = Duration::seconds(5.0);
-  };
-
-  Dsr() : Dsr(Params{}) {}
-  explicit Dsr(Params params) : params_(params) {}
-
   void attach(ip::Node& node) override;
   bool send(Packet packet) override;
   void forward(Packet packet) override;
@@ -83,7 +66,6 @@ class Dsr final : public ip::RoutingProtocol {
   };
   static std::optional<Control> decode_control(common::BytesView payload);
 
-  Params params_;
   ip::Node* node_ = nullptr;
   std::map<Address, CachedRoute> cache_;
   std::map<Address, std::deque<Packet>> send_buffer_;

@@ -74,13 +74,6 @@ uint64_t Reader::read_varnum() {
   return value;
 }
 
-uint64_t Reader::peek_type() {
-  size_t saved = offset_;
-  uint64_t type = read_varnum();
-  offset_ = saved;
-  return type;
-}
-
 Reader::Element Reader::read_element() {
   uint64_t type = read_varnum();
   uint64_t length = read_varnum();

@@ -140,9 +140,6 @@ class Reader {
   /// Read a variable-size number. @throws ParseError on truncation.
   uint64_t read_varnum();
 
-  /// Peek the type of the next element without consuming it.
-  uint64_t peek_type();
-
   /// One decoded element: type + value sub-slice.
   struct Element {
     uint64_t type;              ///< TLV type number

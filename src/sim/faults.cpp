@@ -43,20 +43,6 @@ TimePoint at_seconds(double s) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kLeave:
-      return "leave";
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRestart:
-      return "restart";
-    case FaultKind::kJoin:
-      return "join";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::compile(const FaultParams& params,
                              const Population& population, double sim_limit_s,
                              uint64_t trial_seed) {

@@ -1,8 +1,8 @@
 /// @file
 /// Deterministic fault injection for open-membership swarms.
 ///
-/// The paper's trials (and every scenario family before the churn.*
-/// one) run a fixed node population. This layer makes node lifecycle a
+/// The paper's trials (and every sweep but the churn one) run a fixed
+/// node population. This layer makes node lifecycle a
 /// first-class simulated event instead: a per-trial `FaultPlan` is
 /// *compiled* from `FaultParams` knobs before the trial starts — Poisson
 /// leave/join churn, crash+restart outages, flash-crowd arrival waves —
@@ -63,9 +63,6 @@ enum class FaultKind : uint8_t {
   kRestart,    ///< end of a crash outage
   kJoin,       ///< admission of a latent node
 };
-
-/// Dotted well-known name of @p kind (for logs and tests).
-const char* fault_kind_name(FaultKind kind);
 
 /// One compiled lifecycle event.
 struct FaultEvent {

@@ -86,6 +86,24 @@ TEST(LocalRpf, RebitmapReplacesOldState) {
   EXPECT_EQ(rpf->known_bitmaps(), 1u);
 }
 
+TEST(LocalRpf, ExpiryDropsOlderBitmaps) {
+  auto rpf = make_fetch_strategy(RpfKind::kLocalNeighborhood, options(4));
+  rpf->on_bitmap("A", bits(4, {0}), TimePoint{10});
+  rpf->on_bitmap("B", bits(4, {1}), TimePoint{20});
+  rpf->expire_older_than(TimePoint{20});  // strictly older goes
+  EXPECT_EQ(rpf->known_bitmaps(), 1u);
+  EXPECT_FALSE(rpf->known_available(0));
+  EXPECT_TRUE(rpf->known_available(1));
+}
+
+TEST(EncounterRpf, ExpiryKeepsHistory) {
+  auto rpf = make_fetch_strategy(RpfKind::kEncounterBased, options(4));
+  rpf->on_bitmap("A", bits(4, {0}), TimePoint{10});
+  rpf->expire_older_than(TimePoint{20});
+  EXPECT_EQ(rpf->known_bitmaps(), 1u);
+  EXPECT_TRUE(rpf->known_available(0));
+}
+
 TEST(EncounterRpf, KeepsHistoryAfterNeighborLoss) {
   auto rpf = make_fetch_strategy(RpfKind::kEncounterBased, options(4));
   rpf->on_bitmap("A", bits(4, {2}), TimePoint{0});
@@ -180,6 +198,30 @@ TEST_P(RpfBothKinds, AvailablePacketsSelectedBeforeUnknown) {
   auto second = rpf->select_next(second_own, in_flight);
   std::set<size_t> firsts = {*first, *second};
   EXPECT_EQ(firsts, (std::set<size_t>{10, 12}));
+}
+
+TEST_P(RpfBothKinds, FetchFailureDemotesTheClaim) {
+  auto rpf = make_fetch_strategy(GetParam(), options(8));
+  rpf->on_bitmap("A", bits(8, {2, 5}), TimePoint{0});
+  rpf->on_bitmap("B", bits(8, {2, 5}), TimePoint{0});
+  Bitmap own(8);
+  std::set<size_t> in_flight;
+  EXPECT_EQ(rpf->select_next(own, in_flight), 2u);  // tie: sequential
+
+  // The claim on 2 proved wrong: every stored bitmap drops it, so the
+  // plan moves on to 5, and the bitmaps themselves stay.
+  rpf->on_fetch_failed(2);
+  EXPECT_FALSE(rpf->known_available(2));
+  EXPECT_TRUE(rpf->known_available(5));
+  EXPECT_EQ(rpf->select_next(own, in_flight), 5u);
+  EXPECT_EQ(rpf->known_bitmaps(), 2u);
+  rpf->on_fetch_failed(99);  // beyond the collection: ignored
+
+  // A fresh advertisement restores the claim with consistent counts:
+  // 2 has one holder again, 5 still two, so 2 is the rarest.
+  rpf->on_bitmap("A", bits(8, {2, 5}), TimePoint{1});
+  EXPECT_TRUE(rpf->known_available(2));
+  EXPECT_EQ(rpf->select_next(own, in_flight), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, RpfBothKinds,
