@@ -32,7 +32,7 @@
 #include "harness/trial_runner.hpp"
 #include "ndn/name_tree.hpp"
 #include "ndn/tables.hpp"
-#include "ndn/tables_ref.hpp"
+#include "oracles/tables_ref.hpp"
 
 using namespace dapes;
 using common::TimePoint;

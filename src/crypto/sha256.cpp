@@ -149,8 +149,6 @@ void sha256_compress(uint32_t* state, const uint8_t* blocks, size_t count) {
   }
 }
 
-Digest sha256(common::BytesView data) { return hash_with(&sha256_compress, data); }
-
 }  // namespace ref
 
 namespace {

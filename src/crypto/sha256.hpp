@@ -7,9 +7,10 @@
 /// single hash primitive for the whole repository — which also makes it
 /// the crypto hot path at scale, so the implementation is layered:
 ///
-///   * `crypto::ref::sha256` — the retained from-scratch scalar reference.
-///     Never dispatched away; every engine is equivalence-tested against
-///     it (tests/test_sha256_vectors.cpp).
+///   * `crypto::ref::sha256_compress` — the from-scratch scalar block
+///     compressor: the "scalar" engine, always present, and the baseline
+///     every other engine is equivalence-tested against
+///     (tests/test_sha256_vectors.cpp).
 ///   * `Sha256Engine` — one dispatchable block compressor: the scalar
 ///     reference, or SHA-NI on CPUs that have it.
 ///   * The active engine is picked once per process by a runtime CPUID
@@ -75,10 +76,6 @@ bool set_engine(std::string_view name);
 std::vector<const Sha256Engine*> all_engines();
 
 namespace ref {
-
-/// The retained scalar reference: one-shot SHA-256 that never goes
-/// through the dispatch table. Equivalence baseline for every engine.
-Digest sha256(common::BytesView data);
 
 /// The scalar reference block compressor (the "scalar" engine).
 void sha256_compress(uint32_t* state, const uint8_t* blocks, size_t count);

@@ -29,7 +29,6 @@ void Node::send_link(Packet packet, const std::string& kind) {
   frame->sender = node_;
   frame->payload = packet.encode();
   frame->kind = kind;
-  ++frames_sent_;
   radio_->send(std::move(frame));
 }
 

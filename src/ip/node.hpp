@@ -81,8 +81,6 @@ class Node {
   /// Neighbor check used by routing to emulate link-layer loss detection.
   bool neighbor_reachable(Address neighbor) const;
 
-  uint64_t frames_sent() const { return frames_sent_; }
-
  private:
   void on_frame(const sim::FramePtr& frame);
 
@@ -94,7 +92,6 @@ class Node {
   std::unique_ptr<sim::Radio> radio_;
   std::unique_ptr<RoutingProtocol> routing_;
   std::map<Proto, Handler> handlers_;
-  uint64_t frames_sent_ = 0;
 };
 
 /// Address <-> sim NodeId mapping.

@@ -73,7 +73,6 @@ void TcpLite::transmit(Address peer, Segment& segment) {
   packet.payload = encode_segment(
       kTypeData, segment.seq, segment.last_of_message ? kFlagLast : 0,
       common::BytesView(segment.payload.data(), segment.payload.size()));
-  ++segments_sent_;
   if (segment.retries > 0) ++retransmissions_;
   node_.send_routed(std::move(packet));
   schedule_rto(peer, segment.seq, segment.rto);
@@ -105,7 +104,6 @@ void TcpLite::send_ack(Address peer, uint32_t ack_seq) {
   packet.dst = peer;
   packet.proto = Proto::kTcp;
   packet.payload = encode_segment(kTypeAck, ack_seq, 0, {});
-  ++acks_sent_;
   node_.send_routed(std::move(packet));
 }
 

@@ -38,10 +38,8 @@ class TcpLite {
   void set_receive_callback(ReceiveCallback cb) { on_receive_ = std::move(cb); }
   void set_failure_callback(FailureCallback cb) { on_failure_ = std::move(cb); }
 
-  /// Total segment transmissions (including retransmissions) and ACKs.
-  uint64_t segments_sent() const { return segments_sent_; }
+  /// Segment retransmissions, and connections given up on.
   uint64_t retransmissions() const { return retransmissions_; }
-  uint64_t acks_sent() const { return acks_sent_; }
   uint64_t failures() const { return failures_; }
 
  private:
@@ -75,9 +73,7 @@ class TcpLite {
   std::map<Address, Connection> connections_;
   ReceiveCallback on_receive_;
   FailureCallback on_failure_;
-  uint64_t segments_sent_ = 0;
   uint64_t retransmissions_ = 0;
-  uint64_t acks_sent_ = 0;
   uint64_t failures_ = 0;
 };
 

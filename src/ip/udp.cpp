@@ -18,7 +18,6 @@ void UdpLite::send(Address peer, uint16_t src_port, uint16_t dst_port,
   common::append_be(payload, dst_port, 2);
   payload.insert(payload.end(), datagram.begin(), datagram.end());
   packet.payload = std::move(payload);
-  ++datagrams_sent_;
   node_.send_routed(std::move(packet));
 }
 

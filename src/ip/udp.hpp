@@ -23,14 +23,11 @@ class UdpLite {
 
   void bind(uint16_t port, ReceiveCallback cb);
 
-  uint64_t datagrams_sent() const { return datagrams_sent_; }
-
  private:
   void on_packet(const Packet& packet);
 
   Node& node_;
   std::map<uint16_t, ReceiveCallback> bindings_;
-  uint64_t datagrams_sent_ = 0;
 };
 
 }  // namespace dapes::ip

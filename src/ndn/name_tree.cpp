@@ -128,17 +128,4 @@ void NameTree::cleanup(Entry* entry) {
   }
 }
 
-void NameTree::enumerate(const std::function<void(const Entry&)>& fn) const {
-  // The root (empty name) exists iff the tree is non-empty: every entry
-  // chains up to it through lookup()'s ancestor creation.
-  const Entry* root = probe(Name().hash(), Name(), 0);
-  if (root == nullptr) return;
-  // Pre-order with sorted children == component-lexicographic name order.
-  std::function<void(const Entry&)> walk = [&](const Entry& e) {
-    fn(e);
-    for (const Entry* child : e.children) walk(*child);
-  };
-  walk(*root);
-}
-
 }  // namespace dapes::ndn

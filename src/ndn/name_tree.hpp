@@ -10,8 +10,8 @@
 /// created for one insert cost no name copies. The
 /// entries double as a component trie: every entry points at its parent
 /// (the one-component-shorter prefix) and keeps its children sorted by
-/// last component, so the trie enumerates names in exactly the order a
-/// std::map<Name, ...> would.
+/// last component, so a pre-order walk visits names in exactly the order
+/// a std::map<Name, ...> would.
 ///
 /// CS, PIT and FIB state hang off the *same* entry (pointer-sized slots,
 /// allocated on demand), which is what makes the data plane cheap:
@@ -27,13 +27,12 @@
 ///
 /// Entries with no payloads and no children are removed eagerly
 /// (cleanup()), so the table never outgrows the live table state.
-/// src/ndn/tables.hpp builds the public ContentStore/Pit/Fib on top;
-/// src/ndn/tables_ref.hpp retains the std::map reference implementation
-/// the equivalence suite (tests/test_name_tree.cpp) compares against.
+/// src/ndn/tables.hpp builds the public ContentStore/Pit/Fib on top; the
+/// std::map reference they are checked against lives in the test tree
+/// (tests/oracles/tables_ref.hpp, driven by tests/test_name_tree.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <unordered_set>
@@ -97,15 +96,7 @@ class NameTree {
     std::unique_ptr<CsState> cs;    ///< Content Store slot
     std::unique_ptr<PitEntry> pit;  ///< PIT slot
     std::unique_ptr<FibState> fib;  ///< FIB slot
-    /// CS entries at-or-below this entry (maintained by the ContentStore
-    /// along the ancestor chain). CanBePrefix scans skip CS-free
-    /// subtrees, so a shared tree dense in PIT/FIB state costs a prefix
-    /// query nothing — it stays proportional to the CS entries in range,
-    /// like the std::map reference.
-    size_t cs_in_subtree = 0;
 
-    /// Component count of this entry's name.
-    size_t depth() const { return name.size(); }
     /// Whether any table slot is occupied.
     bool has_payload() const { return cs || pit || fib; }
   };
@@ -131,10 +122,6 @@ class NameTree {
   /// children. Call after clearing a payload slot; entries still carrying
   /// state are left untouched.
   void cleanup(Entry* entry);
-
-  /// Pre-order, component-ordered walk of the whole trie — the iteration
-  /// order of the std::map reference tables.
-  void enumerate(const std::function<void(const Entry&)>& fn) const;
 
   /// Entry count, including payload-free interior entries.
   size_t size() const { return size_; }

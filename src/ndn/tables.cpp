@@ -43,7 +43,6 @@ void ContentStore::erase(NameTree::Entry* e) {
   lru_unlink(e);
   e->cs.reset();
   --size_;
-  for (NameTree::Entry* a = e; a != nullptr; a = a->parent) --a->cs_in_subtree;
   tree_->cleanup(e);
 }
 
@@ -74,7 +73,6 @@ void ContentStore::insert(DataPtr data, TimePoint now) {
   content_bytes_ += data->content().size();
   e->cs->data = std::move(data);
   e->cs->expires = expires;
-  for (NameTree::Entry* a = e; a != nullptr; a = a->parent) ++a->cs_in_subtree;
   lru_push_back(e);
   ++size_;
 }
@@ -105,7 +103,7 @@ DataPtr ContentStore::find(const Name& name, bool can_be_prefix,
   // scanning. (Eviction is deferred until the scan ends so tree cleanup
   // cannot disturb the traversal — the same entries end up erased.)
   NameTree::Entry* base = tree_->find_exact(name);
-  if (base == nullptr || base->cs_in_subtree == 0) {
+  if (base == nullptr) {
     DAPES_TRACE_NAMED(trace::EventType::kCsMiss, name);
     return nullptr;
   }
@@ -132,9 +130,6 @@ NameTree::Entry* ContentStore::scan_prefix(
     expired.push_back(e);
   }
   for (NameTree::Entry* child : e->children) {
-    // Skipping CS-free subtrees (PIT/FIB-only state) does not change
-    // which CS entries are visited or their order.
-    if (child->cs_in_subtree == 0) continue;
     if (NameTree::Entry* hit = scan_prefix(child, now, expired)) return hit;
   }
   return nullptr;
@@ -230,25 +225,12 @@ void Fib::add_route(const Name& prefix, FaceId face) {
                     static_cast<uint64_t>(face));
 }
 
-void Fib::remove_route(const Name& prefix, FaceId face) {
-  NameTree::Entry* e = tree_->find_exact(prefix);
-  if (e == nullptr || e->fib == nullptr) return;
-  e->fib->faces.erase(face);
-  DAPES_TRACE_NAMED(trace::EventType::kFibRemove, prefix,
-                    static_cast<uint64_t>(face));
-  if (e->fib->faces.empty()) {
-    e->fib.reset();
-    --size_;
-    tree_->cleanup(e);
-  }
-}
-
 std::vector<FaceId> Fib::lookup(const Name& name) const {
   // Longest prefix match: probe progressively shorter prefixes, each one
   // a hash probe on the name's stored prefix hashes.
   for (size_t n = name.size() + 1; n-- > 0;) {
     NameTree::Entry* e = tree_->find_prefix(name, n);
-    if (e != nullptr && e->fib != nullptr && !e->fib->faces.empty()) {
+    if (e != nullptr && e->fib != nullptr) {
       DAPES_TRACE_NAMED(trace::EventType::kFibHit, name,
                         static_cast<uint64_t>(n));
       return std::vector<FaceId>(e->fib->faces.begin(), e->fib->faces.end());
@@ -256,20 +238,6 @@ std::vector<FaceId> Fib::lookup(const Name& name) const {
   }
   DAPES_TRACE_NAMED(trace::EventType::kFibMiss, name);
   return {};
-}
-
-std::vector<Name> Fib::prefixes_for(FaceId face) const {
-  std::vector<Name> out;
-  // Ordered trie walk == the reference's std::map iteration order. On a
-  // Forwarder-shared tree this visits CS/PIT entries too — O(tree), not
-  // O(routes). Fine for its setup-time discovery callers; grow a FIB
-  // side index before ever calling this per packet.
-  tree_->enumerate([&](const NameTree::Entry& e) {
-    if (e.fib != nullptr && e.fib->faces.contains(face)) {
-      out.push_back(e.name);
-    }
-  });
-  return out;
 }
 
 }  // namespace dapes::ndn

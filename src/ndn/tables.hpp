@@ -7,9 +7,9 @@
 /// queries and longest-prefix match walk stored per-prefix hashes, and the
 /// CS LRU is an intrusive list of tree-entry pointers — no Name is copied
 /// or compared byte-by-byte on the forwarding path. Semantics are
-/// bit-identical to the retained std::map reference implementation
-/// (src/ndn/tables_ref.hpp); tests/test_name_tree.cpp proves it on
-/// randomized workloads. Sizes are bounded; the CS evicts LRU, which is
+/// bit-identical to the std::map reference implementation in the test
+/// tree (tests/oracles/tables_ref.hpp); tests/test_name_tree.cpp proves it
+/// on randomized workloads. Sizes are bounded; the CS evicts LRU, which is
 /// what lets pure forwarders serve overheard data (paper §V-A) without
 /// unbounded memory.
 ///
@@ -148,14 +148,9 @@ class Fib {
 
   /// Register @p face as a next hop for @p prefix.
   void add_route(const Name& prefix, FaceId face);
-  /// Unregister @p face from @p prefix (erasing empty routes).
-  void remove_route(const Name& prefix, FaceId face);
 
   /// Faces for the longest matching prefix (empty when no route).
   std::vector<FaceId> lookup(const Name& name) const;
-
-  /// All registered prefixes pointing at @p face (used by app discovery).
-  std::vector<Name> prefixes_for(FaceId face) const;
 
   /// Registered prefixes.
   size_t size() const { return size_; }

@@ -1,4 +1,4 @@
-#include "ndn/tables_ref.hpp"
+#include "oracles/tables_ref.hpp"
 
 namespace dapes::ndn::ref {
 
@@ -130,13 +130,6 @@ void Fib::add_route(const Name& prefix, FaceId face) {
   routes_[prefix].insert(face);
 }
 
-void Fib::remove_route(const Name& prefix, FaceId face) {
-  auto it = routes_.find(prefix);
-  if (it == routes_.end()) return;
-  it->second.erase(face);
-  if (it->second.empty()) routes_.erase(it);
-}
-
 std::vector<FaceId> Fib::lookup(const Name& name) const {
   // Longest prefix match: try progressively shorter prefixes.
   for (size_t n = name.size() + 1; n-- > 0;) {
@@ -147,14 +140,6 @@ std::vector<FaceId> Fib::lookup(const Name& name) const {
     }
   }
   return {};
-}
-
-std::vector<Name> Fib::prefixes_for(FaceId face) const {
-  std::vector<Name> out;
-  for (const auto& [prefix, faces] : routes_) {
-    if (faces.contains(face)) out.push_back(prefix);
-  }
-  return out;
 }
 
 }  // namespace dapes::ndn::ref

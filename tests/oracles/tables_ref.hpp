@@ -1,15 +1,15 @@
 /// @file
 /// Reference data plane tables: the original std::map-based Content
-/// Store, PIT and FIB, retained verbatim as the behavioral oracle for the
-/// hashed NameTree tables (src/ndn/tables.hpp).
+/// Store, PIT and FIB, kept as the behavioral oracle for the hashed
+/// NameTree tables (src/ndn/tables.hpp). Test-tree only: the library
+/// never links it.
 ///
 /// All three are ordered by Name so prefix queries (CanBePrefix lookups,
 /// longest-prefix match) are a lower_bound away. Every observable —
 /// find/insert results, LRU eviction victims, freshness expiry, LPM
-/// winners, iteration order — must match the NameTree implementation
-/// exactly; tests/test_name_tree.cpp drives both with identical randomized
+/// winners — must match the NameTree implementation exactly;
+/// tests/test_name_tree.cpp drives both with identical randomized
 /// workloads, and bench/bench_tables.cpp measures the gap between them.
-/// Not used on any forwarding path.
 #pragma once
 
 #include <cstdint>
@@ -100,12 +100,8 @@ class Fib {
  public:
   /// Register @p face as a next hop for @p prefix.
   void add_route(const Name& prefix, FaceId face);
-  /// Unregister @p face from @p prefix (erasing empty routes).
-  void remove_route(const Name& prefix, FaceId face);
   /// Faces for the longest matching prefix (empty when no route).
   std::vector<FaceId> lookup(const Name& name) const;
-  /// All registered prefixes pointing at @p face.
-  std::vector<Name> prefixes_for(FaceId face) const;
   /// Registered prefixes.
   size_t size() const { return routes_.size(); }
 

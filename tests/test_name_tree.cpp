@@ -1,16 +1,17 @@
 // Property tests: the hashed NameTree tables are observably *identical*
-// to the retained std::map reference implementation.
+// to the std::map reference implementation (tests/oracles/tables_ref.hpp).
 //
 // Each case drives two full table sets — ContentStore/Pit/Fib sharing one
 // NameTree, and ref::ContentStore/ref::Pit/ref::Fib — with the same
 // randomized operation stream over a name pool dense in prefix relations
 // (small alphabet, depths 0..4). Every observable is compared after every
 // operation: find results (by name and content), CanBePrefix winners,
-// matches_for_data vectors (order included), LPM face sets, prefixes_for
-// enumerations (order included), LRU eviction state, freshness expiry,
-// sizes and content-byte accounting, nonce/dead-nonce answers. Any
-// divergence in probe logic, trie ordering, or eviction policy shows up
-// as a mismatch at the first operation that exposes it.
+// matches_for_data vectors (order included), LPM face sets, LRU eviction
+// state, freshness expiry, sizes and content-byte accounting,
+// nonce/dead-nonce answers. Any divergence in probe logic, trie ordering,
+// or eviction policy shows up as a mismatch at the first operation that
+// exposes it. A second case replays the same comparison at DAPES
+// discovery fan-out (one parent with over a thousand query children).
 //
 // Direct NameTree structural tests (entry sharing, cleanup) and the Name
 // hash-cache tests live at the bottom / in test_ndn_name.cpp.
@@ -20,9 +21,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dapes/namespace.hpp"
 #include "ndn/name_tree.hpp"
 #include "ndn/tables.hpp"
-#include "ndn/tables_ref.hpp"
+#include "oracles/tables_ref.hpp"
 
 namespace dapes::ndn {
 namespace {
@@ -84,7 +86,7 @@ TEST_P(TableEquivalence, NameTreeMatchesMapReference) {
     Name name = random_name(rng);
     pool.push_back(name);
 
-    switch (rng.next_below(12)) {
+    switch (rng.next_below(11)) {
       case 0: {  // CS insert (short or long freshness; shared handle path)
         Duration fresh = rng.chance(0.3) ? Duration::milliseconds(300)
                                          : Duration::seconds(3600.0);
@@ -166,24 +168,14 @@ TEST_P(TableEquivalence, NameTreeMatchesMapReference) {
         }
         break;
       }
-      case 9: {  // FIB add/remove
+      case 9: {  // FIB add
         FaceId face = static_cast<FaceId>(1 + rng.next_below(4));
-        if (rng.chance(0.7)) {
-          fib.add_route(name, face);
-          rfib.add_route(name, face);
-        } else {
-          fib.remove_route(name, face);
-          rfib.remove_route(name, face);
-        }
+        fib.add_route(name, face);
+        rfib.add_route(name, face);
         break;
       }
-      case 10: {  // FIB longest-prefix match
+      default: {  // FIB longest-prefix match
         ASSERT_EQ(fib.lookup(name), rfib.lookup(name));
-        break;
-      }
-      default: {  // FIB reverse index — enumeration order matters
-        FaceId face = static_cast<FaceId>(1 + rng.next_below(4));
-        ASSERT_EQ(uris(fib.prefixes_for(face)), uris(rfib.prefixes_for(face)));
         break;
       }
     }
@@ -213,6 +205,127 @@ TEST_P(TableEquivalence, NameTreeMatchesMapReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableEquivalence,
                          ::testing::Range<uint64_t>(1, 13));
+
+// The discovery shape (paper §IV-B): one /dapes/discovery parent with
+// 2048 query children, named as peers name them. Even queries hold only a
+// CanBePrefix PIT entry; odd ones collect responses <query>/peer-<k> with
+// the 500 ms freshness of discovery replies. Each round opens with a reply
+// burst larger than the CS, so inserts evict, then runs finds and PIT
+// churn until every reply has expired. CanBePrefix finds on the parent
+// walk the PIT-only subtrees ahead of the first live response, or all of
+// them on a miss; every result, size and content-byte count must match
+// the reference.
+TEST(DiscoveryFanOut, NameTreeMatchesMapReference) {
+  constexpr size_t kQueries = 2048;
+  constexpr size_t kCsCapacity = 128;
+  const Duration kFresh = Duration::milliseconds(500);
+  common::Rng rng(0xd15c);
+
+  auto tree = std::make_shared<NameTree>();
+  ContentStore cs(kCsCapacity, tree);
+  Pit pit(tree);
+  ref::ContentStore rcs(kCsCapacity);
+  ref::Pit rpit;
+
+  const Name& parent = core::discovery_prefix();
+  std::vector<Name> queries;
+  for (size_t n = 0; n < kQueries; ++n) {
+    queries.push_back(core::discovery_query_name(rng.next()));
+  }
+  auto respond = [&](size_t n, TimePoint now) {
+    Name name = core::discovery_response_name(
+        queries[n], "peer-" + std::to_string(rng.next_below(4)));
+    Data d = make_data(name, std::string(1 + rng.next_below(32), 'r'), kFresh);
+    cs.insert(d, now);
+    rcs.insert(d, now);
+  };
+  auto ask = [&](size_t n) {
+    pit.insert(queries[n]).can_be_prefix = true;
+    rpit.insert(queries[n]).can_be_prefix = true;
+  };
+  size_t parent_hits = 0, parent_misses = 0;
+  auto compare_prefix_find = [&](const Name& name, TimePoint now) {
+    DataPtr a = cs.find(name, true, now);
+    DataPtr b = rcs.find(name, true, now);
+    ASSERT_EQ(a != nullptr, b != nullptr);
+    if (a) {
+      ASSERT_EQ(a->name().to_uri(), b->name().to_uri());
+      ASSERT_EQ(*a, *b);
+    }
+    if (name == parent) ++(a ? parent_hits : parent_misses);
+  };
+  auto compare_sizes = [&] {
+    ASSERT_EQ(cs.size(), rcs.size());
+    ASSERT_EQ(cs.content_bytes(), rcs.content_bytes());
+    ASSERT_EQ(pit.size(), rpit.size());
+  };
+
+  TimePoint now{0};
+  for (size_t n = 0; n < kQueries; ++n) {
+    if (n % 2 == 0) {
+      ask(n);
+    } else {
+      respond(n, now);
+    }
+  }
+  ASSERT_EQ(cs.size(), kCsCapacity);
+  ASSERT_GT(tree->size(), 1024u);
+
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(round);
+    // Reply burst: 100 odd queries answered by up to four peers each,
+    // about 250 responses within 100 ms.
+    for (int i = 0; i < 100; ++i) {
+      now = now + Duration::milliseconds(1);
+      const size_t n = 2 * rng.next_below(kQueries / 2) + 1;
+      for (uint64_t k = 1 + rng.next_below(4); k > 0; --k) respond(n, now);
+      ASSERT_NO_FATAL_FAILURE(compare_sizes());
+    }
+    // Quiet: ~800 ms of finds and PIT churn, so the burst expires.
+    for (int op = 0; op < 400; ++op) {
+      SCOPED_TRACE(op);
+      now = now + Duration::microseconds(
+                      static_cast<int64_t>(rng.next_below(4000)));
+      const size_t n = rng.next_below(kQueries);
+      switch (rng.next_below(4)) {
+        case 0:  // a pending query is satisfied; its peer asks anew
+          if (n % 2 == 0) {
+            pit.erase(queries[n]);
+            rpit.erase(queries[n]);
+            queries[n] = core::discovery_query_name(rng.next());
+            ask(n);
+          }
+          break;
+        case 1:
+          ASSERT_NO_FATAL_FAILURE(compare_prefix_find(parent, now));
+          break;
+        case 2:
+          ASSERT_NO_FATAL_FAILURE(compare_prefix_find(queries[n], now));
+          break;
+        default: {  // exact find of one peer's response
+          Name name = core::discovery_response_name(
+              queries[n], "peer-" + std::to_string(rng.next_below(4)));
+          ASSERT_EQ(cs.find(name, false, now) != nullptr,
+                    rcs.find(name, false, now) != nullptr);
+          break;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(compare_sizes());
+    }
+  }
+  // Both kinds of parent scan ran: stopped at a live reply, and walked
+  // the whole fan-out to a miss.
+  EXPECT_GT(parent_hits, 0u);
+  EXPECT_GT(parent_misses, 0u);
+
+  for (size_t n = 0; n < kQueries; ++n) {
+    SCOPED_TRACE(n);
+    ASSERT_NO_FATAL_FAILURE(compare_prefix_find(queries[n], now));
+    ASSERT_EQ(pit.find(queries[n]) != nullptr,
+              rpit.find(queries[n]) != nullptr);
+  }
+  ASSERT_NO_FATAL_FAILURE(compare_sizes());
+}
 
 // ------------------------------------------------- NameTree structurals
 

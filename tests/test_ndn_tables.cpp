@@ -170,27 +170,10 @@ TEST(Fib, MultipleFacesPerPrefix) {
   EXPECT_EQ(faces.size(), 2u);
 }
 
-TEST(Fib, RemoveRoute) {
-  Fib fib;
-  fib.add_route(Name("/r"), 1);
-  fib.remove_route(Name("/r"), 1);
-  EXPECT_TRUE(fib.lookup(Name("/r")).empty());
-  EXPECT_EQ(fib.size(), 0u);
-}
-
 TEST(Fib, DefaultRouteViaEmptyPrefix) {
   Fib fib;
   fib.add_route(Name(""), 9);
   EXPECT_EQ(fib.lookup(Name("/anything/at/all")), std::vector<FaceId>{9});
-}
-
-TEST(Fib, PrefixesFor) {
-  Fib fib;
-  fib.add_route(Name("/a"), 1);
-  fib.add_route(Name("/b"), 1);
-  fib.add_route(Name("/c"), 2);
-  EXPECT_EQ(fib.prefixes_for(1).size(), 2u);
-  EXPECT_EQ(fib.prefixes_for(2).size(), 1u);
 }
 
 }  // namespace
