@@ -1,8 +1,9 @@
 // Full-horizon pin: one scale.field trial at 300 nodes, run until every
-// downloader is done. The quick goldens and the benchmark pins stop long
-// before the discovery tail, where CS eviction order and PIT expiry decide
-// which frames go on the air; this trial runs through it. Any change to
-// the data plane's eviction, expiry or scan order moves these numbers.
+// downloader is done. perfbench's field1k pins stop at 40 s, before most
+// downloads finish; this trial runs through the discovery tail, where CS
+// eviction order and PIT expiry decide which frames go on the air. A
+// change to the data plane's eviction, expiry or scan order can move
+// these numbers.
 //
 // About 7 s in Release and 100 s under ASan+UBSan Debug, so the trial has
 // a file of its own: ctest -j runs it alongside the other entries.
