@@ -13,13 +13,12 @@ bool equals_prefix_of(const NameTree::Entry& candidate, const Name& name,
   return candidate.name.size() == depth && candidate.name.is_prefix_of(name);
 }
 
-/// Orders sibling entries by their last (depth-th) component.
-struct LastComponentLess {
-  size_t depth;
-  bool operator()(const NameTree::Entry* a, const Component& key) const {
-    return a->name[depth - 1] < key;
-  }
-};
+/// Orders siblings by last component: the std::map<Name> order of names
+/// that share every earlier component.
+bool last_component_less(const NameTree::Entry* a, const NameTree::Entry* b) {
+  const size_t d = a->name.size();
+  return a->name[d - 1] < b->name[d - 1];
+}
 
 }  // namespace
 
@@ -46,9 +45,21 @@ NameTree::Entry* NameTree::find_exact(const Name& name) const {
   return probe(name.hash(), name, name.size());
 }
 
-NameTree::Entry* NameTree::find_prefix(const Name& name, size_t depth) const {
-  if (depth > name.size()) depth = name.size();
-  return probe(name.prefix_hash(depth), name, depth);
+NameTree::Entry* NameTree::find_longest_prefix(const Name& name) const {
+  if (size_ == 0) return nullptr;
+  // A non-empty tree holds the root, so the walk ends at depth 0 at worst.
+  for (size_t d = name.size() + 1; d-- > 0;) {
+    if (Entry* e = probe(name.prefix_hash(d), name, d)) return e;
+  }
+  return nullptr;
+}
+
+const std::vector<NameTree::Entry*>& NameTree::sorted_children(Entry& entry) {
+  std::vector<Entry*>& children = entry.children;
+  if (!std::is_sorted(children.begin(), children.end(), last_component_less)) {
+    std::sort(children.begin(), children.end(), last_component_less);
+  }
+  return children;
 }
 
 void NameTree::grow_if_needed() {
@@ -71,31 +82,17 @@ void NameTree::grow_if_needed() {
 }
 
 NameTree::Entry* NameTree::lookup(const Name& name) {
-  if (Entry* e = find_exact(name)) return e;
-
-  // Deepest existing ancestor, then create the chain below it. Every
-  // prefix hash is a load from name's buffer.
-  size_t have = name.size();  // name itself is known absent
-  Entry* parent = nullptr;
-  while (have > 0) {
-    if ((parent = find_prefix(name, have - 1)) != nullptr) break;
-    --have;
-  }
-
-  Entry* e = parent;
-  for (size_t d = have; d <= name.size(); ++d) {
+  // Deepest existing prefix (name itself when present), then create the
+  // chain below it. Every prefix hash is a load from name's buffer.
+  Entry* e = find_longest_prefix(name);
+  for (size_t d = e == nullptr ? 0 : e->name.size() + 1; d <= name.size();
+       ++d) {
     grow_if_needed();
     Entry* child = new Entry();
     child->name = name.prefix(d);  // shares name's buffer
     child->hash = name.prefix_hash(d);
     child->parent = e;
-    if (e != nullptr) {
-      // Keep children sorted by last component so trie walks enumerate
-      // names in std::map order.
-      auto pos = std::lower_bound(e->children.begin(), e->children.end(),
-                                  name[d - 1], LastComponentLess{d});
-      e->children.insert(pos, child);
-    }
+    if (e != nullptr) e->children.push_back(child);  // unordered
     size_t b = bucket_of(child->hash);
     child->hash_next = buckets_[b];
     buckets_[b] = child;
@@ -112,15 +109,11 @@ void NameTree::cleanup(Entry* entry) {
     Entry** link = &buckets_[bucket_of(entry->hash)];
     while (*link != entry) link = &(*link)->hash_next;
     *link = entry->hash_next;
-    // Unlink from the parent's sorted child list: last components are
-    // unique among siblings, so the insertion-order binary search lands
-    // exactly on this entry.
+    // Swap-remove from the parent's unordered child list.
     if (parent != nullptr) {
-      const size_t d = entry->name.size();
-      auto it = std::lower_bound(parent->children.begin(),
-                                 parent->children.end(), entry->name[d - 1],
-                                 LastComponentLess{d});
-      parent->children.erase(it);
+      std::vector<Entry*>& siblings = parent->children;
+      *std::find(siblings.begin(), siblings.end(), entry) = siblings.back();
+      siblings.pop_back();
     }
     delete entry;
     --size_;

@@ -9,21 +9,31 @@
 /// shares the buffer of the name it was inserted for, so the entries
 /// created for one insert cost no name copies. The
 /// entries double as a component trie: every entry points at its parent
-/// (the one-component-shorter prefix) and keeps its children sorted by
-/// last component, so a pre-order walk visits names in exactly the order
-/// a std::map<Name, ...> would.
+/// (the one-component-shorter prefix) and holds its children in an
+/// unordered list. Insert appends and removal swap-removes by pointer, so
+/// neither touches a sibling's name; DAPES discovery hangs thousands of
+/// `q-<id>` children off one entry. The one ordered walk, a CanBePrefix
+/// scan, asks sorted_children() for the list, which sorts it in place by
+/// last component when it is out of order, so the scan visits names in
+/// exactly the order a std::map<Name, ...> would. An entry stores no
+/// index into its parent's list: removal scans the siblings' pointers
+/// instead, and a variant that kept the index grew every entry by 8 bytes
+/// (+5.2 MB peak RSS on perfbench's field1k) and ran slower.
 ///
 /// CS, PIT and FIB state hang off the *same* entry (pointer-sized slots,
 /// allocated on demand), which is what makes the data plane cheap:
 ///
 ///   * exact match            — one hash probe (Name::hash is a load);
 ///   * prefix probe at depth d — one probe with Name::prefix_hash(d),
-///     no prefix Name is ever materialized;
+///     no prefix Name is ever materialized (find_longest_prefix());
 ///   * all-prefixes walks (PIT matches_for_data, FIB longest-prefix
-///     match) — O(depth) probes off the name's stored prefix hashes;
+///     match) — one find_longest_prefix() probe, then parent pointers:
+///     lookup() creates every ancestor and cleanup() removes only
+///     childless entries, so every entry's ancestors exist;
 ///   * CS LRU — an intrusive entry-pointer list, no Name copies;
 ///   * ordered prefix scans (CanBePrefix lookups) — pre-order trie
-///     descent, identical visit order to the std::map reference.
+///     descent over sorted_children(), identical visit order to the
+///     std::map reference.
 ///
 /// Entries with no payloads and no children are removed eagerly
 /// (cleanup()), so the table never outgrows the live table state.
@@ -89,7 +99,7 @@ class NameTree {
     Name name;    ///< full name of this node (shares the inserted name's buffer)
     size_t hash;  ///< == name.hash(), stored for cheap rehash/probe
     Entry* parent = nullptr;       ///< one-component-shorter prefix
-    std::vector<Entry*> children;  ///< sorted by last component
+    std::vector<Entry*> children;  ///< unordered; see sorted_children()
     Entry* hash_next = nullptr;    ///< bucket chain
 
     // Table payloads; an entry lives while any slot (or a child) does.
@@ -114,9 +124,16 @@ class NameTree {
   /// Exact-match probe; nullptr when absent.
   Entry* find_exact(const Name& name) const;
 
-  /// Probe for the @p depth-component prefix of @p name using its stored
-  /// per-prefix hash — no prefix Name is materialized.
-  Entry* find_prefix(const Name& name, size_t depth) const;
+  /// The deepest entry whose name is a prefix of @p name: @p name's own
+  /// entry when present, else its longest existing ancestor (the root at
+  /// worst); nullptr only for an empty tree. Probes depth by depth from
+  /// the full name, off its stored per-prefix hashes (no prefix Name is
+  /// materialized), so one probe when @p name is present.
+  Entry* find_longest_prefix(const Name& name) const;
+
+  /// @p entry's children ordered by last component (std::map order),
+  /// sorted in place first when the unordered list is out of order.
+  static const std::vector<Entry*>& sorted_children(Entry& entry);
 
   /// Remove @p entry and then every ancestor left with no payload and no
   /// children. Call after clearing a payload slot; entries still carrying

@@ -46,31 +46,37 @@ void ContentStore::erase(NameTree::Entry* e) {
   tree_->cleanup(e);
 }
 
-bool ContentStore::refresh(const Name& name, TimePoint expires) {
-  NameTree::Entry* e = tree_->find_exact(name);
+bool ContentStore::refresh(const Data& data, TimePoint now) {
+  NameTree::Entry* e = tree_->find_exact(data.name());
   if (e == nullptr || e->cs == nullptr) return false;
-  e->cs->expires = expires;
+  e->cs->expires = now + data.freshness();
   touch(e);
+  DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data.name(),
+                    static_cast<uint64_t>(data.content().size()),
+                    /*refreshed=*/1);
   return true;
 }
 
+void ContentStore::insert(const Data& data, TimePoint now) {
+  if (!refresh(data, now)) insert_new(std::make_shared<const Data>(data), now);
+}
+
 void ContentStore::insert(DataPtr data, TimePoint now) {
-  if (!data) return;
-  const uint64_t content_bytes = data->content().size();
-  if (refresh(data->name(), now + data->freshness())) {
-    DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(),
-                      content_bytes, /*refreshed=*/1);
-    return;
-  }
+  if (data != nullptr && !refresh(*data, now)) insert_new(std::move(data), now);
+}
+
+void ContentStore::insert_new(DataPtr data, TimePoint now) {
   if (size_ >= capacity_) {
     evict_one();
   }
   TimePoint expires = now + data->freshness();
+  // lookup() probes again: the eviction above may have pruned the entry.
   NameTree::Entry* e = tree_->lookup(data->name());
+  const uint64_t content_bytes = data->content().size();
   DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(), content_bytes,
                     /*refreshed=*/0);
   e->cs = std::make_unique<NameTree::CsState>();
-  content_bytes_ += data->content().size();
+  content_bytes_ += content_bytes;
   e->cs->data = std::move(data);
   e->cs->expires = expires;
   lru_push_back(e);
@@ -97,7 +103,7 @@ DataPtr ContentStore::find(const Name& name, bool can_be_prefix,
   }
 
   // Prefix query: first non-expired entry at or under `name` in component
-  // order. Pre-order descent over sorted children visits candidates in
+  // order. Pre-order descent over sorted_children() visits candidates in
   // exactly the std::map reference's iteration order; expired entries
   // seen before the hit are evicted, as the reference does while
   // scanning. (Eviction is deferred until the scan ends so tree cleanup
@@ -129,7 +135,7 @@ NameTree::Entry* ContentStore::scan_prefix(
     if (e->cs->expires > now) return e;
     expired.push_back(e);
   }
-  for (NameTree::Entry* child : e->children) {
+  for (NameTree::Entry* child : NameTree::sorted_children(*e)) {
     if (NameTree::Entry* hit = scan_prefix(child, now, expired)) return hit;
   }
   return nullptr;
@@ -151,17 +157,16 @@ PitEntry* Pit::find(const Name& name) {
 
 std::vector<Name> Pit::matches_for_data(const Name& data_name) const {
   std::vector<Name> out;
-  // Exact match.
-  if (NameTree::Entry* e = tree_->find_exact(data_name);
-      e != nullptr && e->pit != nullptr) {
-    out.push_back(data_name);
+  // One probe finds the data name's entry or its deepest existing prefix;
+  // every shorter prefix is then a parent pointer away.
+  NameTree::Entry* e = tree_->find_longest_prefix(data_name);
+  if (e != nullptr && e->name.size() == data_name.size()) {
+    if (e->pit != nullptr) out.push_back(data_name);  // exact match
+    e = e->parent;
   }
-  // CanBePrefix entries: every proper prefix of data_name, probed off its
-  // stored per-prefix hashes — O(depth), no prefix Name materialized
-  // unless it matches.
-  for (size_t n = data_name.size(); n-- > 0;) {
-    NameTree::Entry* e = tree_->find_prefix(data_name, n);
-    if (e != nullptr && e->pit != nullptr && e->pit->can_be_prefix) {
+  // CanBePrefix entries on the proper prefixes, deepest first.
+  for (; e != nullptr; e = e->parent) {
+    if (e->pit != nullptr && e->pit->can_be_prefix) {
       out.push_back(e->pit->name);
     }
   }
@@ -226,13 +231,13 @@ void Fib::add_route(const Name& prefix, FaceId face) {
 }
 
 std::vector<FaceId> Fib::lookup(const Name& name) const {
-  // Longest prefix match: probe progressively shorter prefixes, each one
-  // a hash probe on the name's stored prefix hashes.
-  for (size_t n = name.size() + 1; n-- > 0;) {
-    NameTree::Entry* e = tree_->find_prefix(name, n);
-    if (e != nullptr && e->fib != nullptr) {
+  // Longest prefix match: the deepest existing prefix, then parent
+  // pointers up to the first entry with a route.
+  for (NameTree::Entry* e = tree_->find_longest_prefix(name); e != nullptr;
+       e = e->parent) {
+    if (e->fib != nullptr) {
       DAPES_TRACE_NAMED(trace::EventType::kFibHit, name,
-                        static_cast<uint64_t>(n));
+                        static_cast<uint64_t>(e->name.size()));
       return std::vector<FaceId>(e->fib->faces.begin(), e->fib->faces.end());
     }
   }

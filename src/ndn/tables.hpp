@@ -3,13 +3,15 @@
 /// Forwarding Information Base (paper Fig. 1).
 ///
 /// All three are views over one shared NameTree (src/ndn/name_tree.hpp):
-/// exact lookups are a single hash probe on the Name's stored hash, prefix
-/// queries and longest-prefix match walk stored per-prefix hashes, and the
-/// CS LRU is an intrusive list of tree-entry pointers — no Name is copied
-/// or compared byte-by-byte on the forwarding path. Semantics are
-/// bit-identical to the std::map reference implementation in the test
-/// tree (tests/oracles/tables_ref.hpp); tests/test_name_tree.cpp proves it
-/// on randomized workloads. Sizes are bounded; the CS evicts LRU, which is
+/// exact lookups are a single hash probe on the Name's stored hash; PIT
+/// all-prefix matching and FIB longest-prefix match take one probe for
+/// the deepest existing prefix and then follow parent pointers; CanBePrefix
+/// scans walk the trie's child lists, sorted on demand into std::map
+/// order; and the CS LRU is an intrusive list of tree-entry pointers — no
+/// Name is copied or compared byte-by-byte on the forwarding path.
+/// Semantics are bit-identical to the std::map reference implementation
+/// in the test tree (tests/oracles/tables_ref.hpp);
+/// tests/test_name_tree.cpp proves it on randomized workloads. Sizes are bounded; the CS evicts LRU, which is
 /// what lets pure forwarders serve overheard data (paper §V-A) without
 /// unbounded memory.
 ///
@@ -19,7 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -49,11 +51,9 @@ class ContentStore {
   /// Insert (or refresh) a Data packet, stamped with the current time.
   /// A new entry wraps the Data into a shared handle (a cheap,
   /// slice-sharing copy of the packet struct — not of its bytes); a
-  /// refresh of an existing name allocates nothing.
-  void insert(const Data& data, TimePoint now = TimePoint::zero()) {
-    if (refresh(data.name(), now + data.freshness())) return;
-    insert(std::make_shared<const Data>(data), now);
-  }
+  /// refresh of an existing name allocates nothing. Both overloads trace
+  /// one `cs.insert` record, with `refreshed=1` on a refresh.
+  void insert(const Data& data, TimePoint now = TimePoint::zero());
   /// Insert (or refresh) an already-shared Data handle.
   void insert(DataPtr data, TimePoint now = TimePoint::zero());
 
@@ -77,8 +77,11 @@ class ContentStore {
   size_t content_bytes() const { return content_bytes_; }
 
  private:
-  /// Bump an existing entry's expiry + LRU position; false on miss.
-  bool refresh(const Name& name, TimePoint expires);
+  /// Bump the expiry and LRU position of @p data's existing entry and
+  /// trace the refresh; false when the name has no CS entry.
+  bool refresh(const Data& data, TimePoint now);
+  /// Cache @p data under a name that refresh() just found absent.
+  void insert_new(DataPtr data, TimePoint now);
   void touch(NameTree::Entry* e);
   void evict_one();
   /// Drop the CS state of @p e (LRU unlink, byte accounting, tree
@@ -110,9 +113,10 @@ class Pit {
   /// Find the entry with this exact name.
   PitEntry* find(const Name& name);
 
-  /// All entries satisfied by data with @p data_name (exact match, plus
-  /// CanBePrefix entries whose name prefixes it). O(depth) hash probes on
-  /// the data name's stored prefix hashes.
+  /// All entries satisfied by data with @p data_name: the exact match,
+  /// then CanBePrefix entries on its proper prefixes, deepest first. One
+  /// probe for the name (on a miss, one per absent depth down to its
+  /// deepest existing prefix), then parent pointers to the root.
   std::vector<Name> matches_for_data(const Name& data_name) const;
 
   /// Insert a new entry; returns a stable reference.
@@ -135,7 +139,7 @@ class Pit {
   size_t size_ = 0;
   // Bounded FIFO of (name-hash ^ nonce) fingerprints.
   static constexpr size_t kDeadNonceCap = 8192;
-  std::list<uint64_t> dead_order_;
+  std::deque<uint64_t> dead_order_;
   std::unordered_set<uint64_t> dead_set_;
 };
 
@@ -149,7 +153,8 @@ class Fib {
   /// Register @p face as a next hop for @p prefix.
   void add_route(const Name& prefix, FaceId face);
 
-  /// Faces for the longest matching prefix (empty when no route).
+  /// Faces for the longest matching prefix (empty when no route): one
+  /// probe for the deepest existing prefix, then parent pointers.
   std::vector<FaceId> lookup(const Name& name) const;
 
   /// Registered prefixes.

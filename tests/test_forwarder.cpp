@@ -5,6 +5,7 @@
 
 #include "ndn/forwarder.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/trace.hpp"
 
 namespace dapes::ndn {
 namespace {
@@ -151,6 +152,33 @@ TEST_F(ForwarderTest, UnsolicitedDataCachedWhenStrategySaysSo) {
   strategy->cache_unsolicited_flag = true;
   wifi->inject(data("/pure/forwarder/cache"));
   EXPECT_TRUE(fw.cs().contains(Name("/pure/forwarder/cache")));
+}
+
+TEST_F(ForwarderTest, TracedRefreshWritesSecondCsInsert) {
+  // The forwarder caches through ContentStore::insert(const Data&); a
+  // second copy of the same Data refreshes the entry and is traced too.
+  trace::TraceConfig config;
+  config.sink = "ring";
+  trace::Tracer tracer(config, [] { return int64_t{0}; });
+  trace::TrialScope scope(&tracer);
+  strategy->cache_unsolicited_flag = true;
+  wifi->inject(data("/pure/forwarder/again"));
+  wifi->inject(data("/pure/forwarder/again"));
+
+  std::vector<trace::Record> inserts;
+  for (const trace::Record& r : tracer.snapshot().records) {
+    if (r.type == static_cast<uint16_t>(trace::EventType::kCsInsert)) {
+      inserts.push_back(r);
+    }
+  }
+  ASSERT_EQ(inserts.size(), 2u);
+  EXPECT_EQ(inserts[0].name_hash, Name("/pure/forwarder/again").hash());
+  EXPECT_EQ(inserts[0].args[0], 7u);  // content bytes of "payload"
+  EXPECT_EQ(inserts[0].args[1], 0u);  // new entry
+  EXPECT_EQ(inserts[1].name_hash, inserts[0].name_hash);
+  EXPECT_EQ(inserts[1].args[0], 7u);
+  EXPECT_EQ(inserts[1].args[1], 1u);  // refreshed
+  EXPECT_EQ(fw.cs().size(), 1u);
 }
 
 TEST_F(ForwarderTest, OverhearHooksFireOnlyForNetworkFaces) {

@@ -11,12 +11,15 @@
 // nonce/dead-nonce answers. Any divergence in probe logic, trie ordering,
 // or eviction policy shows up as a mismatch at the first operation that
 // exposes it. A second case replays the same comparison at DAPES
-// discovery fan-out (one parent with over a thousand query children).
+// discovery fan-out (one parent with over a thousand query children),
+// PIT matches for the responses included.
 //
-// Direct NameTree structural tests (entry sharing, cleanup) and the Name
-// hash-cache tests live at the bottom / in test_ndn_name.cpp.
+// Direct NameTree structural tests (entry sharing, cleanup, unordered
+// child lists) and the Name hash-cache tests live at the bottom / in
+// test_ndn_name.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -214,7 +217,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TableEquivalence,
 // churn until every reply has expired. CanBePrefix finds on the parent
 // walk the PIT-only subtrees ahead of the first live response, or all of
 // them on a miss; every result, size and content-byte count must match
-// the reference.
+// the reference. The parent itself holds a CanBePrefix PIT entry and
+// /dapes an exact-only one, so each response's PIT matches (the query,
+// when pending, then the parent; never /dapes) take the parent-pointer
+// walk above a leaf that may or may not exist.
 TEST(DiscoveryFanOut, NameTreeMatchesMapReference) {
   constexpr size_t kQueries = 2048;
   constexpr size_t kCsCapacity = 128;
@@ -228,6 +234,10 @@ TEST(DiscoveryFanOut, NameTreeMatchesMapReference) {
   ref::Pit rpit;
 
   const Name& parent = core::discovery_prefix();
+  pit.insert(parent).can_be_prefix = true;
+  rpit.insert(parent).can_be_prefix = true;
+  pit.insert(parent.prefix(1));
+  rpit.insert(parent.prefix(1));
   std::vector<Name> queries;
   for (size_t n = 0; n < kQueries; ++n) {
     queries.push_back(core::discovery_query_name(rng.next()));
@@ -253,6 +263,13 @@ TEST(DiscoveryFanOut, NameTreeMatchesMapReference) {
       ASSERT_EQ(*a, *b);
     }
     if (name == parent) ++(a ? parent_hits : parent_misses);
+  };
+  size_t query_matches = 0;
+  auto compare_matches = [&](const Name& name) {
+    const std::vector<std::string> a = uris(pit.matches_for_data(name));
+    ASSERT_EQ(a, uris(rpit.matches_for_data(name)));
+    ASSERT_FALSE(a.empty());  // the parent's entry matches every response
+    if (a.size() > 1) ++query_matches;
   };
   auto compare_sizes = [&] {
     ASSERT_EQ(cs.size(), rcs.size());
@@ -302,11 +319,12 @@ TEST(DiscoveryFanOut, NameTreeMatchesMapReference) {
         case 2:
           ASSERT_NO_FATAL_FAILURE(compare_prefix_find(queries[n], now));
           break;
-        default: {  // exact find of one peer's response
+        default: {  // exact find and PIT matches of one peer's response
           Name name = core::discovery_response_name(
               queries[n], "peer-" + std::to_string(rng.next_below(4)));
           ASSERT_EQ(cs.find(name, false, now) != nullptr,
                     rcs.find(name, false, now) != nullptr);
+          ASSERT_NO_FATAL_FAILURE(compare_matches(name));
           break;
         }
       }
@@ -323,8 +341,12 @@ TEST(DiscoveryFanOut, NameTreeMatchesMapReference) {
     ASSERT_NO_FATAL_FAILURE(compare_prefix_find(queries[n], now));
     ASSERT_EQ(pit.find(queries[n]) != nullptr,
               rpit.find(queries[n]) != nullptr);
+    ASSERT_NO_FATAL_FAILURE(compare_matches(
+        core::discovery_response_name(queries[n], "peer-0")));
   }
   ASSERT_NO_FATAL_FAILURE(compare_sizes());
+  // Responses to pending queries matched the query and the parent.
+  EXPECT_GT(query_matches, 0u);
 }
 
 // ------------------------------------------------- NameTree structurals
@@ -367,18 +389,88 @@ TEST(NameTree, CleanupPrunesEmptyAncestors) {
   EXPECT_NE(pit.find(Name("/a/b")), nullptr);
 }
 
+// Children arrive out of order and leave by swap-remove, so no child list
+// is kept sorted; every CanBePrefix find must still return the reference's
+// winner, the first live name in std::map order. Component strings make
+// byte order differ from arrival order and from numeric order ("c10" <
+// "c2"), some children carry a grandchild so the descent recurses, and
+// staggered freshness moves the winner as entries expire and the scan
+// erases them.
+TEST(NameTree, UnorderedChildrenScanInMapOrder) {
+  constexpr size_t kChildren = 40;
+  auto tree = std::make_shared<NameTree>();
+  ContentStore cs(256, tree);
+  Pit pit(tree);
+  ref::ContentStore rcs(256);
+  common::Rng rng(0x5ca7);
+
+  const Name parent("/p");
+  std::vector<size_t> order(kChildren);
+  for (size_t k = 0; k < kChildren; ++k) order[k] = k;
+  rng.shuffle(order);
+  std::vector<Name> pending;  // PIT-only children, erased below
+  for (size_t k : order) {
+    const Name child = parent.appended("c" + std::to_string(k));
+    if (k % 3 == 0) {
+      pit.insert(child);
+      pending.push_back(child);
+      continue;
+    }
+    const Name name = k % 3 == 1 ? child : child.appended("x");
+    Data d = make_data(name, std::string(1 + k % 5, 'd'),
+                       Duration::milliseconds(
+                           static_cast<int64_t>(10 + rng.next_below(400))));
+    cs.insert(d, TimePoint{0});
+    rcs.insert(d, TimePoint{0});
+  }
+  // Swap-remove half of the PIT-only children.
+  rng.shuffle(pending);
+  for (size_t i = 0; i < pending.size() / 2; ++i) pit.erase(pending[i]);
+
+  TimePoint now{0};
+  size_t hits = 0;
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE(step);
+    now = now + Duration::milliseconds(10);
+    DataPtr a = cs.find(parent, true, now);
+    DataPtr b = rcs.find(parent, true, now);
+    ASSERT_EQ(a != nullptr, b != nullptr);
+    if (a) {
+      ++hits;
+      ASSERT_EQ(a->name().to_uri(), b->name().to_uri());
+    }
+    ASSERT_EQ(cs.size(), rcs.size());
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(cs.size(), 0u);  // every entry expired and was erased
+
+  // The surviving PIT-only children come back in std::map order.
+  std::vector<Name> left(pending.begin() + pending.size() / 2, pending.end());
+  std::sort(left.begin(), left.end());
+  std::vector<std::string> got;
+  for (const NameTree::Entry* e :
+       NameTree::sorted_children(*tree->find_exact(parent))) {
+    got.push_back(e->name.to_uri());
+  }
+  EXPECT_EQ(got, uris(left));
+}
+
 TEST(NameTree, PrefixProbesUseCachedHashes) {
   NameTree tree;
+  EXPECT_EQ(tree.find_longest_prefix(Name("/x")), nullptr);  // empty tree
   Name deep("/x/y/z");
   tree.lookup(deep);
-  // find_prefix never materializes a prefix Name; probe every depth.
+  // find_longest_prefix never materializes a prefix Name; every prefix of
+  // deep is present, so each one finds its own entry.
   for (size_t d = 0; d <= deep.size(); ++d) {
-    NameTree::Entry* e = tree.find_prefix(deep, d);
+    NameTree::Entry* e = tree.find_longest_prefix(deep.prefix(d));
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->name.to_uri(), deep.prefix(d).to_uri());
     EXPECT_EQ(e->hash, deep.prefix_hash(d));
   }
-  EXPECT_EQ(tree.find_prefix(Name("/x/q"), 2), nullptr);
+  // Absent names resolve to their deepest present prefix.
+  EXPECT_EQ(tree.find_longest_prefix(Name("/x/q/r"))->name.to_uri(), "/x");
+  EXPECT_EQ(tree.find_longest_prefix(Name("/w"))->name.to_uri(), "/");
 }
 
 TEST(NameTree, StableSizeUnderChurn) {
