@@ -16,9 +16,9 @@
 /// scan, asks sorted_children() for the list, which sorts it in place by
 /// last component when it is out of order, so the scan visits names in
 /// exactly the order a std::map<Name, ...> would. An entry stores no
-/// index into its parent's list: removal scans the siblings' pointers
-/// instead, and a variant that kept the index grew every entry by 8 bytes
-/// (+5.2 MB peak RSS on perfbench's field1k) and ran slower.
+/// index into its parent's list, which would cost 8 bytes on every entry:
+/// removal scans the siblings' pointers instead (DESIGN.md "One table,
+/// trie-linked entries").
 ///
 /// CS, PIT and FIB state hang off the *same* entry (pointer-sized slots,
 /// allocated on demand), which is what makes the data plane cheap:

@@ -11,9 +11,9 @@
 /// Name is copied or compared byte-by-byte on the forwarding path.
 /// Semantics are bit-identical to the std::map reference implementation
 /// in the test tree (tests/oracles/tables_ref.hpp);
-/// tests/test_name_tree.cpp proves it on randomized workloads. Sizes are bounded; the CS evicts LRU, which is
-/// what lets pure forwarders serve overheard data (paper §V-A) without
-/// unbounded memory.
+/// tests/test_name_tree.cpp proves it on randomized workloads. Sizes are
+/// bounded; the CS evicts LRU, which is what lets pure forwarders serve
+/// overheard data (paper §V-A) without unbounded memory.
 ///
 /// Standalone construction (`ContentStore cs;`) gives each table a private
 /// tree; a Forwarder passes one shared tree to all three so a name's CS,

@@ -408,7 +408,7 @@ TEST(NameTree, UnorderedChildrenScanInMapOrder) {
   std::vector<size_t> order(kChildren);
   for (size_t k = 0; k < kChildren; ++k) order[k] = k;
   rng.shuffle(order);
-  std::vector<Name> pending;  // PIT-only children, erased below
+  std::vector<Name> pending;  // PIT-only children; half are erased below
   for (size_t k : order) {
     const Name child = parent.appended("c" + std::to_string(k));
     if (k % 3 == 0) {
