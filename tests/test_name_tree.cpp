@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -410,7 +411,9 @@ TEST(NameTree, UnorderedChildrenScanInMapOrder) {
   rng.shuffle(order);
   std::vector<Name> pending;  // PIT-only children; half are erased below
   for (size_t k : order) {
-    const Name child = parent.appended("c" + std::to_string(k));
+    std::string component = "c";
+    component += std::to_string(k);
+    const Name child = parent.appended(component);
     if (k % 3 == 0) {
       pit.insert(child);
       pending.push_back(child);
@@ -447,9 +450,10 @@ TEST(NameTree, UnorderedChildrenScanInMapOrder) {
   // The surviving PIT-only children come back in std::map order.
   std::vector<Name> left(pending.begin() + pending.size() / 2, pending.end());
   std::sort(left.begin(), left.end());
+  NameTree::Entry* p = tree->find_exact(parent);
+  ASSERT_NE(p, nullptr);
   std::vector<std::string> got;
-  for (const NameTree::Entry* e :
-       NameTree::sorted_children(*tree->find_exact(parent))) {
+  for (const NameTree::Entry* e : NameTree::sorted_children(*p)) {
     got.push_back(e->name.to_uri());
   }
   EXPECT_EQ(got, uris(left));
@@ -469,8 +473,12 @@ TEST(NameTree, PrefixProbesUseCachedHashes) {
     EXPECT_EQ(e->hash, deep.prefix_hash(d));
   }
   // Absent names resolve to their deepest present prefix.
-  EXPECT_EQ(tree.find_longest_prefix(Name("/x/q/r"))->name.to_uri(), "/x");
-  EXPECT_EQ(tree.find_longest_prefix(Name("/w"))->name.to_uri(), "/");
+  for (const auto& [absent, found] :
+       {std::pair{"/x/q/r", "/x"}, std::pair{"/w", "/"}}) {
+    NameTree::Entry* e = tree.find_longest_prefix(Name(absent));
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->name.to_uri(), found);
+  }
 }
 
 TEST(NameTree, StableSizeUnderChurn) {
