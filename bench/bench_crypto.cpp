@@ -8,9 +8,11 @@
 //     Data frames over a real Medium to 500 in-range receivers, every
 //     receiver verifying every frame. Run twice per cell — with the
 //     delivery prewarm + verify cache (the default stack) and with the
-//     cache off (per-receiver scalar-path verifies). The "scalar" series'
-//     uncached row is the committed scalar baseline the acceptance
-//     criterion compares against (EXPERIMENTS.md "Crypto engines").
+//     cache off (a URI and a MAC per receiver verify; the content digest
+//     is memoized on the frame's one shared packet, so it is hashed once
+//     per frame either way). The "scalar" series' uncached row is the
+//     committed scalar baseline the acceptance criterion compares against
+//     (EXPERIMENTS.md "Crypto engines"); it predates the shared packet.
 //
 //   bench_crypto [--trials N] [--quick] [--seed S] [--jobs N] [--no-wall]
 //                [--format text|csv|json] [--out FILE]
@@ -157,8 +159,8 @@ struct VerifyWorld {
       auto face = std::make_shared<ndn::WifiFace>(sched, *radio, node,
                                                   rng.fork(),
                                                   common::Duration{0});
-      face->set_receive_handlers(nullptr, [this](const ndn::Data& d) {
-        if (d.verify(keychain)) ++verified;
+      face->set_receive_handlers(nullptr, [this](ndn::DataPtr d) {
+        if (d->verify(keychain)) ++verified;
       });
       radios.push_back(std::move(radio));
       receivers.push_back(std::move(face));
@@ -179,7 +181,7 @@ struct VerifyWorld {
           Bytes(content_bytes, static_cast<uint8_t>(frame_counter)));
       data.set_freshness(common::Duration::seconds(1e6));
       data.sign(key);
-      sender->send_data(data);
+      sender->send_data(std::make_shared<const ndn::Data>(std::move(data)));
       sched.run();
     }
   }

@@ -1,8 +1,9 @@
 // Immutable ref-counted byte buffers and cheap views into them.
 //
 // The wire layer is zero-copy: one frame on the broadcast medium is
-// overheard by many receivers, and each receiver's decoded packets keep
-// views into the *same* underlying storage instead of deep-copying it.
+// overheard by many receivers, and the one packet decoded from it, which
+// they all share, keeps views into the frame's storage instead of
+// deep-copying it.
 // `Buffer` is the shared, immutable storage handle; `BufferSlice` is a
 // (buffer, offset, length) view that keeps the storage alive. Build-side
 // code still works with mutable `Bytes` (see tlv::Writer) and freezes the

@@ -301,7 +301,7 @@ void Peer::handle_discovery_interest(const ndn::Interest& interest) {
   response.set_freshness(Duration::milliseconds(500));
   response.sign(key_);
   ++stats_.discovery_responses_sent;
-  app_face_->put(response);
+  app_face_->put(std::make_shared<const ndn::Data>(std::move(response)));
 }
 
 void Peer::handle_discovery_data(const ndn::Data& data) {
@@ -733,7 +733,7 @@ void Peer::serve_interest(const ndn::Interest& interest) {
     for (const auto& segment : st->oracle->metadata_packets()) {
       if (segment.name() == name ||
           (interest.can_be_prefix() && name.is_prefix_of(segment.name()))) {
-        app_face_->put(segment);
+        app_face_->put(std::make_shared<const ndn::Data>(segment));
         return;
       }
     }
@@ -749,7 +749,8 @@ void Peer::serve_interest(const ndn::Interest& interest) {
   auto index = st->layout.index_of(parts->file_name, parts->seq);
   if (!index || !st->have.test(*index)) return;
   ++stats_.data_packets_served;
-  app_face_->put(st->oracle->packet(*index));
+  app_face_->put(
+      std::make_shared<const ndn::Data>(st->oracle->packet(*index)));
 }
 
 // --------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include "ndn/face.hpp"
 
+#include <type_traits>
+
 #include "common/logging.hpp"
 
 namespace dapes::ndn {
@@ -18,27 +20,24 @@ void WifiFace::send_interest(const Interest& interest) {
   radio_.send(std::move(frame), std::move(cb));
 }
 
-void WifiFace::send_data(const Data& data) {
+void WifiFace::send_data(DataPtr data) {
   if (data_window_.us <= 0) {
     ++data_sent_;
     auto frame = std::make_shared<sim::Frame>();
     frame->sender = node_;
-    frame->payload = data.wire();  // cached: forwarding never re-serializes
+    frame->payload = data->wire();  // cached: forwarding never re-serializes
     frame->kind = "ndn-data";
     radio_.send(std::move(frame));
     return;
   }
-  if (pending_data_.contains(data.name())) {
+  if (pending_data_.contains(data->name())) {
     return;  // already queued
   }
   Duration delay = Duration::microseconds(static_cast<int64_t>(
       rng_.next_below(static_cast<uint64_t>(data_window_.us) + 1)));
-  Name name = data.name();
+  Name name = data->name();
   sim::EventId ev = sched_.schedule(delay, [this, name] { transmit_data(name); });
-  // Slice-sharing copy into a shared handle: content and cached wire stay
-  // views into the original buffer.
-  pending_data_.emplace(std::move(name),
-                        std::make_pair(std::make_shared<const Data>(data), ev));
+  pending_data_.emplace(std::move(name), std::make_pair(std::move(data), ev));
 }
 
 void WifiFace::transmit_data(const Name& name) {
@@ -54,6 +53,30 @@ void WifiFace::transmit_data(const Name& name) {
   radio_.send(std::move(frame));
 }
 
+template <typename Packet>
+std::shared_ptr<const Packet> frame_packet(const sim::Frame& frame) {
+  constexpr uint8_t type =
+      std::is_same_v<Packet, Interest> ? tlv::kInterest : tlv::kData;
+  const BufferSlice& payload = frame.payload;
+  if (payload.empty() || payload[0] != type) return nullptr;
+  if (frame.packet == nullptr) {
+    // Decoded from the wire, never taken from the sender's object: every
+    // receiver sees exactly what the bytes say. Its wire cache and large
+    // fields are views into the frame's shared buffer.
+    std::optional<Packet> decoded = Packet::decode(payload);
+    if (!decoded) return nullptr;
+    frame.packet = std::make_shared<const Packet>(std::move(*decoded));
+  }
+  // Only this function fills the slot, and always with the packet type the
+  // payload's leading byte names, so the cast is exact.
+  return std::static_pointer_cast<const Packet>(frame.packet);
+}
+
+template std::shared_ptr<const Interest> frame_packet<Interest>(
+    const sim::Frame& frame);
+template std::shared_ptr<const Data> frame_packet<Data>(
+    const sim::Frame& frame);
+
 void WifiFace::on_frame(const sim::FramePtr& frame) {
   const auto& payload = frame->payload;
   if (payload.empty()) return;
@@ -61,15 +84,15 @@ void WifiFace::on_frame(const sim::FramePtr& frame) {
   // foreign frames (IP baselines) are skipped without any parsing.
   const uint8_t type = payload[0];
   if (type == tlv::kInterest) {
-    // One decode per received frame: the Interest's wire cache and
-    // ApplicationParameters are views into the frame's shared buffer.
-    if (auto interest = Interest::decode(payload)) {
+    // The Forwarder takes its own copy: the hop limit it decrements is
+    // never the frame's shared packet's.
+    if (auto interest = frame_packet<Interest>(*frame)) {
       deliver_interest(*interest);
     } else {
       DAPES_LOG_DEBUG("wifi-face") << "undecodable interest frame";
     }
   } else if (type == tlv::kData) {
-    auto data = Data::decode(payload);
+    DataPtr data = frame_packet<Data>(*frame);
     if (!data) {
       DAPES_LOG_DEBUG("wifi-face") << "undecodable data frame";
       return;
@@ -82,7 +105,7 @@ void WifiFace::on_frame(const sim::FramePtr& frame) {
       pending_data_.erase(it);
       ++data_suppressed_;
     }
-    deliver_data(*data);
+    deliver_data(std::move(data));
   }
   // Other frame types (IP baselines) are not ours; ignore.
 }

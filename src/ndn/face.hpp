@@ -6,6 +6,12 @@
 /// forwarder) and a WifiFace bridging to the node's broadcast radio. The
 /// Forwarder pushes outgoing packets into Face::send_*; incoming packets
 /// are injected by the face owner via the handlers the Forwarder installs.
+///
+/// Data moves between faces, the Forwarder and the Content Store as one
+/// shared immutable DataPtr. A broadcast frame is decoded once, by its
+/// first NDN consumer (frame_packet), and every WifiFace that hears it
+/// hands the same packet on: N receivers and their N caches share one
+/// Data, whose content and wire are views into the frame buffer.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +31,16 @@ namespace dapes::ndn {
 /// Identifier the Forwarder assigns when a face is added.
 using FaceId = uint32_t;
 
+/// The one decoded packet of @p frame, shared by all its receivers.
+/// @p Packet is Interest or Data; the payload's leading TLV type (0x05 or
+/// 0x06) selects which one the frame carries. The first call decodes the
+/// payload and stores the packet in the frame's slot (sim::Frame::packet);
+/// every later call returns that same object. Returns nullptr when the
+/// payload is not a @p Packet or does not decode (an undecodable payload
+/// leaves the slot empty).
+template <typename Packet>
+std::shared_ptr<const Packet> frame_packet(const sim::Frame& frame);
+
 /// Abstract attachment point between a Forwarder and an application or
 /// network adapter (see file comment).
 class Face {
@@ -42,13 +58,13 @@ class Face {
 
   /// Forwarder -> face: emit an Interest.
   virtual void send_interest(const Interest& interest) = 0;
-  /// Forwarder -> face: emit a Data.
-  virtual void send_data(const Data& data) = 0;
+  /// Forwarder -> face: emit a Data (shared, never copied).
+  virtual void send_data(DataPtr data) = 0;
 
   /// Handler type for Interests arriving from this face.
   using InterestHandler = std::function<void(const Interest&)>;
   /// Handler type for Data arriving from this face.
-  using DataHandler = std::function<void(const Data&)>;
+  using DataHandler = std::function<void(DataPtr)>;
 
   /// Install the Forwarder's receive handlers for this face.
   void set_receive_handlers(InterestHandler on_interest, DataHandler on_data) {
@@ -62,8 +78,8 @@ class Face {
     if (on_interest_) on_interest_(interest);
   }
   /// Hand an incoming Data to the installed Forwarder handler.
-  void deliver_data(const Data& data) {
-    if (on_data_) on_data_(data);
+  void deliver_data(DataPtr data) {
+    if (on_data_) on_data_(std::move(data));
   }
 
  private:
@@ -92,14 +108,15 @@ class AppFace final : public Face {
     if (app_on_interest_) app_on_interest_(interest);
   }
   /// Forwarder -> application (Data).
-  void send_data(const Data& data) override {
-    if (app_on_data_) app_on_data_(data);
+  void send_data(DataPtr data) override {
+    if (app_on_data_) app_on_data_(*data);
   }
 
   /// Application -> forwarder: express an Interest.
   void express(const Interest& interest) { deliver_interest(interest); }
-  /// Application -> forwarder: publish a Data.
-  void put(const Data& data) { deliver_data(data); }
+  /// Application -> forwarder: publish a Data. The Content Store and any
+  /// queued transmission share @p data.
+  void put(DataPtr data) { deliver_data(std::move(data)); }
 
   bool is_local() const override { return true; }  ///< always local
 
@@ -131,9 +148,10 @@ class WifiFace final : public Face {
   /// Encode and broadcast an Interest immediately.
   void send_interest(const Interest& interest) override;
   /// Schedule a Data broadcast within the suppression window.
-  void send_data(const Data& data) override;
+  void send_data(DataPtr data) override;
 
-  /// Called by the node's medium receive callback for every frame heard.
+  /// Called by the node's medium receive callback for every frame heard:
+  /// hands the frame's shared packet (frame_packet) to the Forwarder.
   /// Silently ignores frames that are not NDN packets (e.g. IP baseline
   /// traffic in mixed tests).
   void on_frame(const sim::FramePtr& frame);
@@ -173,7 +191,7 @@ class WifiFace final : public Face {
   sim::Radio::SendCompleteCallback next_interest_cb_;
   /// Pending delayed Data sends, cancellable by overheard duplicates.
   /// Shared DataPtr handles (like the CS): queueing a retransmission
-  /// never deep-copies the packet — the cached wire slice rides along.
+  /// never copies the packet — the cached wire slice rides along.
   /// Keyed by the Name's stored hash; nothing iterates this map.
   std::unordered_map<Name, std::pair<DataPtr, sim::EventId>> pending_data_;
   uint64_t interests_sent_ = 0;

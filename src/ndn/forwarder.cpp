@@ -34,7 +34,7 @@ FaceId Forwarder::add_face(std::shared_ptr<Face> face) {
       [this, id](const Interest& interest) {
         on_incoming_interest(id, interest);
       },
-      [this, id](const Data& data) { on_incoming_data(id, data); });
+      [this, id](DataPtr data) { on_incoming_data(id, std::move(data)); });
   return id;
 }
 
@@ -54,11 +54,11 @@ void Forwarder::send_interest_to(FaceId out_face, const Interest& interest) {
   f->send_interest(interest);
 }
 
-void Forwarder::send_data_to(FaceId out_face, const Data& data) {
+void Forwarder::send_data_to(FaceId out_face, DataPtr data) {
   Face* f = face(out_face);
   if (f == nullptr) return;
   ++stats_.data_forwarded;
-  f->send_data(data);
+  f->send_data(std::move(data));
 }
 
 void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
@@ -91,7 +91,7 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
     ++stats_.cs_hits;
     if (in != nullptr) {
       ++stats_.data_forwarded;
-      in->send_data(*cached);
+      in->send_data(std::move(cached));
     }
     return;
   }
@@ -120,19 +120,19 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
   strategy_->after_receive_interest(*this, in_face, interest, entry);
 }
 
-void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
+void Forwarder::on_incoming_data(FaceId in_face, DataPtr data) {
   ++stats_.data_in;
   Face* in = face(in_face);
   const bool from_network = in != nullptr && !in->is_local();
   if (from_network) {
-    strategy_->on_overhear_data(*this, in_face, data);
+    strategy_->on_overhear_data(*this, in_face, *data);
   }
 
-  std::vector<Name> matched = pit_.matches_for_data(data.name());
+  std::vector<Name> matched = pit_.matches_for_data(data->name());
   if (matched.empty()) {
     ++stats_.unsolicited_data;
-    if (strategy_->cache_unsolicited(*this, in_face, data)) {
-      cs_.insert(data, sched_.now());
+    if (strategy_->cache_unsolicited(*this, in_face, *data)) {
+      cs_.insert(std::move(data), sched_.now());
     }
     return;
   }

@@ -126,11 +126,14 @@ class Forwarder {
   /// NOT consult the FIB — the strategy already decided.
   void send_interest_to(FaceId out_face, const Interest& interest);
   /// Strategy action: transmit a Data out of a specific face.
-  void send_data_to(FaceId out_face, const Data& data);
+  void send_data_to(FaceId out_face, DataPtr data);
 
  private:
+  /// @p interest is this node's own copy: a network hop decrements its
+  /// hop limit, never the frame's shared packet's.
   void on_incoming_interest(FaceId in_face, Interest interest);
-  void on_incoming_data(FaceId in_face, const Data& data);
+  /// @p data is shared as is with the CS and the out-faces.
+  void on_incoming_data(FaceId in_face, DataPtr data);
   void on_pit_expiry(Name name);
 
   sim::Scheduler& sched_;

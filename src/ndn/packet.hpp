@@ -40,7 +40,8 @@ using common::Duration;
 
 /// Process-wide codec instrumentation: counts actual (de)serializations
 /// so tests and benches can assert the zero-copy invariants (one encode
-/// per broadcast, one decode per receiving node, cache hits on forward).
+/// per broadcast, one decode per broadcast frame however many nodes
+/// receive it, cache hits on forward).
 struct CodecCounters {
   std::atomic<uint64_t> interest_encodes{0};  ///< Interest serializations
   std::atomic<uint64_t> data_encodes{0};      ///< Data serializations
@@ -219,7 +220,8 @@ class Data {
   /// and the MAC). Hashed at most once per packet: memoized here, and
   /// served from the trial's VerifyCache — warmed once per broadcast
   /// frame — before being computed at all. Like wire(), the memo is
-  /// per-instance; shared DataPtrs pre-warm it at creation.
+  /// per instance, so every receiver of a frame shares the one memo of
+  /// the frame's shared packet.
   crypto::Digest content_digest() const;
 
   /// The cached wire encoding; serialized at most once per mutation.
@@ -259,9 +261,10 @@ class Data {
 };
 
 /// Shared, immutable Data handle: the CS, the forwarding pipeline,
-/// application faces and queued retransmissions pass one decoded packet
-/// around by reference count — its content and cached wire stay views
-/// into the original frame buffer.
+/// application faces and queued retransmissions pass one packet around by
+/// reference count. A received frame's packet is decoded once and shared
+/// by every receiver (ndn::frame_packet); its content and cached wire
+/// stay views into the frame buffer.
 using DataPtr = std::shared_ptr<const Data>;
 
 /// Append @p name as a Name TLV element — the helper every codec that

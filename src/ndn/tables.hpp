@@ -37,8 +37,9 @@ namespace dapes::ndn {
 ///
 /// Entries expire after the packet's FreshnessPeriod (short-lived data
 /// such as discovery responses must not be served stale); lookups skip
-/// and evict expired entries. Entries are shared DataPtr handles: caching
-/// never deep-copies content or wire bytes.
+/// and evict expired entries. Entries are shared DataPtr handles: every
+/// CS that caches one broadcast frame holds that frame's one decoded
+/// packet, so caching copies nothing.
 class ContentStore {
  public:
   /// CS holding up to @p capacity entries, on @p tree (a private tree
@@ -48,14 +49,16 @@ class ContentStore {
       : capacity_(capacity),
         tree_(tree ? std::move(tree) : std::make_shared<NameTree>()) {}
 
-  /// Insert (or refresh) a Data packet, stamped with the current time.
-  /// A new entry wraps the Data into a shared handle (a cheap,
-  /// slice-sharing copy of the packet struct — not of its bytes); a
-  /// refresh of an existing name allocates nothing. Both overloads trace
-  /// one `cs.insert` record, with `refreshed=1` on a refresh.
-  void insert(const Data& data, TimePoint now = TimePoint::zero());
-  /// Insert (or refresh) an already-shared Data handle.
+  /// Insert (or refresh) a shared Data handle, stamped with the current
+  /// time; the forwarding path's only overload. A new entry keeps the
+  /// handle itself; a refresh of an existing name keeps the entry's
+  /// earlier packet and allocates nothing. Both overloads trace one
+  /// `cs.insert` record, with `refreshed=1` on a refresh.
   void insert(DataPtr data, TimePoint now = TimePoint::zero());
+  /// Insert (or refresh) a Data packet held by value: a new entry wraps a
+  /// slice-sharing copy of the packet struct (not of its bytes). Kept for
+  /// callers outside the forwarding path (table tests and kernels).
+  void insert(const Data& data, TimePoint now = TimePoint::zero());
 
   /// Exact-name lookup; @p can_be_prefix widens to "any data under name".
   /// Returns a shared handle (nullptr on miss).

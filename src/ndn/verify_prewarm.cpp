@@ -1,17 +1,17 @@
 #include "ndn/verify_prewarm.hpp"
 
-#include "ndn/tlv.hpp"
+#include "ndn/face.hpp"
 #include "trace/trace.hpp"
 
 namespace dapes::ndn {
 
 void DataVerifyPrewarm::prewarm(const sim::Frame& frame) {
-  const common::BufferSlice& payload = frame.payload;
-  if (payload.empty() || payload.data()[0] != tlv::kData) return;
   // Cache keys need a ref-counted anchor; unowned payloads can't be
   // pinned, so their receivers just take the compute path.
-  if (!payload.owns_storage()) return;
-  std::optional<Data> data = Data::decode(payload);
+  if (!frame.payload.owns_storage()) return;
+  // The frame's own packet: decoding it here is the one decode every
+  // receiver then shares. Null for Interests and undecodable payloads.
+  DataPtr data = frame_packet<Data>(frame);
   if (!data) return;
 
   const common::BytesView content = data->content();

@@ -6,11 +6,12 @@
 /// reaches N receivers, so the naive layering hashes and MACs the same
 /// bytes N times. This hook plugs into `sim::Medium`'s delivery path
 /// (sim::DeliveryPrewarm) and does the cryptographic work once per frame:
-/// it decodes each delivered Data frame, hashes its content, checks the
-/// MAC against the trust keychain, publishes the digest and verdict into
-/// the trial's crypto::VerifyCache (keyed on the shared frame buffer),
-/// and emits one `crypto.prewarm` trace event per Data frame with a
-/// cached/fresh flag.
+/// it decodes each delivered Data frame into the frame's shared packet
+/// (ndn::frame_packet — the one decode every receiver then shares),
+/// hashes its content, checks the MAC against the trust keychain,
+/// publishes the digest and verdict into the trial's crypto::VerifyCache
+/// (keyed on the shared frame buffer), and emits one `crypto.prewarm`
+/// trace event per Data frame with a cached/fresh flag.
 ///
 /// Receivers then serve both the content digest and the MAC verdict from
 /// the cache (ndn::Data::verify, core::Metadata::verify_packet). The
@@ -26,7 +27,8 @@ namespace dapes::ndn {
 
 /// sim::DeliveryPrewarm that pre-verifies Data frames into a
 /// crypto::VerifyCache (see the file comment). Non-Data frames
-/// (Interests, hellos) and undecodable payloads are skipped untouched.
+/// (Interests, hellos), unowned payloads and undecodable payloads are
+/// skipped untouched; their receivers decode the frame instead.
 class DataVerifyPrewarm : public sim::DeliveryPrewarm {
  public:
   /// Prewarm into @p cache, checking MACs against @p trust (the trial's

@@ -21,11 +21,13 @@ class MockFace : public Face {
   void send_interest(const Interest& interest) override {
     sent_interests.push_back(interest);
   }
-  void send_data(const Data& data) override { sent_data.push_back(data); }
+  void send_data(DataPtr data) override { sent_data.push_back(*data); }
   bool is_local() const override { return local_; }
 
   void inject(const Interest& interest) { deliver_interest(interest); }
-  void inject(const Data& data) { deliver_data(data); }
+  void inject(const Data& data) {
+    deliver_data(std::make_shared<const Data>(data));
+  }
 
   std::vector<Interest> sent_interests;
   std::vector<Data> sent_data;
@@ -155,7 +157,7 @@ TEST_F(ForwarderTest, UnsolicitedDataCachedWhenStrategySaysSo) {
 }
 
 TEST_F(ForwarderTest, TracedRefreshWritesSecondCsInsert) {
-  // The forwarder caches through ContentStore::insert(const Data&); a
+  // The forwarder caches through ContentStore::insert(DataPtr); a
   // second copy of the same Data refreshes the entry and is traced too.
   trace::TraceConfig config;
   config.sink = "ring";

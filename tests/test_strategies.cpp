@@ -17,10 +17,10 @@ class LoopbackFace : public ndn::Face {
  public:
   explicit LoopbackFace(bool local) : local_(local) {}
   void send_interest(const Interest& i) override { sent_interests.push_back(i); }
-  void send_data(const Data& d) override { sent_data.push_back(d); }
+  void send_data(ndn::DataPtr d) override { sent_data.push_back(*d); }
   bool is_local() const override { return local_; }
   void inject(const Interest& i) { deliver_interest(i); }
-  void inject(const Data& d) { deliver_data(d); }
+  void inject(const Data& d) { deliver_data(std::make_shared<const Data>(d)); }
   std::vector<Interest> sent_interests;
   std::vector<Data> sent_data;
 

@@ -206,8 +206,8 @@ TEST_F(BroadcastVerify, BroadcastVerifiedOncePerFrameNotPerReceiver) {
     auto radio = std::make_shared<sim::Radio>(sched, medium, node, rng.fork());
     auto face = std::make_shared<ndn::WifiFace>(sched, *radio, node,
                                                 rng.fork(), common::Duration{0});
-    face->set_receive_handlers(nullptr, [this, &verified](const ndn::Data& d) {
-      verified.push_back(d.verify(keychain));
+    face->set_receive_handlers(nullptr, [this, &verified](ndn::DataPtr d) {
+      verified.push_back(d->verify(keychain));
     });
     radios.push_back(std::move(radio));
     receivers.push_back(std::move(face));
@@ -221,7 +221,7 @@ TEST_F(BroadcastVerify, BroadcastVerifiedOncePerFrameNotPerReceiver) {
   sim::Radio radio_a(sched, medium, a, rng.fork());
   ndn::WifiFace sender(sched, radio_a, a, rng.fork(), common::Duration{0});
   crypto::verify_counters().reset();
-  sender.send_data(data);
+  sender.send_data(std::make_shared<const ndn::Data>(data));
   sched.run();
 
   // Both receivers verified successfully...
@@ -265,8 +265,8 @@ TEST_F(BroadcastVerify, FanoutHashesOncePerFrame) {
     auto face = std::make_shared<ndn::WifiFace>(sched, *radio, node,
                                                 rng.fork(), common::Duration{0});
     face->set_receive_handlers(nullptr,
-                               [this, &verified](const ndn::Data& d) {
-                                 ASSERT_TRUE(d.verify(keychain));
+                               [this, &verified](ndn::DataPtr d) {
+                                 ASSERT_TRUE(d->verify(keychain));
                                  ++verified;
                                });
     radios.push_back(std::move(radio));
@@ -285,7 +285,7 @@ TEST_F(BroadcastVerify, FanoutHashesOncePerFrame) {
   }
   crypto::verify_counters().reset();
   for (const ndn::Data& data : frames) {
-    sender.send_data(data);
+    sender.send_data(std::make_shared<const ndn::Data>(data));
     sched.run();
   }
 

@@ -25,9 +25,9 @@ struct WifiFaceTest : ::testing::Test {
     return p;
   }
 
-  Data data(const std::string& uri) {
-    Data d{Name(uri)};
-    d.set_content(bytes_of("payload"));
+  DataPtr data(const std::string& uri) {
+    auto d = std::make_shared<Data>(Name(uri));
+    d->set_content(bytes_of("payload"));
     return d;
   }
 };
@@ -72,7 +72,7 @@ TEST_F(WifiFaceTest, OverheardDuplicateSuppressesPending) {
   // Another node's copy of the same data arrives before our timer fires.
   auto frame = std::make_shared<sim::Frame>();
   frame->sender = 1;
-  frame->payload = data("/dup/1").encode();
+  frame->payload = data("/dup/1")->encode();
   frame->kind = "ndn-data";
   face.on_frame(frame);
   sched.run();
@@ -90,7 +90,7 @@ TEST_F(WifiFaceTest, DifferentNameDoesNotSuppress) {
   face.send_data(data("/dup/1"));
   auto frame = std::make_shared<sim::Frame>();
   frame->sender = 1;
-  frame->payload = data("/dup/2").encode();
+  frame->payload = data("/dup/2")->encode();
   frame->kind = "ndn-data";
   face.on_frame(frame);
   sched.run();
@@ -128,7 +128,7 @@ TEST_F(WifiFaceTest, IgnoresForeignFrames) {
   WifiFace face(sched, radio, a, rng.fork());
   int delivered = 0;
   face.set_receive_handlers([&](const Interest&) { ++delivered; },
-                            [&](const Data&) { ++delivered; });
+                            [&](DataPtr) { ++delivered; });
   // An IP-lite frame (magic 0x45) and garbage must both be ignored.
   auto ip_frame = std::make_shared<sim::Frame>();
   ip_frame->payload = common::Bytes{0x45, 1, 2, 3};
@@ -148,12 +148,12 @@ TEST_F(WifiFaceTest, DecodesAndDeliversBothPacketTypes) {
   WifiFace face(sched, radio, a, rng.fork());
   int interests = 0, datas = 0;
   face.set_receive_handlers([&](const Interest&) { ++interests; },
-                            [&](const Data&) { ++datas; });
+                            [&](DataPtr) { ++datas; });
   auto iframe = std::make_shared<sim::Frame>();
   iframe->payload = Interest(Name("/i")).encode();
   face.on_frame(iframe);
   auto dframe = std::make_shared<sim::Frame>();
-  dframe->payload = data("/d").encode();
+  dframe->payload = data("/d")->encode();
   face.on_frame(dframe);
   EXPECT_EQ(interests, 1);
   EXPECT_EQ(datas, 1);
