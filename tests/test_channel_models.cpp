@@ -194,7 +194,9 @@ TEST(LogDistanceChannel, ReceptionProbabilityMonotoneInDistance) {
                              << " softness=" << softness << " d=" << d;
           EXPECT_GE(p, 0.0);
           EXPECT_LE(p, 1.0);
-          if (d > coverage) EXPECT_EQ(p, 0.0);
+          if (d > coverage) {
+            EXPECT_EQ(p, 0.0);
+          }
           prev = p;
         }
         if (softness > 0.0) {

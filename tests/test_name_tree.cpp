@@ -109,7 +109,9 @@ TEST_P(TableEquivalence, NameTreeMatchesMapReference) {
         DataPtr a = cs.find(name, false, now);
         DataPtr b = rcs.find(name, false, now);
         ASSERT_EQ(a != nullptr, b != nullptr);
-        if (a) ASSERT_EQ(*a, *b);
+        if (a) {
+          ASSERT_EQ(*a, *b);
+        }
         break;
       }
       case 2: {  // CS CanBePrefix find (also exercises expiry eviction)
