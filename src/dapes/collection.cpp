@@ -18,11 +18,11 @@ size_t packets_for(size_t file_bytes, size_t packet_size) {
 // hashes are lazily cached `mutable` state. Fill those caches once at
 // creation, so world building pays for them and the trial itself only
 // ever reads the shared objects.
-void warm_packet_caches(std::vector<ndn::Data>& packets) {
-  for (const ndn::Data& segment : packets) {
-    segment.wire();
-    segment.name().hash();
-    segment.content_digest();
+void warm_packet_caches(const std::vector<ndn::DataPtr>& packets) {
+  for (const ndn::DataPtr& segment : packets) {
+    segment->wire();
+    segment->name().hash();
+    segment->content_digest();
   }
 }
 
@@ -125,7 +125,11 @@ void Collection::publish(Name collection_name,
     }
   }
   metadata_ = Metadata(metadata_.collection(), format, std::move(enriched));
-  metadata_packets_ = metadata_.to_packets(producer_key_, kMetadataSegmentSize);
+  for (ndn::Data& segment :
+       metadata_.to_packets(producer_key_, kMetadataSegmentSize)) {
+    metadata_packets_.push_back(
+        std::make_shared<const ndn::Data>(std::move(segment)));
+  }
   warm_packet_caches(metadata_packets_);
 }
 

@@ -70,8 +70,9 @@ class Collection {
   /// Raw payload bytes for a packet (same bytes `packet()` carries).
   common::Bytes payload(size_t global_index) const;
 
-  /// Signed metadata segments ready to serve.
-  const std::vector<ndn::Data>& metadata_packets() const {
+  /// Signed metadata segments ready to serve: built once at creation and
+  /// shared, handle and all, by every serve of every holder.
+  const std::vector<ndn::DataPtr>& metadata_packets() const {
     return metadata_packets_;
   }
 
@@ -103,7 +104,7 @@ class Collection {
   std::vector<common::Bytes> explicit_files_;   // explicit mode only
   crypto::PrivateKey producer_key_;
   crypto::KeyId producer_id_;
-  std::vector<ndn::Data> metadata_packets_;
+  std::vector<ndn::DataPtr> metadata_packets_;
 };
 
 }  // namespace dapes::core

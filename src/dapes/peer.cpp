@@ -20,23 +20,17 @@ constexpr Duration kDiscoveryPeriodMax = Duration::seconds(6.0);
 constexpr Duration kInterestLifetime = Duration::seconds(1.5);
 
 /// Strategy subclass that tees overheard packets to the peer application
-/// (bitmap announcements, discovery responses, opportunistic data) on top
-/// of the intermediate node's own knowledge building.
+/// (decoded bitmap announcements, discovery responses, opportunistic
+/// data) after the intermediate node's own knowledge building.
 class PeerStrategy final : public DapesIntermediateStrategy {
  public:
   PeerStrategy(sim::Scheduler& sched, common::Rng rng,
                double forward_probability,
-               std::function<void(const ndn::Interest&)> on_interest,
+               std::function<void(const BitmapMessage&)> on_bitmap,
                std::function<void(const ndn::Data&)> on_data)
       : DapesIntermediateStrategy(sched, rng, forward_probability),
-        peer_on_interest_(std::move(on_interest)),
+        peer_on_bitmap_(std::move(on_bitmap)),
         peer_on_data_(std::move(on_data)) {}
-
-  void on_overhear_interest(Forwarder& fw, FaceId in_face,
-                            const Interest& interest) override {
-    DapesIntermediateStrategy::on_overhear_interest(fw, in_face, interest);
-    peer_on_interest_(interest);
-  }
 
   void on_overhear_data(Forwarder& fw, FaceId in_face,
                         const ndn::Data& data) override {
@@ -44,8 +38,14 @@ class PeerStrategy final : public DapesIntermediateStrategy {
     peer_on_data_(data);
   }
 
+ protected:
+  void learn_bitmap(const BitmapMessage& msg, TimePoint now) override {
+    DapesIntermediateStrategy::learn_bitmap(msg, now);
+    peer_on_bitmap_(msg);
+  }
+
  private:
-  std::function<void(const ndn::Interest&)> peer_on_interest_;
+  std::function<void(const BitmapMessage&)> peer_on_bitmap_;
   std::function<void(const ndn::Data&)> peer_on_data_;
 };
 
@@ -84,7 +84,7 @@ Peer::Peer(sim::Scheduler& sched, sim::Medium& medium,
   auto strategy = std::make_unique<PeerStrategy>(
       sched_, rng_.fork(),
       options_.multihop ? options_.forward_probability : 0.0,
-      [this](const ndn::Interest& i) { on_overheard_interest(i); },
+      [this](const BitmapMessage& m) { handle_bitmap_message(m); },
       [this](const ndn::Data& d) { on_data(d); });
   strategy_ = strategy.get();
   forwarder_->set_strategy(std::move(strategy));
@@ -685,8 +685,10 @@ void Peer::handle_collection_data(const ndn::Data& data) {
   st->in_flight.erase(*index);
   if (st->have.test(*index)) return;  // duplicate
 
-  // Integrity (paper §IV-C): digest metadata verifies per packet; the
-  // Merkle format defers to whole-file verification at completion.
+  // Integrity (paper §IV-C): digest metadata verifies each packet against
+  // its listed digest. A Merkle-format packet is stored unchecked:
+  // verify_packet has no per-packet check for it, and nothing calls
+  // Metadata::verify_file at completion (ROADMAP item 7).
   size_t file_index = 0;
   for (size_t i = 0; i < st->metadata->files().size(); ++i) {
     if (st->metadata->files()[i].name == parts->file_name) {
@@ -730,10 +732,10 @@ void Peer::serve_interest(const ndn::Interest& interest) {
     DownloadState* st = state_for(*collection);
     if (st == nullptr || !st->metadata || !st->oracle) return;
     if (!st->metadata_name.is_prefix_of(name)) return;
-    for (const auto& segment : st->oracle->metadata_packets()) {
-      if (segment.name() == name ||
-          (interest.can_be_prefix() && name.is_prefix_of(segment.name()))) {
-        app_face_->put(std::make_shared<const ndn::Data>(segment));
+    for (const ndn::DataPtr& segment : st->oracle->metadata_packets()) {
+      if (segment->name() == name ||
+          (interest.can_be_prefix() && name.is_prefix_of(segment->name()))) {
+        app_face_->put(segment);
         return;
       }
     }
@@ -751,19 +753,6 @@ void Peer::serve_interest(const ndn::Interest& interest) {
   ++stats_.data_packets_served;
   app_face_->put(
       std::make_shared<const ndn::Data>(st->oracle->packet(*index)));
-}
-
-// --------------------------------------------------------------------
-// Overhearing
-
-void Peer::on_overheard_interest(const ndn::Interest& interest) {
-  const Name& name = interest.name();
-  if (name.size() >= 2 && name[0] == ndn::Component(kAppPrefix) &&
-      name[1] == ndn::Component(kBitmapComponent) &&
-      interest.has_app_parameters()) {
-    auto msg = BitmapMessage::decode(interest.app_parameters());
-    if (msg) handle_bitmap_message(*msg);
-  }
 }
 
 // --------------------------------------------------------------------

@@ -254,6 +254,8 @@ class Peer {
   void begin_advertisement_round(const Name& collection);
   void schedule_bitmap_announcement(const Name& collection, bool initial);
   void send_bitmap_announcement(const Name& collection);
+  /// An overheard bitmap announcement, decoded once by the strategy
+  /// (PeerStrategy::learn_bitmap) after it has learned the bitmap.
   void handle_bitmap_message(const BitmapMessage& msg);
   double provide_fraction(const DownloadState& st) const;
 
@@ -266,9 +268,6 @@ class Peer {
 
   // --- serving ---
   void serve_interest(const ndn::Interest& interest);
-
-  // --- overhearing ---
-  void on_overheard_interest(const ndn::Interest& interest);
 
   /// Record hearing from a peer. Returns its entry, and true when this is
   /// a new or returning (stale beyond the TTL) neighbor — i.e. a fresh

@@ -11,7 +11,10 @@
 /// Both prefer packets that are (a) missing locally, (b) available from at
 /// least one known holder, and (c) rarest; ties break in a deterministic
 /// shuffled order so concurrent downloaders diverge ("random first packet",
-/// Fig. 9a) or in sequential order ("same first packet").
+/// Fig. 9a) or in sequential order ("same first packet"). Each pick is one
+/// pass over that order against the live holder counts; no ranked plan is
+/// cached (DESIGN.md "Rarest-first selection"). The ranked-plan version
+/// lives on as the test oracle in tests/oracles/rpf_ref.hpp.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +71,7 @@ class FetchStrategy {
 
   /// Availability knowledge for @p index proved wrong — repeated fetch
   /// timeouts against peers whose bitmaps claim to hold it (a departed
-  /// or lying peer). Implementations demote the claim so the plan stops
+  /// or lying peer). Implementations demote the claim so the picks stop
   /// chasing it; the default keeps the knowledge (fixed-population
   /// behaviour). See PeerOptions::stale_retry_limit.
   virtual void on_fetch_failed(size_t index) { (void)index; }
@@ -100,11 +103,5 @@ struct RpfOptions {
 /// Build the requested RPF variant.
 std::unique_ptr<FetchStrategy> make_fetch_strategy(RpfKind kind,
                                                    const RpfOptions& options);
-
-/// Shared implementation detail, exposed for unit testing: rank packet
-/// indices by (available desc, rarity desc, order), where @p have_counts
-/// counts holders per packet and @p order is the tie-break permutation.
-std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
-                                 const std::vector<size_t>& order);
 
 }  // namespace dapes::core

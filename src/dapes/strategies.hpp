@@ -187,9 +187,13 @@ class DapesIntermediateStrategy : public PureForwarderStrategy {
   /// Soft-state size, bounded by the TTL sweep (tests + Table-I).
   size_t recent_data_names() const { return recent_data_.size(); }
 
- private:
-  void learn_bitmap(const BitmapMessage& msg, TimePoint now);
+ protected:
+  /// Record an overheard bitmap announcement heard at @p now. This is the
+  /// node's only decode of the announcement: a subclass that also needs
+  /// the message (the Peer's strategy) overrides this and chains to it.
+  virtual void learn_bitmap(const BitmapMessage& msg, TimePoint now);
 
+ private:
   /// Ordered: packet_availability and the control-relay path scan this
   /// map and act on the first prefix match, so iteration order is
   /// observable behaviour.

@@ -129,7 +129,7 @@ TEST(Collection, MetadataPacketsServable) {
   // 256 packets x 33+ bytes of digest entries: several segments.
   EXPECT_GT(col->metadata_packets().size(), 1u);
   for (const auto& seg : col->metadata_packets()) {
-    EXPECT_TRUE(seg.verify(kc));
+    EXPECT_TRUE(seg->verify(kc));
   }
 }
 
