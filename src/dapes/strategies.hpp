@@ -156,7 +156,7 @@ class DapesIntermediateStrategy : public PureForwarderStrategy {
   void after_receive_interest(Forwarder& fw, FaceId in_face,
                               const Interest& interest,
                               PitEntry& entry) override;
-  /// Learn collection activity from overheard control Interests.
+  /// Decode an overheard bitmap announcement and pass it to learn_bitmap.
   void on_overhear_interest(Forwarder& fw, FaceId in_face,
                             const Interest& interest) override;
   /// Learn bitmaps and data availability from overheard Data.
