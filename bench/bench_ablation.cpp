@@ -3,7 +3,7 @@
 // fixed WiFi range:
 //   * response suppression window (WifiFace random data timer) on/off,
 //   * interest pipeline depth,
-//   * advertisement mode x PEBA interaction,
+//   * bitmaps first ("all bitmaps") x PEBA interaction,
 //   * RPF vs sequential fetch ("no RPF" = same-start, no bitmap info
 //     preference is approximated by the encounter strategy with history 1).
 #include "bench_common.hpp"
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
         {"window=16", [](P& p) { p.peer.interest_window = 16; }},
         {"bitmaps-first+noPEBA",
          [](P& p) {
-           p.peer.advertisement_mode = core::AdvertisementMode::kBitmapsFirst;
            p.peer.bitmaps_before_data = 0;
            p.peer.use_peba = false;
          }},

@@ -16,14 +16,12 @@
 //                        so traced sweeps compose with --jobs. Off by
 //                        default; trace content is bit-identical for any
 //                        --jobs value.
-//   --log-level LEVEL    minimum log level (trace|debug|info|warn|error|off;
-//                        default warn). DAPES_LOG_LEVEL in the environment
-//                        sets the same knob; the flag wins.
 //   --format text|csv|json   output format (default text)
 //   --out FILE           write output to FILE instead of stdout
 //
 // Flags also accept the --flag=value spelling. Unknown flags and malformed
-// values are rejected with exit code 2.
+// values are rejected with exit code 2. A bad --out path or a failed sweep
+// prints one line to stderr and exits 1.
 //
 // The default configuration is the scaled setup described in
 // EXPERIMENTS.md: collection size and radio rate both divided by 8, which
@@ -41,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "trace/record.hpp"
@@ -64,7 +61,7 @@ struct BenchArgs {
     std::fprintf(to,
                  "usage: %s [--trials N] [--quick] [--paper-scale] [--seed S]\n"
                  "       %*s [--jobs N] [--no-wall]\n"
-                 "       %*s [--trace SINK[:PATH]] [--log-level LEVEL]\n"
+                 "       %*s [--trace SINK[:PATH]]\n"
                  "       %*s [--format text|csv|json] [--out FILE]\n",
                  prog, static_cast<int>(std::strlen(prog)), "",
                  static_cast<int>(std::strlen(prog)), "",
@@ -80,8 +77,6 @@ struct BenchArgs {
   static BenchArgs parse(int argc, char** argv) {
     const char* prog = argc > 0 ? argv[0] : "bench";
     BenchArgs args;
-    // Environment default first; an explicit --log-level below overrides.
-    common::apply_log_level_from_env();
 
     // Accepts --flag value and --flag=value; rejects anything unknown.
     int i = 1;
@@ -151,15 +146,6 @@ struct BenchArgs {
           die(prog, "--trace: unknown sink \"" + args.trace.sink +
                         "\" (expected " + list + ")");
         }
-      } else if (flag == "--log-level") {
-        std::string v = value_of("--log-level", inline_value);
-        auto level = common::parse_log_level(v);
-        if (!level) {
-          die(prog,
-              "--log-level: expected trace|debug|info|warn|error|off, got \"" +
-                  v + "\"");
-        }
-        common::set_log_level(*level);
       } else if (flag == "--format") {
         std::string v = value_of("--format", inline_value);
         auto f = harness::parse_output_format(v);
@@ -216,7 +202,7 @@ struct BenchArgs {
     if (!out.empty()) {
       f = std::fopen(out.c_str(), "w");
       if (f == nullptr) {
-        DAPES_LOG_ERROR("bench") << "cannot open --out file " << out;
+        std::fprintf(stderr, "cannot open --out file %s\n", out.c_str());
         return 1;
       }
     }
@@ -226,7 +212,7 @@ struct BenchArgs {
           harness::run_sweep(spec, harness::TrialRunner(jobs));
       harness::write_sweep(result, format, f);
     } catch (const std::exception& e) {
-      DAPES_LOG_ERROR("bench") << "sweep failed: " << e.what();
+      std::fprintf(stderr, "sweep failed: %s\n", e.what());
       code = 1;
     }
     if (f != stdout) std::fclose(f);

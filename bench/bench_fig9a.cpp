@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
          [cfg](harness::ScenarioParams& p) {
            p.peer.rpf = cfg.rpf;
            p.peer.random_start = cfg.random_start;
-           p.peer.advertisement_mode = core::AdvertisementMode::kBitmapsFirst;
            p.peer.bitmaps_before_data = 0;  // all bitmaps, per the figure
          }});
   }

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
     spec.series.push_back(
         {label, harness::ProtocolNames::kDapes,
          [b = b](harness::ScenarioParams& p) {
-           p.peer.advertisement_mode = core::AdvertisementMode::kBitmapsFirst;
            p.peer.bitmaps_before_data = b;
          }});
   }

@@ -22,9 +22,8 @@
 //
 // Not every series runs at every x. The 10k point is single-trial, runs
 // on a reduced sim horizon, and only for the two cheap grid series.
-// Skipped cells are written as 0.0 and each skip is logged at WARN
-// through common/logging (the reduced-trial 10k note logs at INFO; dial
-// --log-level info to see it), so a 0.0 in the output is always
+// Skipped cells are written as 0.0 and each skip, like the reduced-trial
+// 10k point, is noted on stderr, so a 0.0 in the output is always
 // accounted for rather than a silent truncation.
 //
 // BENCH_scale.json is the committed baseline (`--trials 1 --jobs 1
@@ -117,7 +116,7 @@ int main(int argc, char** argv) {
   if (!args.out.empty()) {
     f = std::fopen(args.out.c_str(), "w");
     if (f == nullptr) {
-      DAPES_LOG_ERROR("bench_scale") << "cannot open --out file " << args.out;
+      std::fprintf(stderr, "cannot open --out file %s\n", args.out.c_str());
       return 1;
     }
   }
@@ -172,10 +171,10 @@ int main(int argc, char** argv) {
         if (!series_runs(si, xi)) {
           result.values[m][si][xi] = 0.0;
           if (m == 0) {
-            DAPES_LOG_WARN("bench_scale")
-                << "skipping " << series[si].label << " at " << xs[xi]
-                << " nodes (series runs up to " << series[si].max_nodes
-                << "); cell written as 0.0";
+            std::fprintf(stderr,
+                         "skipping %s at %g nodes (series runs up to %g); "
+                         "cell written as 0.0\n",
+                         series[si].label, xs[xi], series[si].max_nodes);
           }
           continue;
         }
@@ -187,10 +186,10 @@ int main(int argc, char** argv) {
           samples.push_back(metrics[m].value(cell[t]));
         }
         if (m == 0 && take < trials) {
-          DAPES_LOG_INFO("bench_scale")
-              << series[si].label << " at " << xs[xi] << " nodes ran " << take
-              << "/" << trials << " trials (single-trial 10k point, sim "
-              << "horizon <= " << kBigNLimitS << " s)";
+          std::fprintf(stderr,
+                       "%s at %g nodes ran %zu/%zu trials (single-trial 10k "
+                       "point, sim horizon <= %g s)\n",
+                       series[si].label, xs[xi], take, trials, kBigNLimitS);
         }
         result.values[m][si][xi] =
             harness::aggregate_metric(metrics[m], std::move(samples));

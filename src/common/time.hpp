@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace dapes::common {
 
@@ -47,8 +46,5 @@ struct TimePoint {
   constexpr TimePoint operator-(Duration d) const { return TimePoint{us - d.us}; }
   constexpr Duration operator-(TimePoint o) const { return Duration{us - o.us}; }
 };
-
-/// "12.345s" style rendering for logs.
-std::string format_time(TimePoint t);
 
 }  // namespace dapes::common

@@ -1,6 +1,7 @@
 #include "crypto/sha256.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -9,7 +10,6 @@
 #include <cpuid.h>
 #endif
 
-#include "common/logging.hpp"
 #include "crypto/sha256_kernels.hpp"
 
 namespace dapes::crypto {
@@ -175,9 +175,10 @@ struct EngineState {
 
     if (const char* env = std::getenv("DAPES_SHA256_IMPL")) {
       if (!select(env)) {
-        DAPES_LOG_WARN("crypto")
-            << "DAPES_SHA256_IMPL=" << env
-            << " unknown or unsupported on this CPU; using " << active->name;
+        std::fprintf(stderr,
+                     "DAPES_SHA256_IMPL=%s unknown or unsupported on this "
+                     "CPU; using %s\n",
+                     env, active->name);
       }
     }
   }

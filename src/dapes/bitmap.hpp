@@ -74,9 +74,9 @@ class Bitmap {
   /// True for a zero-bit bitmap.
   bool empty() const { return size_ == 0; }
 
-  /// Value of bit @p i (false when out of range).
+  /// Value of bit @p i. Throws std::out_of_range when i >= size().
   bool test(size_t i) const;
-  /// Set (or clear) bit @p i; out-of-range indices are ignored.
+  /// Set (or clear) bit @p i. Throws std::out_of_range when i >= size().
   void set(size_t i, bool value = true);
 
   /// Number of set bits.

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
-#include "common/logging.hpp"
 #include "dapes/peba.hpp"
 #include "trace/trace.hpp"
 
 namespace dapes::core {
 
 namespace {
-
-constexpr const char* kLog = "dapes-peer";
 
 /// Adaptive discovery period bounds (§IV-B): the floor while neighbors
 /// are around, and the ceiling the period doubles toward in isolation.
@@ -83,7 +80,7 @@ Peer::Peer(sim::Scheduler& sched, sim::Medium& medium,
 
   auto strategy = std::make_unique<PeerStrategy>(
       sched_, rng_.fork(),
-      options_.multihop ? options_.forward_probability : 0.0,
+      options_.forward_probability,
       [this](const BitmapMessage& m) { handle_bitmap_message(m); },
       [this](const ndn::Data& d) { on_data(d); });
   strategy_ = strategy.get();
@@ -429,9 +426,6 @@ void Peer::finish_metadata(DownloadState& st) {
   st.rpf = make_rpf(st.metadata->total_packets());
   st.metadata_segments.clear();
 
-  DAPES_LOG_DEBUG(kLog) << options_.id << " got metadata for "
-                        << st.metadata->collection().to_uri() << " ("
-                        << st.have.size() << " packets)";
   begin_advertisement_round(st.metadata->collection());
 }
 
@@ -581,8 +575,9 @@ void Peer::handle_bitmap_message(const BitmapMessage& msg) {
     schedule_bitmap_announcement(msg.collection, /*initial=*/false);
   }
 
-  // Fetch gating (Fig. 9c/9d): interleaved starts after the first bitmap;
-  // bitmaps-first waits for b (0 = all neighbors offering the collection).
+  // Fetch gating (Fig. 9c/9d): wait for b bitmaps, 0 = every fresh
+  // neighbor offering the collection. b = 1 is the interleaved mode: the
+  // threshold is 1 whatever the neighbor count.
   if (!st->fetching_enabled) {
     size_t threshold;
     size_t offering_now = 0;
@@ -596,9 +591,7 @@ void Peer::handle_bitmap_message(const BitmapMessage& msg) {
         }
       }
     }
-    if (options_.advertisement_mode == AdvertisementMode::kInterleaved) {
-      threshold = 1;
-    } else if (options_.bitmaps_before_data > 0) {
+    if (options_.bitmaps_before_data > 0) {
       // Cannot wait for more bitmaps than there are peers to send them.
       threshold = std::max<size_t>(
           1, std::min<size_t>(
@@ -713,9 +706,6 @@ void Peer::handle_collection_data(const ndn::Data& data) {
 void Peer::maybe_complete(const Name& collection, DownloadState& st) {
   if (st.completed_at || !st.have.full()) return;
   st.completed_at = sched_.now();
-  DAPES_LOG_INFO(kLog) << options_.id << " completed "
-                       << collection.to_uri() << " at "
-                       << common::format_time(sched_.now());
   if (on_complete_) on_complete_(collection, sched_.now());
 }
 

@@ -10,8 +10,9 @@
 ///      (§IV-C);
 ///   3. advertise available collection data via prioritized, PEBA-scheduled
 ///      bitmap announcements (§IV-D, §IV-F);
-///   4. fetch collection data with an RPF strategy (§IV-E), either after b
-///      bitmaps ("bitmaps first") or interleaved with advertisements.
+///   4. fetch collection data with an RPF strategy (§IV-E) once b bitmaps
+///      are heard: b = 1 interleaves fetching with advertisements, larger b
+///      is "bitmaps first".
 ///
 /// Producers publish() a Collection and serve its packets; every peer that
 /// completes a collection keeps serving it (seeding). Stationary
@@ -43,14 +44,6 @@ namespace dapes::core {
 inline constexpr common::Duration kNeighborTtl =
     common::Duration::seconds(12.0);
 
-/// How bitmap exchanges relate to data fetching (paper §IV-D, Fig. 9c/9d).
-enum class AdvertisementMode {
-  /// Collect `bitmaps_before_data` bitmaps, then fetch.
-  kBitmapsFirst,
-  /// Start fetching as soon as the first bitmap is known.
-  kInterleaved,
-};
-
 /// Every knob of a Peer, grouped by the figure that sweeps it.
 struct PeerOptions {
   std::string id = "peer";  ///< peer identifier carried in messages
@@ -60,11 +53,13 @@ struct PeerOptions {
   bool random_start = true;       ///< random vs same first packet (Fig. 9a)
   size_t encounter_history = 20;  ///< encounter-based RPF history depth
 
-  /// When data fetching starts relative to bitmap collection (Fig. 9c/9d).
-  AdvertisementMode advertisement_mode = AdvertisementMode::kInterleaved;
-  /// Bitmaps to collect before data download; 0 = "all peers in range"
-  /// (the paper's "all bitmaps" configuration).
-  int bitmaps_before_data = 2;
+  /// Bitmaps to hear in an advertisement round before data fetching
+  /// starts (paper §IV-D, Fig. 9c/9d), capped at the fresh neighbors
+  /// offering the collection. 1 is the paper's interleaved mode: fetch
+  /// from the first bitmap while further bitmaps keep arriving. N > 1 is
+  /// "bitmaps first" with N bitmaps, and 0 waits for every fresh neighbor
+  /// that offers the collection (the paper's "all bitmaps").
+  int bitmaps_before_data = 1;
 
   bool use_peba = true;  ///< PEBA vs plain linear delays (Fig. 9b)
 
@@ -73,8 +68,10 @@ struct PeerOptions {
 
   int interest_window = 4;  ///< concurrent in-flight data Interests
 
-  bool multihop = true;              ///< relay beyond one hop (Fig. 9g/9h)
-  double forward_probability = 0.2;  ///< relay probability when multihop
+  /// Probability of the fallback relay: an Interest the strategy knows
+  /// nothing about is relayed with it (§V, Fig. 9g/9h). At 0 the
+  /// knowledge-driven relays and the control-Interest relays still run.
+  double forward_probability = 0.2;
 
   size_t cs_capacity = 4096;  ///< content-store entry cap
 

@@ -105,8 +105,7 @@ TrialResult run_dapes_trial(const ScenarioParams& params) {
   auto add_forwarder = [&](core::ForwarderKind kind) {
     ForwarderNode::Options fo;
     fo.kind = kind;
-    fo.forward_probability =
-        params.peer.multihop ? params.peer.forward_probability : 0.0;
+    fo.forward_probability = params.peer.forward_probability;
     forwarders.push_back(std::make_unique<ForwarderNode>(
         topo.sched, *topo.medium, topo.mobile(params), topo.rng.fork(), fo));
     fwd_of[forwarders.back()->node()] = forwarders.back().get();

@@ -1,7 +1,5 @@
 #include "ip/node.hpp"
 
-#include "common/logging.hpp"
-
 namespace dapes::ip {
 
 Node::Node(sim::Scheduler& sched, sim::Medium& medium,

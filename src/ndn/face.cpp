@@ -2,8 +2,6 @@
 
 #include <type_traits>
 
-#include "common/logging.hpp"
-
 namespace dapes::ndn {
 
 void WifiFace::send_interest(const Interest& interest) {
@@ -88,15 +86,10 @@ void WifiFace::on_frame(const sim::FramePtr& frame) {
     // never the frame's shared packet's.
     if (auto interest = frame_packet<Interest>(*frame)) {
       deliver_interest(*interest);
-    } else {
-      DAPES_LOG_DEBUG("wifi-face") << "undecodable interest frame";
     }
   } else if (type == tlv::kData) {
     DataPtr data = frame_packet<Data>(*frame);
-    if (!data) {
-      DAPES_LOG_DEBUG("wifi-face") << "undecodable data frame";
-      return;
-    }
+    if (!data) return;
     // Suppress our own pending transmission of the same Data: someone
     // else answered first.
     auto it = pending_data_.find(data->name());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace dapes::ndn {

@@ -71,11 +71,6 @@ class Interest {
 
   /// The requested name.
   const Name& name() const { return name_; }
-  /// Replace the name (invalidates the wire cache).
-  void set_name(Name name) {
-    name_ = std::move(name);
-    invalidate_wire();
-  }
 
   /// Loop-detection nonce.
   uint32_t nonce() const { return nonce_; }
@@ -170,11 +165,6 @@ class Data {
 
   /// The packet name.
   const Name& name() const { return name_; }
-  /// Replace the name (invalidates the wire cache).
-  void set_name(Name name) {
-    name_ = std::move(name);
-    invalidate_wire();
-  }
 
   /// Content payload (a view into the decode buffer after decode()).
   BytesView content() const { return content_.view(); }

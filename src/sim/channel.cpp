@@ -100,8 +100,8 @@ class UnitDiskChannel final : public ChannelModel {
 };
 
 /// Log-distance path loss with the composable realism stack on top:
-/// optional log-normal shadowing (independent per pair), optional
-/// Rayleigh/Rician fast fading per frame, an optional Gilbert-Elliott
+/// optional log-normal shadowing (independent per pair), optional Rician
+/// fast fading per frame (K = 0 is Rayleigh), an optional Gilbert-Elliott
 /// bursty erasure overlay, a logistic reception curve, an SIR-threshold
 /// capture rule, optional SIR-adaptive bitrate selection, and a
 /// preamble-aware airtime model.
@@ -128,13 +128,11 @@ class UnitDiskChannel final : public ChannelModel {
 /// hashes in tests/test_channel_models.cpp pin this).
 class LogDistanceChannel final : public ChannelModel {
  public:
-  enum class Fading { kNone, kRayleigh, kRician };
-
   explicit LogDistanceChannel(const ChannelParams& p)
       : alpha_(std::max(0.1, p.path_loss_exponent)),
         sigma_db_(std::max(0.0, p.shadowing_sigma_db)),
         softness_db_(std::max(0.0, p.softness_db)),
-        fading_(parse_fading(p.fading)),
+        rician_(parse_fading(p.fading)),
         k_factor_(std::max(0.0, p.rician_k)),
         ge_(p),
         adaptive_rate_(p.adaptive_rate),
@@ -142,7 +140,7 @@ class LogDistanceChannel final : public ChannelModel {
         coverage_factor_(std::pow(
             10.0,
             (kCutSigmas * sigma_db_ + kCutSoftness * softness_db_ +
-             (fading_ != Fading::kNone ? kCutFadingDb : 0.0)) /
+             (rician_ ? kCutFadingDb : 0.0)) /
                 (10.0 * alpha_))) {}
 
   const std::string& name() const override {
@@ -181,10 +179,7 @@ class LogDistanceChannel final : public ChannelModel {
       // trial.
       margin += sigma_db_ * link_rng.gaussian();
     }
-    if (fading_ != Fading::kNone) {
-      margin += fading_gain_db(
-          frame_rng, fading_ == Fading::kRician ? k_factor_ : 0.0);
-    }
+    if (rician_) margin += fading_gain_db(frame_rng, k_factor_);
     double p = curve(margin) * (1.0 - std::clamp(rx.loss_rate, 0.0, 1.0));
     return frame_rng.uniform01() < p;
   }
@@ -222,10 +217,10 @@ class LogDistanceChannel final : public ChannelModel {
   }
 
  private:
-  static Fading parse_fading(const std::string& name) {
-    if (name == "none") return Fading::kNone;
-    if (name == "rayleigh") return Fading::kRayleigh;
-    if (name == "rician") return Fading::kRician;
+  /// Whether @p name turns the Rician fading stage on.
+  static bool parse_fading(const std::string& name) {
+    if (name == "none") return false;
+    if (name == "rician") return true;
     std::string msg = "unknown fading stage \"" + name + "\"; known:";
     for (const auto& n : channel_fading_names()) msg += " " + n;
     throw std::invalid_argument(msg);
@@ -248,7 +243,7 @@ class LogDistanceChannel final : public ChannelModel {
   double alpha_;
   double sigma_db_;
   double softness_db_;
-  Fading fading_;
+  bool rician_;
   double k_factor_;
   GilbertElliott ge_;
   bool adaptive_rate_;
@@ -338,7 +333,7 @@ std::vector<std::string> channel_model_names() {
 }
 
 std::vector<std::string> channel_fading_names() {
-  return {"none", "rayleigh", "rician"};
+  return {"none", "rician"};
 }
 
 }  // namespace dapes::sim

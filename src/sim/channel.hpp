@@ -13,8 +13,8 @@
 ///   * Gilbert-Elliott bursty erasures: a two-state Markov erasure
 ///     process per unordered link whose state at any time is a pure
 ///     function of (link_seed, pair, time) — see `GilbertElliott`,
-///   * Rayleigh/Rician fast fading per (link, transmission) with a
-///     K-factor knob — see `fading_gain_db`,
+///   * Rician fast fading per (link, transmission) with a K-factor knob
+///     (K = 0 is Rayleigh) — see `fading_gain_db`,
 ///   * SIR-adaptive bitrate selection feeding the existing airtime
 ///     path — see `ChannelModel::select_rate_bps`.
 /// `sim::Medium` routes every delivery, carrier-sense and collision
@@ -86,14 +86,14 @@ struct ChannelParams {
   // --- fast fading (read by "log-distance") --------------------------
 
   /// Fast-fading stage applied per (link, transmission) on top of the
-  /// log-distance margin: "none" (default), "rayleigh" (no line of
-  /// sight), or "rician" (line of sight plus scatter, strength set by
-  /// `rician_k`). Unknown names make `make_channel_model` throw.
+  /// log-distance margin: "none" (default) or "rician" (line of sight
+  /// plus scatter, strength set by `rician_k`). Unknown names make
+  /// `make_channel_model` throw.
   std::string fading = "none";
 
   /// Rician K-factor (linear ratio of line-of-sight to scattered
-  /// power). K -> 0 degenerates to Rayleigh, K -> infinity to no
-  /// fading. Read when `fading == "rician"`.
+  /// power). 0 is Rayleigh fading (no line of sight); K -> infinity
+  /// degenerates to no fading. Read when `fading == "rician"`.
   double rician_k = 4.0;
 
   // --- SIR-adaptive bitrate (read by "log-distance") -----------------

@@ -233,8 +233,6 @@ class Medium {
   /// medium does not own it; the caller keeps it alive while frames are
   /// in flight. Install during setup, before traffic.
   void set_prewarm(DeliveryPrewarm* prewarm) { prewarm_ = prewarm; }
-  /// The installed delivery prewarm hook (null when none).
-  DeliveryPrewarm* prewarm() const { return prewarm_; }
 
   /// Aggregate statistics since construction.
   const MediumStats& stats() const { return stats_; }

@@ -32,8 +32,6 @@ class Radio {
 
   /// The node this radio transmits as.
   NodeId node() const { return node_; }
-  /// Frames queued behind the current attempt.
-  size_t queue_depth() const { return queue_.size(); }
 
   /// Frames dropped after exhausting the busy-deferral limit.
   uint64_t drops() const { return drops_; }

@@ -1,6 +1,6 @@
 // Statistical-property and determinism suite for the channel realism
 // stack (DESIGN.md "Channel realism round two"): Gilbert-Elliott bursty
-// erasures, Rayleigh/Rician fast fading and SIR-adaptive bitrate
+// erasures, Rician fast fading (K = 0 is Rayleigh) and SIR-adaptive bitrate
 // selection.
 //
 // Three layers of guarantees:
@@ -241,7 +241,7 @@ TEST(Fading, UnknownStageNameThrows) {
   cp.fading = "nakagami";
   EXPECT_THROW(make_channel_model(cp), std::invalid_argument);
   EXPECT_EQ(channel_fading_names(),
-            (std::vector<std::string>{"none", "rayleigh", "rician"}));
+            (std::vector<std::string>{"none", "rician"}));
 }
 
 // ---------------------------------------------------------------------
@@ -332,8 +332,8 @@ TEST(AdaptiveRate, InterferenceExtendsAirtimeDeterministically) {
 // ---------------------------------------------------------------------
 
 /// Seed-indexed knob combination: 12 seeds cover every subset of
-/// {burst, fading, shadowing} with both fading kinds, plus adaptive rate
-/// on every third seed.
+/// {burst, fading, shadowing} with Rayleigh (K = 0) and Rician fading,
+/// plus adaptive rate on every third seed.
 ChannelParams combo_params(uint64_t seed) {
   ChannelParams cp;
   cp.model = "log-distance";
@@ -346,7 +346,8 @@ ChannelParams combo_params(uint64_t seed) {
   }
   switch ((seed / 2) % 3) {
     case 1:
-      cp.fading = "rayleigh";
+      cp.fading = "rician";
+      cp.rician_k = 0.0;
       break;
     case 2:
       cp.fading = "rician";

@@ -195,9 +195,5 @@ TEST(Time, TimePointArithmetic) {
   EXPECT_EQ((u - Duration{500}).us, 1000);
 }
 
-TEST(Time, Format) {
-  EXPECT_EQ(format_time(TimePoint{1500000}), "1.500000s");
-}
-
 }  // namespace
 }  // namespace dapes::common

@@ -170,7 +170,7 @@ SweepSpec tiny_sweep() {
   spec.axis.values = {60.0, 80.0};
   spec.series = {{"dapes", ProtocolNames::kDapes, nullptr},
                  {"dapes-singlehop", ProtocolNames::kDapes,
-                  [](ScenarioParams& p) { p.peer.multihop = false; }}};
+                  [](ScenarioParams& p) { p.peer.forward_probability = 0.0; }}};
   spec.metrics = {download_time_metric(), transmissions_k_metric(),
                   completion_metric()};
   spec.trials = 2;

@@ -208,7 +208,6 @@ TEST_F(PeerIntegration, BitmapsFirstGateDelaysFetch) {
   sim::StationaryMobility pa{{100, 100}}, pb{{130, 100}};
   auto col = collection();
   PeerOptions po;
-  po.advertisement_mode = AdvertisementMode::kBitmapsFirst;
   po.bitmaps_before_data = 1;
   auto producer = make_peer(medium, &pa, "alice", po);
   auto consumer = make_peer(medium, &pb, "bob", po);
