@@ -138,6 +138,43 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BitmapSizes,
                          ::testing::Values(0, 1, 7, 8, 9, 63, 64, 65, 100,
                                            1024, 10240));
 
+// Round trips cannot see a bit-order change that encode and decode make
+// alike, so these pin the wire layout itself: a 4-byte big-endian bit
+// count, then bit 8k+j in byte k at mask 0x80 >> j (MSB first).
+TEST(Bitmap, WireLayoutIsMsbFirst) {
+  Bitmap bm(10);
+  bm.set(0);
+  bm.set(2);
+  bm.set(9);
+  EXPECT_EQ(bm.encode(), (common::Bytes{0, 0, 0, 10, 0xA0, 0x40}));
+
+  // Across a word boundary: bits 63, 64 and 69 of 70.
+  Bitmap wide(70);
+  wide.set(63);
+  wide.set(64);
+  wide.set(69);
+  EXPECT_EQ(wide.encode(), (common::Bytes{0, 0, 0, 70, 0, 0, 0, 0, 0, 0, 0,
+                                          0x01, 0x84}));
+  common::Bytes wire = wide.encode();
+  auto decoded = Bitmap::decode(common::BytesView(wire.data(), wire.size()));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, wide);
+}
+
+TEST(Bitmap, DecodeIgnoresPaddingBits) {
+  // 0x7F sets bit 9 and the six padding bits after bit 9: the padding is
+  // not part of the bitmap, so it decodes to {0, 2, 9} and re-encodes
+  // with zero padding.
+  common::Bytes wire = {0, 0, 0, 10, 0xA0, 0x7F};
+  auto decoded = Bitmap::decode(common::BytesView(wire.data(), wire.size()));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->count(), 3u);
+  EXPECT_TRUE(decoded->test(0));
+  EXPECT_TRUE(decoded->test(2));
+  EXPECT_TRUE(decoded->test(9));
+  EXPECT_EQ(decoded->encode(), (common::Bytes{0, 0, 0, 10, 0xA0, 0x40}));
+}
+
 TEST(Bitmap, DecodeRejectsWrongLength) {
   Bitmap bm(16);
   common::Bytes wire = bm.encode();
