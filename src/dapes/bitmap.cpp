@@ -38,21 +38,22 @@ CollectionLayout::Location CollectionLayout::locate(size_t global_index) const {
   throw std::out_of_range("CollectionLayout::locate: unreachable");
 }
 
-Bitmap::Bitmap(size_t size) : size_(size), words_((size + 63) / 64, 0) {}
+namespace {
 
-bool Bitmap::test(size_t i) const {
-  if (i >= size_) throw std::out_of_range("Bitmap::test");
-  return (words_[i / 64] >> (i % 64)) & 1;
+/// @p b with its bit order reversed: the wire packs bits MSB first,
+/// while a word holds bit i at position i % 64 (LSB first).
+uint8_t reverse_bits(uint8_t b) {
+  b = static_cast<uint8_t>((b & 0xF0) >> 4 | (b & 0x0F) << 4);
+  b = static_cast<uint8_t>((b & 0xCC) >> 2 | (b & 0x33) << 2);
+  return static_cast<uint8_t>((b & 0xAA) >> 1 | (b & 0x55) << 1);
 }
 
-void Bitmap::set(size_t i, bool value) {
-  if (i >= size_) throw std::out_of_range("Bitmap::set");
-  uint64_t mask = uint64_t{1} << (i % 64);
-  if (value) {
-    words_[i / 64] |= mask;
-  } else {
-    words_[i / 64] &= ~mask;
-  }
+}  // namespace
+
+Bitmap::Bitmap(size_t size) : size_(size), words_((size + 63) / 64, 0) {}
+
+void Bitmap::throw_out_of_range(const char* what) {
+  throw std::out_of_range(what);
 }
 
 size_t Bitmap::count() const {
@@ -95,18 +96,14 @@ void Bitmap::or_with(const Bitmap& other) {
 
 common::Bytes Bitmap::encode() const {
   common::Bytes out;
-  common::append_be(out, size_, 4);
   size_t bytes = (size_ + 7) / 8;
   out.reserve(4 + bytes);
+  common::append_be(out, size_, 4);
+  // Byte k holds bits 8k..8k+7, bit 8k in its MSB. Bits past size_ are
+  // always clear in words_, so the last byte's padding encodes as zeros.
   for (size_t byte = 0; byte < bytes; ++byte) {
-    uint8_t b = 0;
-    for (size_t bit = 0; bit < 8; ++bit) {
-      size_t idx = byte * 8 + bit;
-      if (idx < size_ && test(idx)) {
-        b |= static_cast<uint8_t>(1u << (7 - bit));
-      }
-    }
-    out.push_back(b);
+    out.push_back(reverse_bits(
+        static_cast<uint8_t>(words_[byte / 8] >> (8 * (byte % 8)))));
   }
   return out;
 }
@@ -117,9 +114,13 @@ std::optional<Bitmap> Bitmap::decode(common::BytesView wire) {
   size_t bytes = (size + 7) / 8;
   if (wire.size() != 4 + bytes) return std::nullopt;
   Bitmap bm(size);
-  for (size_t i = 0; i < size; ++i) {
-    uint8_t b = wire[4 + i / 8];
-    if ((b >> (7 - i % 8)) & 1) bm.set(i);
+  for (size_t byte = 0; byte < bytes; ++byte) {
+    bm.words_[byte / 8] |= uint64_t{reverse_bits(wire[4 + byte])}
+                           << (8 * (byte % 8));
+  }
+  // The last byte's padding bits are not part of the bitmap: drop them.
+  if (size % 64 != 0) {
+    bm.words_.back() &= (uint64_t{1} << (size % 64)) - 1;
   }
   return bm;
 }

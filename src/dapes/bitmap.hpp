@@ -75,9 +75,20 @@ class Bitmap {
   bool empty() const { return size_ == 0; }
 
   /// Value of bit @p i. Throws std::out_of_range when i >= size().
-  bool test(size_t i) const;
+  bool test(size_t i) const {
+    if (i >= size_) throw_out_of_range("Bitmap::test");
+    return (words_[i / 64] >> (i % 64)) & 1;
+  }
   /// Set (or clear) bit @p i. Throws std::out_of_range when i >= size().
-  void set(size_t i, bool value = true);
+  void set(size_t i, bool value = true) {
+    if (i >= size_) throw_out_of_range("Bitmap::set");
+    const uint64_t mask = uint64_t{1} << (i % 64);
+    if (value) {
+      words_[i / 64] |= mask;
+    } else {
+      words_[i / 64] &= ~mask;
+    }
+  }
 
   /// Number of set bits.
   size_t count() const;
@@ -109,6 +120,10 @@ class Bitmap {
   bool operator==(const Bitmap&) const = default;
 
  private:
+  /// The range checks' cold path, kept out of line so the inline bit
+  /// accessors stay small.
+  [[noreturn]] static void throw_out_of_range(const char* what);
+
   size_t size_ = 0;
   std::vector<uint64_t> words_;
 };
