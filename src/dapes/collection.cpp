@@ -13,19 +13,6 @@ size_t packets_for(size_t file_bytes, size_t packet_size) {
   return (file_bytes + packet_size - 1) / packet_size;
 }
 
-// The metadata segments are shared by reference across every node that
-// holds the collection, and both the wire encoding and the name's prefix
-// hashes are lazily cached `mutable` state. Fill those caches once at
-// creation, so world building pays for them and the trial itself only
-// ever reads the shared objects.
-void warm_packet_caches(const std::vector<ndn::DataPtr>& packets) {
-  for (const ndn::DataPtr& segment : packets) {
-    segment->wire();
-    segment->name().hash();
-    segment->content_digest();
-  }
-}
-
 }  // namespace
 
 common::Bytes Collection::synthetic_payload(const Name& packet_name,
@@ -35,14 +22,15 @@ common::Bytes Collection::synthetic_payload(const Name& packet_name,
   // content regularity).
   common::Bytes out;
   out.reserve(size);
-  uint64_t counter = 0;
   std::string uri = packet_name.to_uri();
-  while (out.size() < size) {
+  for (uint64_t counter = 0; out.size() < size; ++counter) {
     crypto::Sha256 ctx;
     ctx.update(uri);
-    common::Bytes ctr;
-    common::append_be(ctr, counter++, 8);
-    ctx.update(common::BytesView(ctr.data(), ctr.size()));
+    uint8_t ctr[8];  // the counter, 8 bytes big-endian
+    for (size_t i = 0; i < 8; ++i) {
+      ctr[i] = static_cast<uint8_t>(counter >> (8 * (7 - i)));
+    }
+    ctx.update(common::BytesView(ctr, sizeof(ctr)));
     crypto::Digest block = ctx.final_digest();
     size_t take = std::min<size_t>(32, size - out.size());
     out.insert(out.end(), block.bytes.begin(), block.bytes.begin() + take);
@@ -125,12 +113,13 @@ void Collection::publish(Name collection_name,
     }
   }
   metadata_ = Metadata(metadata_.collection(), format, std::move(enriched));
-  for (ndn::Data& segment :
+  // Each segment's own decode carries every lazily cached field already
+  // (its wire, its name's prefix hashes, the digest memo sign() filled),
+  // so the trial only ever reads these shared objects.
+  for (const ndn::Data& segment :
        metadata_.to_packets(producer_key_, kMetadataSegmentSize)) {
-    metadata_packets_.push_back(
-        std::make_shared<const ndn::Data>(std::move(segment)));
+    metadata_packets_.push_back(segment.shared_decode());
   }
-  warm_packet_caches(metadata_packets_);
 }
 
 common::Bytes Collection::payload(size_t global_index) const {
@@ -156,21 +145,24 @@ common::Bytes Collection::payload(size_t global_index) const {
 }
 
 ndn::Data Collection::packet(size_t global_index) const {
-  CollectionLayout::Location loc = layout_.locate(global_index);
-  ndn::Data data(packet_name(metadata_.collection(), loc.file_name, loc.seq));
-  data.set_content(payload(global_index));
-  // Collection content is immutable; let caches hold it for a long time.
-  data.set_freshness(common::Duration::seconds(3600.0));
-  data.sign(producer_key_);
-  return data;
+  return *shared_packet(global_index);
 }
 
-ndn::Data Collection::packet(const std::string& file_name, uint64_t seq) const {
-  auto idx = layout_.index_of(file_name, seq);
-  if (!idx) {
-    throw std::out_of_range("Collection::packet: unknown file/seq");
+ndn::DataPtr Collection::shared_packet(size_t global_index) const {
+  if (packets_.empty()) packets_.resize(total_packets());
+  ndn::DataPtr& slot = packets_.at(global_index);
+  if (slot == nullptr) {
+    // Deterministic: the same payload, signature and bytes on every
+    // build, so building once and sharing changes nothing a receiver sees.
+    CollectionLayout::Location loc = layout_.locate(global_index);
+    ndn::Data data(packet_name(metadata_.collection(), loc.file_name, loc.seq));
+    data.set_content(payload(global_index));
+    // Collection content is immutable; let caches hold it for a long time.
+    data.set_freshness(common::Duration::seconds(3600.0));
+    data.sign(producer_key_);
+    slot = data.shared_decode();
   }
-  return packet(*idx);
+  return slot;
 }
 
 }  // namespace dapes::core

@@ -12,6 +12,15 @@
 ///     name. Simulations with tens of megabytes of nominal content use this
 ///     so per-node memory stays flat; digests/Merkle roots are computed
 ///     over the same synthetic bytes, so integrity verification is real.
+///
+/// Every packet the collection serves is one shared handle, the packet's
+/// own decode (ndn::Data::shared_decode), so each frame that carries it
+/// and each cache that keeps it shares that one object. Collection
+/// packets are built on their first serve and kept; the metadata
+/// segments are built at publish. The lazy packet cache belongs to one
+/// trial's Collection: every peer of that trial holds the same Collection
+/// and uses it from the trial's thread only, so it takes no lock (the
+/// crypto::VerifyCache contract).
 #pragma once
 
 #include <memory>
@@ -61,17 +70,22 @@ class Collection {
   /// Fixed payload size each file is segmented into.
   size_t packet_size() const { return packet_size_; }
 
-  /// The signed Data packet for a global packet index.
+  /// The signed Data packet for a global packet index: a copy of
+  /// shared_packet(). @throws std::out_of_range for a bad index.
   ndn::Data packet(size_t global_index) const;
 
-  /// The signed Data packet by (file, seq); throws on bad coordinates.
-  ndn::Data packet(const std::string& file_name, uint64_t seq) const;
+  /// The signed Data packet for a global packet index as the shared
+  /// handle every serve puts (see file comment): built on the first call,
+  /// the same object afterwards. @throws std::out_of_range for a bad
+  /// index.
+  ndn::DataPtr shared_packet(size_t global_index) const;
 
   /// Raw payload bytes for a packet (same bytes `packet()` carries).
   common::Bytes payload(size_t global_index) const;
 
-  /// Signed metadata segments ready to serve: built once at creation and
-  /// shared, handle and all, by every serve of every holder.
+  /// Signed metadata segments ready to serve: each one's own decode,
+  /// built once at creation and shared, handle and all, by every serve of
+  /// every holder.
   const std::vector<ndn::DataPtr>& metadata_packets() const {
     return metadata_packets_;
   }
@@ -105,6 +119,8 @@ class Collection {
   crypto::PrivateKey producer_key_;
   crypto::KeyId producer_id_;
   std::vector<ndn::DataPtr> metadata_packets_;
+  /// shared_packet()'s cache, one slot per packet; sized on first use.
+  mutable std::vector<ndn::DataPtr> packets_;
 };
 
 }  // namespace dapes::core

@@ -298,7 +298,7 @@ void Peer::handle_discovery_interest(const ndn::Interest& interest) {
   response.set_freshness(Duration::milliseconds(500));
   response.sign(key_);
   ++stats_.discovery_responses_sent;
-  app_face_->put(std::make_shared<const ndn::Data>(std::move(response)));
+  app_face_->put(response.shared_decode());
 }
 
 void Peer::handle_discovery_data(const ndn::Data& data) {
@@ -741,8 +741,7 @@ void Peer::serve_interest(const ndn::Interest& interest) {
   auto index = st->layout.index_of(parts->file_name, parts->seq);
   if (!index || !st->have.test(*index)) return;
   ++stats_.data_packets_served;
-  app_face_->put(
-      std::make_shared<const ndn::Data>(st->oracle->packet(*index)));
+  app_face_->put(st->oracle->shared_packet(*index));
 }
 
 // --------------------------------------------------------------------

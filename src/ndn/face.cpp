@@ -20,12 +20,7 @@ void WifiFace::send_interest(const Interest& interest) {
 
 void WifiFace::send_data(DataPtr data) {
   if (data_window_.us <= 0) {
-    ++data_sent_;
-    auto frame = std::make_shared<sim::Frame>();
-    frame->sender = node_;
-    frame->payload = data->wire();  // cached: forwarding never re-serializes
-    frame->kind = "ndn-data";
-    radio_.send(std::move(frame));
+    broadcast_data(data);
     return;
   }
   if (pending_data_.contains(data->name())) {
@@ -43,11 +38,21 @@ void WifiFace::transmit_data(const Name& name) {
   if (it == pending_data_.end()) return;
   DataPtr data = std::move(it->second.first);
   pending_data_.erase(it);
+  broadcast_data(data);
+}
+
+void WifiFace::broadcast_data(const DataPtr& data) {
   ++data_sent_;
   auto frame = std::make_shared<sim::Frame>();
   frame->sender = node_;
-  frame->payload = data->wire();
+  frame->payload = data->wire();  // cached: forwarding never re-serializes
   frame->kind = "ndn-data";
+  // A packet that is exactly the decode of these bytes is what every
+  // receiver's decode would build, so the frame carries it and
+  // frame_packet hands it on. Any other packet (built locally, or mutated
+  // since its decode) leaves the slot empty: the bytes are decoded on
+  // receipt.
+  if (data->is_wire_decode()) frame->packet = data;
   radio_.send(std::move(frame));
 }
 
@@ -58,15 +63,17 @@ std::shared_ptr<const Packet> frame_packet(const sim::Frame& frame) {
   const BufferSlice& payload = frame.payload;
   if (payload.empty() || payload[0] != type) return nullptr;
   if (frame.packet == nullptr) {
-    // Decoded from the wire, never taken from the sender's object: every
-    // receiver sees exactly what the bytes say. Its wire cache and large
-    // fields are views into the frame's shared buffer.
+    // Decoded from the wire, not taken from the sender's object (the
+    // sender attached none: its packet is not the decode of these bytes),
+    // so every receiver sees exactly what the bytes say. Its wire cache
+    // and large fields are views into the frame's shared buffer.
     std::optional<Packet> decoded = Packet::decode(payload);
     if (!decoded) return nullptr;
     frame.packet = std::make_shared<const Packet>(std::move(*decoded));
   }
-  // Only this function fills the slot, and always with the packet type the
-  // payload's leading byte names, so the cast is exact.
+  // This function and WifiFace::broadcast_data are the only writers, and
+  // both store the packet type the payload's leading byte names, so the
+  // cast is exact.
   return std::static_pointer_cast<const Packet>(frame.packet);
 }
 

@@ -8,10 +8,14 @@
 /// are injected by the face owner via the handlers the Forwarder installs.
 ///
 /// Data moves between faces, the Forwarder and the Content Store as one
-/// shared immutable DataPtr. A broadcast frame is decoded once, by its
-/// first NDN consumer (frame_packet), and every WifiFace that hears it
-/// hands the same packet on: N receivers and their N caches share one
-/// Data, whose content and wire are views into the frame buffer.
+/// shared immutable DataPtr. A broadcast frame's packet is shared by
+/// every WifiFace that hears it (frame_packet): N receivers and their N
+/// caches share one Data, whose content and wire are views into the frame
+/// buffer. When the sender's packet is already the decode of the frame's
+/// bytes (Data::is_wire_decode), the frame carries that packet and nobody
+/// decodes; so a cached packet re-broadcast hop after hop, and a
+/// producer's own decode (Data::shared_decode), stay one object per
+/// encoding. Otherwise the frame's first NDN consumer decodes it once.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +37,13 @@ using FaceId = uint32_t;
 
 /// The one decoded packet of @p frame, shared by all its receivers.
 /// @p Packet is Interest or Data; the payload's leading TLV type (0x05 or
-/// 0x06) selects which one the frame carries. The first call decodes the
-/// payload and stores the packet in the frame's slot (sim::Frame::packet);
-/// every later call returns that same object. Returns nullptr when the
-/// payload is not a @p Packet or does not decode (an undecodable payload
-/// leaves the slot empty).
+/// 0x06) selects which one the frame carries. A Data frame may already
+/// carry its packet in its slot (sim::Frame::packet): the sender's own
+/// object, which WifiFace attaches only when it is exactly the decode of
+/// the payload. Otherwise the first call decodes the payload and stores
+/// the packet in the slot. Every call returns that same object. Returns
+/// nullptr when the payload is not a @p Packet or does not decode (an
+/// undecodable payload leaves the slot empty).
 template <typename Packet>
 std::shared_ptr<const Packet> frame_packet(const sim::Frame& frame);
 
@@ -182,6 +188,9 @@ class WifiFace final : public Face {
 
  private:
   void transmit_data(const Name& name);
+  /// Put @p data on the air. Both Data send paths end here, so the rule
+  /// for attaching the sender's packet to the frame lives in one place.
+  void broadcast_data(const DataPtr& data);
 
   sim::Scheduler& sched_;
   sim::Radio& radio_;

@@ -179,6 +179,14 @@ const BufferSlice& Data::wire() const {
   return wire_;
 }
 
+std::shared_ptr<const Data> Data::shared_decode() const {
+  // Our own encoding always decodes; value() throws rather than read an
+  // empty optional should that ever break.
+  Data decoded = decode(wire()).value();
+  decoded.content_digest_ = content_digest_;
+  return std::make_shared<const Data>(std::move(decoded));
+}
+
 std::optional<Data> Data::decode(BufferSlice wire) {
   codec_counters().data_decodes.fetch_add(1, std::memory_order_relaxed);
   try {
@@ -239,6 +247,7 @@ std::optional<Data> Data::decode(BufferSlice wire) {
       data.signature_ = crypto::Signature{*signer, *mac};
     }
     data.wire_ = wire.subslice(0, outer.offset());
+    data.wire_decode_ = true;
     return data;
   } catch (const tlv::ParseError&) {
     return std::nullopt;

@@ -15,6 +15,9 @@
 ///     packet never re-serializes, and every in-range receiver of one
 ///     broadcast frame parses views into the same shared buffer;
 ///   * every mutator invalidates the cache.
+/// A Data also knows when it is exactly `decode(wire())` — decoded and
+/// never mutated since — so a sender holding such a packet can hand it to
+/// every receiver of its frame in place of their decode (ndn::WifiFace).
 /// Wire decode entry points are non-throwing: they return std::nullopt on
 /// malformed input (the TLV Reader's ParseError stays internal).
 #pragma once
@@ -40,8 +43,9 @@ using common::Duration;
 
 /// Process-wide codec instrumentation: counts actual (de)serializations
 /// so tests and benches can assert the zero-copy invariants (one encode
-/// per broadcast, one decode per broadcast frame however many nodes
-/// receive it, cache hits on forward).
+/// per broadcast; at most one decode per frame however many nodes receive
+/// it, and none for a frame that carries its sender's packet; cache hits
+/// on forward).
 struct CodecCounters {
   std::atomic<uint64_t> interest_encodes{0};  ///< Interest serializations
   std::atomic<uint64_t> data_encodes{0};      ///< Data serializations
@@ -222,6 +226,11 @@ class Data {
   /// Deep-copy convenience (build-side compat; hot paths use wire()).
   Bytes encode() const { return wire().to_bytes(); }
 
+  /// Whether this packet is exactly `decode(wire())`: set by decode(),
+  /// kept by copies, cleared by every mutator. Only such a packet may
+  /// stand in for a receiver's decode of its wire.
+  bool is_wire_decode() const { return wire_decode_; }
+
   /// Parse from a shared buffer. The returned Data keeps @p wire alive:
   /// its wire cache and Content are views into it.
   static std::optional<Data> decode(BufferSlice wire);
@@ -229,6 +238,13 @@ class Data {
   static std::optional<Data> decode(BytesView wire) {
     return decode(BufferSlice::copy_of(wire));
   }
+
+  /// This packet as its receivers see it: the shared decode of wire(),
+  /// which keeps this packet's content-digest memo (the bytes are the
+  /// same). A producer that puts it instead of the built packet lets
+  /// every frame carrying it skip the receiver-side decode. Fields the
+  /// wire cannot carry are the wire's (a 1.5 ms freshness reads 1 ms).
+  std::shared_ptr<const Data> shared_decode() const;
 
   /// Field-wise equality (wire caches are ignored).
   bool operator==(const Data& other) const {
@@ -238,7 +254,10 @@ class Data {
   }
 
  private:
-  void invalidate_wire() { wire_ = BufferSlice(); }
+  void invalidate_wire() {
+    wire_ = BufferSlice();
+    wire_decode_ = false;
+  }
 
   Name name_;
   BufferSlice content_;
@@ -248,13 +267,17 @@ class Data {
   /// Lazy SHA-256 of content_ (see content_digest()); reset whenever the
   /// content changes.
   mutable std::optional<crypto::Digest> content_digest_;
+  /// See is_wire_decode(). Last, so it sits in the tail padding after the
+  /// byte-aligned digest memo and costs no bytes.
+  bool wire_decode_ = false;
 };
 
 /// Shared, immutable Data handle: the CS, the forwarding pipeline,
 /// application faces and queued retransmissions pass one packet around by
-/// reference count. A received frame's packet is decoded once and shared
-/// by every receiver (ndn::frame_packet); its content and cached wire
-/// stay views into the frame buffer.
+/// reference count. A received frame's packet is shared by every receiver
+/// (ndn::frame_packet): the sender's own packet when that is the decode
+/// of the frame's bytes, else one decode of them. Either way its content
+/// and cached wire are views into the frame buffer.
 using DataPtr = std::shared_ptr<const Data>;
 
 /// Append @p name as a Name TLV element — the helper every codec that

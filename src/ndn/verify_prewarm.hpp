@@ -6,12 +6,12 @@
 /// reaches N receivers, so the naive layering hashes and MACs the same
 /// bytes N times. This hook plugs into `sim::Medium`'s delivery path
 /// (sim::DeliveryPrewarm) and does the cryptographic work once per frame:
-/// it decodes each delivered Data frame into the frame's shared packet
-/// (ndn::frame_packet — the one decode every receiver then shares),
-/// hashes its content, checks the MAC against the trust keychain,
-/// publishes the digest and verdict into the trial's crypto::VerifyCache
-/// (keyed on the shared frame buffer), and emits one `crypto.prewarm`
-/// trace event per Data frame with a cached/fresh flag.
+/// it takes each delivered Data frame's shared packet (ndn::frame_packet,
+/// which decodes the frame once for every receiver unless it carries its
+/// sender's packet), hashes its content, checks the MAC against the trust
+/// keychain, publishes the digest and verdict into the trial's
+/// crypto::VerifyCache (keyed on the shared frame buffer), and emits one
+/// `crypto.prewarm` trace event per Data frame with a cached/fresh flag.
 ///
 /// Receivers then serve both the content digest and the MAC verdict from
 /// the cache (ndn::Data::verify, core::Metadata::verify_packet). The

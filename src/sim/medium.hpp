@@ -52,10 +52,9 @@ using NodeId = uint32_t;
 /// One frame on the air. The payload is opaque to the medium.
 ///
 /// The payload is a ref-counted slice: the medium hands the *same* frame
-/// to every in-range receiver. Its first upper-layer consumer decodes it
-/// once into `packet`, a view into this shared buffer, and every receiver
-/// shares that one decoded packet (see DESIGN.md "Wire & buffer
-/// architecture").
+/// to every in-range receiver, and every receiver shares one decoded
+/// packet in `packet`, a view into this shared buffer (see DESIGN.md
+/// "Wire & buffer architecture").
 struct Frame {
   /// Transmitting node.
   NodeId sender = 0;
@@ -64,11 +63,13 @@ struct Frame {
   /// Upper-layer tag used only for statistics (e.g. "interest", "data",
   /// "hello"). Never interpreted by the medium.
   std::string kind;
-  /// The payload's one decoded packet, shared by every receiver: empty
-  /// until the first upper-layer consumer decodes the payload, then set
-  /// once and never replaced. Typed as `void` so the medium stays free of
-  /// packet types; one upper-layer helper fills and reads it
-  /// (ndn::frame_packet). Mutable because receivers hold the frame const.
+  /// The payload's one decoded packet, shared by every receiver. Either
+  /// the sender attaches its own packet, when that is exactly the decode
+  /// of the payload, or the slot stays empty until the first upper-layer
+  /// consumer decodes the payload; once set it is never replaced. Typed
+  /// as `void` so the medium stays free of packet types: ndn::frame_packet
+  /// reads it, and it and the sending ndn::WifiFace are the only code
+  /// that fills it. Mutable because receivers hold the frame const.
   mutable std::shared_ptr<const void> packet;
 };
 
@@ -79,7 +80,8 @@ using FramePtr = std::shared_ptr<const Frame>;
 /// layer can pre-compute per-frame work once per broadcast instead of
 /// once per receiver (the verify-cache layer: one digest + MAC verdict
 /// per frame, served to all N in-range receivers, and the Data frame's
-/// one decode; see DESIGN.md "Crypto engine & verify cache").
+/// one decode unless it carries its sender's packet; see DESIGN.md
+/// "Crypto engine & verify cache").
 class DeliveryPrewarm {
  public:
   virtual ~DeliveryPrewarm() = default;

@@ -100,8 +100,6 @@ TEST(Collection, MultiFileLayoutOrder) {
       MetadataFormat::kPacketDigest, key);
   EXPECT_EQ(col->total_packets(), 3u);
   EXPECT_EQ(col->packet(2).name().to_uri(), "/c/second/0");
-  EXPECT_EQ(col->packet("second", 0).name(), col->packet(2).name());
-  EXPECT_THROW(col->packet("second", 5), std::out_of_range);
 }
 
 TEST(Collection, EmptyFileStillOnePacket) {
@@ -130,6 +128,61 @@ TEST(Collection, MetadataPacketsServable) {
   EXPECT_GT(col->metadata_packets().size(), 1u);
   for (const auto& seg : col->metadata_packets()) {
     EXPECT_TRUE(seg->verify(kc));
+    // Each segment is its own decode, so frames carrying it share it.
+    EXPECT_TRUE(seg->is_wire_decode());
+  }
+}
+
+/// The shared handle of every packet equals packet(i) field by field and
+/// byte for byte, is the packet's own decode, and is one object however
+/// often it is served.
+void expect_shared_packets_match(const Collection& col,
+                                 const crypto::KeyChain& kc) {
+  for (size_t i = 0; i < col.total_packets(); ++i) {
+    SCOPED_TRACE(i);
+    const ndn::DataPtr shared = col.shared_packet(i);
+    ASSERT_NE(shared, nullptr);
+    const ndn::Data copy = col.packet(i);
+    EXPECT_EQ(*shared, copy);
+    EXPECT_TRUE(common::equal(shared->wire().view(), copy.wire().view()));
+    EXPECT_TRUE(shared->is_wire_decode());
+    EXPECT_EQ(*shared, *ndn::Data::decode(shared->wire().view()));
+    EXPECT_TRUE(common::equal(shared->content(),
+                              BytesView(col.payload(i).data(),
+                                        col.payload(i).size())));
+    EXPECT_TRUE(shared->verify(kc));
+    // Two serves, one object.
+    EXPECT_EQ(col.shared_packet(i).get(), shared.get());
+  }
+  EXPECT_THROW(col.shared_packet(col.total_packets()), std::out_of_range);
+}
+
+TEST(Collection, SharedPacketsMatchExplicitPackets) {
+  crypto::KeyChain kc;
+  auto key = kc.generate_key("/p");
+  auto col = Collection::create(
+      ndn::Name("/c"), {{"fox", bytes_of("The quick brown fox")}, {"e", {}}},
+      8, MetadataFormat::kPacketDigest, key);
+  ASSERT_EQ(col->total_packets(), 4u);  // 19 bytes / 8, plus the empty file
+  expect_shared_packets_match(*col, kc);
+}
+
+TEST(Collection, SharedPacketsMatchSyntheticPackets) {
+  crypto::KeyChain kc;
+  auto key = kc.generate_key("/p");
+  auto col = Collection::create_synthetic(
+      ndn::Name("/c"), {{"first", 2500}, {"second", 1024}}, 1024,
+      MetadataFormat::kMerkleTree, key);
+  ASSERT_EQ(col->total_packets(), 4u);
+  expect_shared_packets_match(*col, kc);
+  // Building is deterministic: a second collection's packets have the
+  // same bytes.
+  auto twin = Collection::create_synthetic(
+      ndn::Name("/c"), {{"first", 2500}, {"second", 1024}}, 1024,
+      MetadataFormat::kMerkleTree, key);
+  for (size_t i = 0; i < col->total_packets(); ++i) {
+    EXPECT_TRUE(common::equal(col->shared_packet(i)->wire().view(),
+                              twin->shared_packet(i)->wire().view()));
   }
 }
 

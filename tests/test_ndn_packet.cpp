@@ -1,6 +1,10 @@
 // Unit tests for TLV encoding and Interest/Data packets.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "crypto/keychain.hpp"
 #include "ndn/packet.hpp"
 #include "ndn/tlv.hpp"
@@ -160,6 +164,86 @@ TEST(Data, EmptyContentAllowed) {
   auto decoded = Data::decode(BytesView(wire.data(), wire.size()));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->content().empty());
+}
+
+// Data::is_wire_decode() marks a packet that is exactly decode(wire()):
+// only such a packet may stand in for a receiver's decode.
+TEST(Data, DecodeSetsWireDecodeBit) {
+  Data data(Name("/coll/file/2"));
+  data.set_content(bytes_of("bits"));
+  auto decoded = Data::decode(data.wire());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(decoded->is_wire_decode());
+}
+
+TEST(Data, BuiltAndEncodedDataNeverHasWireDecodeBit) {
+  crypto::KeyChain kc;
+  Data data(Name("/coll/file/3"));
+  EXPECT_FALSE(data.is_wire_decode());
+  data.set_content(bytes_of("built"));
+  data.sign(kc.generate_key("/producer"));
+  (void)data.wire();
+  EXPECT_TRUE(data.has_wire());
+  EXPECT_FALSE(data.is_wire_decode());
+  EXPECT_FALSE(Data(data).is_wire_decode());
+}
+
+TEST(Data, CopiesKeepWireDecodeBit) {
+  Data data(Name("/coll/file/4"));
+  data.set_content(bytes_of("copied"));
+  const Data decoded = *Data::decode(data.wire());
+  Data copy = decoded;
+  EXPECT_TRUE(copy.is_wire_decode());
+  Data assigned;
+  assigned = decoded;
+  EXPECT_TRUE(assigned.is_wire_decode());
+}
+
+TEST(Data, EveryMutatorClearsWireDecodeBit) {
+  crypto::KeyChain kc;
+  crypto::PrivateKey key = kc.generate_key("/producer");
+  Data data(Name("/coll/file/5"));
+  data.set_content(bytes_of("mutable"));
+  data.sign(key);
+  const Data decoded = *Data::decode(data.wire());
+  ASSERT_TRUE(decoded.is_wire_decode());
+  const std::vector<std::pair<const char*, std::function<void(Data&)>>>
+      mutators = {
+          {"set_content(Bytes)", [](Data& d) { d.set_content(bytes_of("x")); }},
+          {"set_content(BufferSlice)",
+           [](Data& d) { d.set_content(d.content_slice()); }},
+          {"set_freshness", [](Data& d) { d.set_freshness(d.freshness()); }},
+          {"sign", [&key](Data& d) { d.sign(key); }},
+      };
+  for (const auto& [what, mutate] : mutators) {
+    Data copy = decoded;
+    mutate(copy);
+    EXPECT_FALSE(copy.is_wire_decode()) << what;
+  }
+}
+
+TEST(Data, SharedDecodeIsTheDecodeOfTheWire) {
+  crypto::KeyChain kc;
+  Data data(Name("/coll/file/6"));
+  data.set_content(bytes_of("shared"));
+  data.set_freshness(common::Duration::milliseconds(750));
+  data.sign(kc.generate_key("/producer"));
+  DataPtr shared = data.shared_decode();
+  EXPECT_TRUE(shared->is_wire_decode());
+  EXPECT_EQ(*shared, data);
+  EXPECT_EQ(*shared, *Data::decode(data.wire()));
+  // A view into the built packet's one encoding, digest memo kept.
+  EXPECT_EQ(shared->wire().data(), data.wire().data());
+  EXPECT_EQ(shared->content_digest(), crypto::Sha256::hash("shared"));
+  EXPECT_TRUE(shared->verify(kc));
+}
+
+TEST(Data, SharedDecodeReadsWhatTheWireCarries) {
+  // The wire carries whole milliseconds, so the shared decode of a
+  // 1.5 ms freshness reads 1 ms, as every receiver would.
+  Data data(Name("/coll/file/7"));
+  data.set_freshness(common::Duration::microseconds(1500));
+  EXPECT_EQ(data.shared_decode()->freshness().us, 1000);
 }
 
 TEST(Packets, UnknownTlvElementsIgnored) {

@@ -2,8 +2,10 @@
 // engine via the codec counters (ISSUE 2 acceptance criteria):
 //   * one broadcast frame is serialized exactly once, no matter how many
 //     nodes overhear it;
-//   * one broadcast frame is decoded exactly once, no matter how many
+//   * one broadcast frame is decoded at most once, no matter how many
 //     nodes receive it, and every receiver gets that same packet object;
+//     not at all when the sender's packet is exactly the decode of the
+//     frame's bytes, since the frame then carries that packet;
 //   * forwarding an unmodified Data performs zero re-serialization — the
 //     cached wire (and the underlying frame buffer) is reused;
 //   * the Content Store shares the decoded packet instead of deep-copying.
@@ -39,6 +41,8 @@ struct ZeroCopyTest : ::testing::Test {
   }
 
   std::vector<std::shared_ptr<sim::Radio>> radios;
+  std::vector<std::shared_ptr<WifiFace>> receivers;
+  std::vector<DataPtr> received;
 
   Data make_data(const std::string& uri) {
     Data d{Name(uri)};
@@ -46,29 +50,32 @@ struct ZeroCopyTest : ::testing::Test {
     d.set_freshness(common::Duration::seconds(100.0));
     return d;
   }
+
+  /// Two overhearing nodes at B and C, each with its own WifiFace; every
+  /// Data they receive lands in `received`.
+  void add_receivers(sim::Medium& medium) {
+    for (auto* pos : {&pos_b, &pos_c}) {
+      auto idx = receivers.size();
+      sim::NodeId node = medium.add_node(
+          pos, [this, idx](const sim::FramePtr& frame, sim::NodeId) {
+            receivers[idx]->on_frame(frame);
+          });
+      auto radio =
+          std::make_shared<sim::Radio>(sched, medium, node, rng.fork());
+      auto face = std::make_shared<WifiFace>(sched, *radio, node, rng.fork(),
+                                             common::Duration{0});
+      face->set_receive_handlers(
+          nullptr, [this](DataPtr d) { received.push_back(std::move(d)); });
+      radios.push_back(std::move(radio));
+      receivers.push_back(std::move(face));
+    }
+  }
 };
 
 TEST_F(ZeroCopyTest, BroadcastEncodedOnceDecodedOncePerFrame) {
   sim::Medium medium(sched, params(), rng.fork());
   sim::NodeId a = medium.add_node(&pos_a, nullptr);
-
-  // Two overhearing nodes, each with its own WifiFace.
-  std::vector<std::shared_ptr<WifiFace>> receivers;
-  std::vector<DataPtr> received;
-  for (auto* pos : {&pos_b, &pos_c}) {
-    auto idx = receivers.size();
-    sim::NodeId node = medium.add_node(
-        pos, [this, idx, &receivers](const sim::FramePtr& frame, sim::NodeId) {
-          receivers[idx]->on_frame(frame);
-        });
-    auto radio = std::make_shared<sim::Radio>(sched, medium, node, rng.fork());
-    auto face = std::make_shared<WifiFace>(sched, *radio, node, rng.fork(),
-                                           common::Duration{0});
-    face->set_receive_handlers(
-        nullptr, [&received](DataPtr d) { received.push_back(std::move(d)); });
-    radios.push_back(std::move(radio));
-    receivers.push_back(std::move(face));
-  }
+  add_receivers(medium);
 
   sim::Radio radio_a(sched, medium, a, rng.fork());
   WifiFace sender(sched, radio_a, a, rng.fork(), common::Duration{0});
@@ -90,6 +97,44 @@ TEST_F(ZeroCopyTest, BroadcastEncodedOnceDecodedOncePerFrame) {
   // decoded object, not the sender's.
   EXPECT_EQ(received[0]->wire().data(), sent_wire);
   EXPECT_NE(received[0], sent);
+}
+
+TEST_F(ZeroCopyTest, FrameCarriesSenderPacketOnlyWhenItIsTheDecode) {
+  sim::Medium medium(sched, params(), rng.fork());
+  sim::NodeId a = medium.add_node(&pos_a, nullptr);
+  add_receivers(medium);
+  sim::Radio radio_a(sched, medium, a, rng.fork());
+  // A nonzero window: the delayed send path attaches by the same rule.
+  WifiFace sender(sched, radio_a, a, rng.fork(),
+                  common::Duration::milliseconds(5));
+
+  // The wire carries whole milliseconds, so a built 1.5 ms freshness is
+  // not what the bytes say: receivers decode and see 1 ms.
+  Data built = make_data("/zc/fresh/0");
+  built.set_freshness(common::Duration::microseconds(1500));
+  auto sent = std::make_shared<const Data>(built);
+  sender.send_data(sent);
+  sched.run();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(codec_counters().data_decodes.load(), 1u);
+  EXPECT_EQ(received[0], received[1]);
+  EXPECT_NE(received[0], sent);
+  EXPECT_EQ(received[0]->freshness().us, 1000);
+  EXPECT_EQ(received[1]->freshness().us, 1000);
+
+  // The packet's own decode is what the bytes say: the frame carries it,
+  // and both receivers hold the sender's object without a decode.
+  DataPtr own = built.shared_decode();
+  received.clear();
+  codec_counters().reset();
+  sender.send_data(own);
+  sched.run();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(codec_counters().data_decodes.load(), 0u);
+  EXPECT_EQ(codec_counters().data_encodes.load(), 0u);
+  EXPECT_EQ(received[0], own);
+  EXPECT_EQ(received[1], own);
+  EXPECT_EQ(own->freshness().us, 1000);
 }
 
 TEST_F(ZeroCopyTest, ForwardingUnmodifiedDataNeverReserializes) {
